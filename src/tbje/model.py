@@ -454,24 +454,24 @@ def save_model(path, model: TbjeModel) -> None:
 
 
 def read_model(fh) -> TbjeModel:
-    magic = fh.read(4)
+    magic = T.read_exact(fh, 4)
     if magic != CHECKPOINT_MAGIC:
         raise ConfigError(f"bad checkpoint magic {magic!r}; "
                           f"expected {CHECKPOINT_MAGIC!r}")
-    (version,) = struct.unpack("<I", fh.read(4))
+    (version,) = struct.unpack("<I", T.read_exact(fh, 4))
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {version}; "
                           f"this build reads {CHECKPOINT_VERSION}")
-    (blob_len,) = struct.unpack("<I", fh.read(4))
-    header = json.loads(fh.read(blob_len).decode("utf-8"))
+    (blob_len,) = struct.unpack("<I", T.read_exact(fh, 4))
+    header = json.loads(T.read_exact(fh, blob_len).decode("utf-8"))
     config = EncoderConfig.from_dict(header["config"])
     model = init_model(config, seed=0, vocab_hash=header.get("vocab_hash"))
     params = model.parameter_dict()
-    (count,) = struct.unpack("<I", fh.read(4))
+    (count,) = struct.unpack("<I", T.read_exact(fh, 4))
     seen = set()
     for _ in range(count):
-        (name_len,) = struct.unpack("<I", fh.read(4))
-        name = fh.read(name_len).decode("utf-8")
+        (name_len,) = struct.unpack("<I", T.read_exact(fh, 4))
+        name = T.read_exact(fh, name_len).decode("utf-8")
         data = T.read_array(fh)
         if name not in params:
             raise ConfigError(f"checkpoint tensor {name!r} has no slot in "

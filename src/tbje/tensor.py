@@ -4,9 +4,13 @@ A ``Tape`` is a Wengert list: every primitive executed while a tape is
 active appends a record holding the output, the inputs, and a closure that
 propagates the output gradient to the inputs. ``Tape.backward`` walks the
 records in exact reverse execution order, so no graph search is needed.
+It consumes the records as it goes: each record is dropped once its vjp has
+run, so the closure and the activations it captured are freed while the
+tape unwinds, and each op output's ``.grad`` is cleared once propagated.
 
 Everything is float64. Gradients accumulate into ``Tensor.grad`` (a numpy
-array of the same shape as ``Tensor.data``).
+array of the same shape as ``Tensor.data``); after ``backward`` only leaf
+tensors (parameters and inputs, which no recorded op produced) keep theirs.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 __all__ = [
     "Tensor", "Tape", "backward", "add", "sub", "mul", "scale", "matmul",
@@ -58,7 +62,12 @@ class Tape:
         self._records.append((out, inputs, vjp))
 
     def backward(self, loss: "Tensor") -> None:
-        """Propagate d(loss)/d(x) into ``x.grad`` for every recorded ancestor."""
+        """Propagate d(loss)/d(x) into ``x.grad`` for every recorded ancestor.
+
+        The tape is consumed: each record is popped once its vjp has run,
+        and the ``.grad`` of every op output is set back to ``None`` once
+        propagated, so only leaf tensors keep a gradient afterwards.
+        """
         if self._consumed:
             raise ContractError(
                 "tape already replayed; run a fresh forward pass before "
@@ -66,11 +75,14 @@ class Tape:
         if loss.data.size != 1:
             raise ContractError(
                 f"backward() needs a scalar loss, got shape {loss.data.shape}")
+        self._consumed = True
         loss.grad = np.ones_like(loss.data)
-        for out, _inputs, vjp in reversed(self._records):
+        records = self._records
+        while records:
+            out, _inputs, vjp = records.pop()
             if out.grad is not None:
                 vjp(out.grad)
-        self._consumed = True
+                out.grad = None
 
     def clear(self):
         """Drop all records (and with them the intermediate buffers)."""
@@ -237,13 +249,20 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, broadcasting leading (batch) axes."""
+    """Matrix product over the last two axes, broadcasting leading (batch) axes.
+
+    A 2-D right operand (a weight) takes one GEMM over ``a`` flattened to
+    ``(rows, k)``, forward and backward, so the weight gradient is a single
+    ``a2d.T @ g2d`` instead of one product per batch row summed afterwards.
+    """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(
             f"matmul needs >=2-d operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(
             f"matmul inner extents disagree: {a.data.shape} vs {b.data.shape}")
+    if b.data.ndim == 2:
+        return _matmul_weight(a, b)
     data = a.data @ b.data
 
     def make_vjp():
@@ -254,6 +273,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 _accumulate(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
             if b.requires_grad:
                 _accumulate(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
+        return vjp
+
+    return _from_op(data, (a, b), make_vjp)
+
+
+def _matmul_weight(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for a 2-D ``b``, as GEMMs over the rows of ``a``."""
+    shape = a.data.shape
+    rows = math.prod(shape[:-1])
+    a2d = a.data.reshape(rows, shape[-1])
+    data = (a2d @ b.data).reshape(shape[:-1] + b.data.shape[1:])
+
+    def make_vjp():
+        bd = b.data
+
+        def vjp(g):
+            g2d = g.reshape(rows, bd.shape[1])
+            if a.requires_grad:
+                _accumulate(a, (g2d @ bd.T).reshape(shape))
+            if b.requires_grad:
+                _accumulate(b, a2d.T @ g2d)
         return vjp
 
     return _from_op(data, (a, b), make_vjp)
@@ -394,10 +434,14 @@ def log(a: Tensor) -> Tensor:
     return _from_op(data, (a,), make_vjp)
 
 
+def _stable_sigmoid(x):
+    """sigmoid(x) from e = exp(-|x|), which never overflows; e is formed once."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    data = _stable_sigmoid(a.data)
 
     def make_vjp():
         y = data
@@ -412,16 +456,13 @@ def sigmoid(a: Tensor) -> Tensor:
 def log_sigmoid(a: Tensor) -> Tensor:
     """log(sigmoid(x)) without overflow for large |x|."""
     x = a.data
-    data = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))),
-                    x - np.log1p(np.exp(-np.abs(x))))
+    softplus = np.log1p(np.exp(-np.abs(x)))
+    data = np.where(x >= 0, -softplus, x - softplus)
 
     def make_vjp():
         def vjp(g):
             # d/dx log(sigmoid(x)) = sigmoid(-x)
-            xx = a.data
-            s = np.where(xx >= 0, np.exp(-np.abs(xx)) / (1.0 + np.exp(-np.abs(xx))),
-                         1.0 / (1.0 + np.exp(-np.abs(xx))))
-            _accumulate(a, g * s)
+            _accumulate(a, g * _stable_sigmoid(-a.data))
         return vjp
 
     return _from_op(data, (a,), make_vjp)
@@ -537,16 +578,23 @@ def write_array(fh, arr: np.ndarray) -> None:
     fh.write(arr.astype("<f8", copy=False).tobytes(order="C"))
 
 
+def read_exact(fh, size: int) -> bytes:
+    """Read exactly ``size`` bytes; a file that ends early is a bad artifact."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise ConfigError(f"truncated file: wanted {size} more bytes, "
+                          f"found {len(data)}")
+    return data
+
+
 def read_array(fh) -> np.ndarray:
-    magic = fh.read(4)
+    magic = read_exact(fh, 4)
     if magic != TENSOR_MAGIC:
         raise ContractError(f"bad tensor magic {magic!r}, expected {TENSOR_MAGIC!r}")
-    rank = fh.read(1)[0]
-    shape = tuple(np.frombuffer(fh.read(4 * rank), dtype="<u4").astype(int))
+    rank = read_exact(fh, 1)[0]
+    shape = tuple(np.frombuffer(read_exact(fh, 4 * rank), dtype="<u4").astype(int))
     count = int(math.prod(shape)) if rank else 1
-    payload = fh.read(8 * count)
-    if len(payload) != 8 * count:
-        raise ContractError("truncated tensor payload")
+    payload = read_exact(fh, 8 * count)
     return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
 
 

@@ -433,15 +433,15 @@ def save_train_state(path, model: TbjeModel, state: TrainState) -> None:
 
 def load_train_state(path) -> tuple[TbjeModel, TrainState]:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        magic = T.read_exact(fh, 4)
         if magic != STATE_MAGIC:
             raise ConfigError(f"bad train-state magic {magic!r}; expected "
                               f"{STATE_MAGIC!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", T.read_exact(fh, 4))
         if version != STATE_VERSION:
             raise ConfigError(f"unsupported train-state version {version}")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
+        (blob_len,) = struct.unpack("<I", T.read_exact(fh, 4))
+        header = json.loads(T.read_exact(fh, blob_len).decode("utf-8"))
         model = read_model(fh)
         state = TrainState(lr=header["lr"])
         state.step = header["step"]
@@ -451,14 +451,14 @@ def load_train_state(path) -> tuple[TbjeModel, TrainState]:
         state.decays_used = header["decays_used"]
         state.stopped = header["stopped"]
         state.log = header["log"]
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<I", T.read_exact(fh, 4))
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
+            (name_len,) = struct.unpack("<I", T.read_exact(fh, 4))
+            name = T.read_exact(fh, name_len).decode("utf-8")
             state.first_moment[name] = T.read_array(fh)
             state.second_moment[name] = T.read_array(fh)
-        (best_len,) = struct.unpack("<Q", fh.read(8))
-        state.best_blob = fh.read(best_len)
+        (best_len,) = struct.unpack("<Q", T.read_exact(fh, 8))
+        state.best_blob = T.read_exact(fh, best_len)
     expected = set(dict(model.named_parameters()))
     if set(state.first_moment) != expected:
         raise ConfigError("train state moments do not match the model's "

@@ -383,6 +383,16 @@ class TestEvaluate:
                      str(trained / "model-member0.tbjm")]) == EXIT_CONFIG
         assert "modality" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_is_config_error(self, corpus, trained,
+                                                  tmp_path, capsys):
+        blob = (trained / "model-member0.tbjm").read_bytes()
+        cut = tmp_path / "cut.tbjm"
+        cut.write_bytes(blob[: len(blob) // 2])
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--out", str(tmp_path), str(cut)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated file") and err.count("\n") == 1
+
     def test_missing_split_rejected(self, corpus, trained, capsys):
         assert main(["evaluate", "--config", str(corpus / "config.json"),
                      "--split", "extra"]) == EXIT_CONFIG

@@ -1,5 +1,7 @@
 """Encoder variants, glimpse pooling, classification head, checkpoints."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,12 @@ from tbje.gradcheck import check_gradients
 from tbje.model import (EncoderConfig, GlimpseParams, classify,
                         encode_joint, encode_monomodal, forward_logits,
                         glimpse, init_model, load_model, model_bytes,
-                        save_model)
+                        read_model, save_model)
 from tbje.rng import make_rng
 from tbje.tensor import Tensor
 
 import oracles
+from toy_corpus import truncation_cuts
 
 ORACLE_TOL = 1e-10
 
@@ -496,3 +499,11 @@ def test_checkpoint_truncated_tensor_list(tmp_path):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(Exception):
         load_model(path)
+
+
+def test_checkpoint_truncated_anywhere_is_config_error():
+    cfg = toy_config(modalities=("L",), lengths={"L": 3}, input_widths={"L": 5})
+    blob = model_bytes(init_model(cfg))
+    for cut in truncation_cuts(blob, stride=97):
+        with pytest.raises(ConfigError, match="truncated"):
+            read_model(io.BytesIO(blob[:cut]))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tbje.tensor as T
-from tbje.errors import ContractError, NumericError, ShapeError
+from tbje.errors import ConfigError, ContractError, NumericError, ShapeError
 from tbje.gradcheck import central_difference, relative_error
 from tbje.rng import make_rng
 
@@ -228,6 +228,52 @@ def test_tape_clear_frees_intermediates():
     assert ref() is None
 
 
+def sigmoid_square_loss(x, w):
+    """mean(sigmoid(x @ w)^2) with its hidden activation, built on a tape."""
+    hidden = T.sigmoid(T.matmul(x, w))
+    return hidden, T.tmean(T.mul(hidden, hidden))
+
+
+def sigmoid_square_grads(x, w):
+    """Analytic d/dx and d/dw of mean(sigmoid(x @ w)^2)."""
+    s = 1.0 / (1.0 + np.exp(-(x @ w)))
+    dz = 2.0 * s / s.size * s * (1.0 - s)
+    return dz @ w.T, x.T @ dz
+
+
+def test_backward_consumes_records_and_intermediate_grads():
+    rng = make_rng(20, "consume")
+    x = T.Tensor(rand(rng, 4, 3), requires_grad=True)
+    w = T.Tensor(rand(rng, 3, 5), requires_grad=True)
+    with T.Tape() as tape:
+        hidden, loss = sigmoid_square_loss(x, w)
+        assert len(tape) == 4
+        tape.backward(loss)
+        assert len(tape) == 0
+        assert hidden.grad is None and loss.grad is None
+        with pytest.raises(ContractError):
+            tape.backward(loss)
+    gx, gw = sigmoid_square_grads(x.data, w.data)
+    assert np.allclose(x.grad, gx, rtol=1e-12, atol=0)
+    assert np.allclose(w.grad, gw, rtol=1e-12, atol=0)
+
+
+def test_backward_frees_intermediates_as_it_unwinds():
+    rng = make_rng(21, "unwind")
+    x = T.Tensor(rand(rng, 4, 3), requires_grad=True)
+    w = T.Tensor(rand(rng, 3, 5), requires_grad=True)
+    with T.Tape() as tape:
+        hidden, loss = sigmoid_square_loss(x, w)
+    ref = weakref.ref(hidden)
+    del hidden
+    gc.collect()
+    assert ref() is not None  # the unreplayed tape still holds it
+    tape.backward(loss)
+    gc.collect()
+    assert ref() is None
+    assert x.grad is not None and w.grad is not None
+
+
 def test_no_tape_means_no_recording():
     w = T.Tensor([1.0], requires_grad=True)
     out = T.scale(w, 2.0)
@@ -282,6 +328,55 @@ def test_grad_matmul_batched():
     rng = make_rng(2, "mmb")
     a = T.Tensor(rand(rng, 2, 3, 4), requires_grad=True)
     b = T.Tensor(rand(rng, 4, 5), requires_grad=True)
+    fd_check(lambda: T.tmean(T.mul(m := T.matmul(a, b), m)), [a, b])
+
+
+def rel_diff(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("lead", [(2, 3), (2, 3, 4)], ids=["3d", "4d"])
+@pytest.mark.parametrize("wants", [(True, False), (False, True), (True, True)],
+                         ids=["a", "b", "ab"])
+def test_matmul_weight_equals_broadcast_batched_form(lead, wants):
+    rng = make_rng(12, "flat", len(lead))
+    a = T.Tensor(rand(rng, *lead, 5), requires_grad=wants[0])
+    b = T.Tensor(rand(rng, 5, 4), requires_grad=wants[1])
+    g = rand(rng, *lead, 4)
+    with T.Tape() as tape:
+        out = T.matmul(a, b)
+        tape.backward(T.tsum(T.mul(out, T.Tensor(g))))
+    assert out.shape == lead + (4,)
+    assert rel_diff(out.data, np.matmul(a.data, b.data)) < 1e-12
+    if wants[0]:
+        assert rel_diff(a.grad, np.matmul(g, b.data.T)) < 1e-12
+    else:
+        assert a.grad is None
+    if wants[1]:
+        per_row = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        want = per_row.sum(axis=tuple(range(len(lead) - 1)))
+        assert rel_diff(b.grad, want) < 1e-12
+    else:
+        assert b.grad is None
+    fd_check(lambda: T.tmean(T.mul(m := T.matmul(a, b), m)),
+             [t for t in (a, b) if t.requires_grad])
+
+
+def test_batched_matmul_keeps_broadcast_path(monkeypatch):
+    def flat(a, b):
+        raise AssertionError("two batched operands took the weight path")
+
+    monkeypatch.setattr(T, "_matmul_weight", flat)
+    rng = make_rng(13, "bmm")
+    a = T.Tensor(rand(rng, 2, 3, 5), requires_grad=True)
+    b = T.Tensor(rand(rng, 2, 5, 4), requires_grad=True)
+    g = rand(rng, 2, 3, 4)
+    with T.Tape() as tape:
+        out = T.matmul(a, b)
+        tape.backward(T.tsum(T.mul(out, T.Tensor(g))))
+    assert rel_diff(out.data, np.matmul(a.data, b.data)) < 1e-12
+    assert rel_diff(a.grad, g @ np.swapaxes(b.data, -1, -2)) < 1e-12
+    assert rel_diff(b.grad, np.swapaxes(a.data, -1, -2) @ g) < 1e-12
     fd_check(lambda: T.tmean(T.mul(m := T.matmul(a, b), m)), [a, b])
 
 
@@ -360,6 +455,28 @@ def test_grad_masked_fill_softmax_chain():
     fd_check(build, [a])
 
 
+def test_sigmoid_bodies_bit_identical_to_three_exp_formulas():
+    rng = make_rng(14, "sig")
+    x = np.concatenate([rand(rng, 64) * 20.0,
+                        [-800.0, -40.0, -1e-300, -0.0, 0.0, 1e-300, 40.0, 800.0]])
+    g = rand(rng, x.size)
+    e = np.exp(-np.abs(x))
+    old_sigmoid = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                           np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    old_log_sigmoid = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))),
+                               x - np.log1p(np.exp(-np.abs(x))))
+    old_log_sigmoid_grad = g * np.where(x >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+    for op, value, grad in (
+            (T.sigmoid, old_sigmoid, g * old_sigmoid * (1.0 - old_sigmoid)),
+            (T.log_sigmoid, old_log_sigmoid, old_log_sigmoid_grad)):
+        a = T.Tensor(x, requires_grad=True)
+        with T.Tape() as tape:
+            out = op(a)
+            tape.backward(T.tsum(T.mul(out, T.Tensor(g))))
+        assert np.array_equal(out.data, value)
+        assert np.array_equal(a.grad, grad)
+
+
 def test_grad_log_sigmoid_extreme_logits_stable():
     z = T.Tensor(np.array([-500.0, -40.0, 0.0, 40.0, 500.0]), requires_grad=True)
     with T.Tape() as tape:
@@ -396,3 +513,12 @@ def test_tensor_wire_layout():
 def test_tensor_bad_magic_rejected():
     with pytest.raises(ContractError):
         T.read_array(io.BytesIO(b"NOPE" + bytes(16)))
+
+
+def test_tensor_truncated_at_every_byte_is_config_error():
+    raw = io.BytesIO()
+    T.write_array(raw, np.arange(6.0).reshape(2, 3))
+    raw = raw.getvalue()
+    for cut in range(len(raw)):
+        with pytest.raises(ConfigError, match="truncated"):
+            T.read_array(io.BytesIO(raw[:cut]))

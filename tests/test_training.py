@@ -12,7 +12,8 @@ from tbje import tensor as T
 from tbje.data import Split
 from tbje.errors import ConfigError, ContractError, NumericError
 from tbje.metrics import accuracy, sentiment_bins
-from tbje.model import EncoderConfig, init_model, model_bytes, read_model
+from tbje.model import (CHECKPOINT_MAGIC, EncoderConfig, init_model,
+                        model_bytes, read_model)
 from tbje.synthetic import make_synthetic_bundle
 from tbje.tensor import Tape, Tensor
 from tbje.training import (TrainConfig, TrainState, adam_step,
@@ -24,6 +25,8 @@ from tbje.training import (TrainConfig, TrainState, adam_step,
                            schedule_trace, train_ensemble)
 
 import io
+
+from toy_corpus import truncation_cuts
 
 
 @pytest.fixture(scope="module")
@@ -548,6 +551,27 @@ class TestTrainState:
         path.write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(ConfigError, match="magic"):
             load_train_state(path)
+
+    def test_truncated_anywhere_is_config_error(self, bundle, tmp_path):
+        model = init_model(tiny_encoder(("L",)), seed=7)
+        state = fit(model, bundle.splits["train"], bundle.splits["valid"],
+                    quick_cfg(max_epochs=1))
+        path = tmp_path / "state.tbjs"
+        save_train_state(path, model, state)
+        blob = path.read_bytes()
+        model_start = blob.index(CHECKPOINT_MAGIC)
+        model_end = model_start + len(model_bytes(model))
+        best_start = len(blob) - len(state.best_blob)
+        # the embedded checkpoint is cut at every header byte by the
+        # checkpoint test, and the best-checkpoint bytes are opaque here
+        cuts = (list(range(model_start))
+                + list(range(model_start, model_end, 211))
+                + truncation_cuts(blob[:best_start], 211, start=model_end)
+                + list(range(best_start, len(blob), 211)))
+        for cut in cuts:
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ConfigError, match="truncated"):
+                load_train_state(path)
 
     def test_moment_name_mismatch_rejected(self, bundle, tmp_path):
         model = init_model(tiny_encoder(("L",)), seed=7)

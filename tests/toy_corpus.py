@@ -1,5 +1,6 @@
 """Generates a miniature on-disk corpus (transcripts, wavs, visual feature
-files, embedding table, manifest CSV) for exercising the CLI end to end."""
+files, embedding table, manifest CSV) for exercising the CLI end to end,
+and the byte offsets at which to cut toy artifacts in truncation tests."""
 
 import csv
 from pathlib import Path
@@ -10,7 +11,7 @@ from scipy.io import wavfile
 from tbje.config import RunConfig, save_run_config
 from tbje.features import MelConfig
 from tbje.model import EncoderConfig
-from tbje.tensor import save_array
+from tbje.tensor import TENSOR_MAGIC, save_array
 from tbje.training import TrainConfig
 
 TRANSCRIPTS = [
@@ -129,3 +130,17 @@ def toy_run_config(root, with_audio=True, with_visual=True,
     path = root / "config.json"
     save_run_config(path, cfg)
     return path
+
+
+def truncation_cuts(blob: bytes, stride: int, start: int = 0) -> list[int]:
+    """Every offset of ``blob[start:]`` outside a TBJT float payload, and
+    every ``stride``-th offset inside one."""
+    cuts, pos = [], start
+    while (head := blob.find(TENSOR_MAGIC, pos)) >= 0:
+        rank = blob[head + 4]
+        extents = np.frombuffer(blob, dtype="<u4", count=rank, offset=head + 5)
+        payload = head + 5 + 4 * rank
+        stop = payload + 8 * int(np.prod(extents))
+        cuts += list(range(pos, payload)) + list(range(payload, stop, stride))
+        pos = stop
+    return cuts + list(range(pos, len(blob)))
