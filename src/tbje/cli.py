@@ -91,10 +91,6 @@ def _require_splits(bundle: DatasetBundle, names) -> None:
                           f"has {sorted(bundle.splits)}")
 
 
-def _model_batches(model_modalities, split: Split) -> dict:
-    return {m: split.batches[m] for m in model_modalities}
-
-
 # ---------------------------------------------------------------------------
 # extract-features
 # ---------------------------------------------------------------------------
@@ -337,32 +333,39 @@ def cmd_evaluate(args) -> int:
         if not paths:
             raise ConfigError(f"no model-member*.tbjm checkpoints in "
                               f"{run_dir}")
-    models = [load_model(p) for p in paths]
-    for p, model in zip(paths, models):
-        if model.vocab_hash is not None and bundle.vocab_hash is not None \
-                and model.vocab_hash != bundle.vocab_hash:
-            raise ConfigError(
-                f"checkpoint {p} was trained against a different "
-                f"vocabulary than this bundle")
-        for m in model.config.modalities:
-            if m not in bundle.modalities:
-                raise ConfigError(f"checkpoint {p} needs modality {m} "
-                                  f"which the bundle lacks")
-            entry = bundle.modalities[m]
-            want = (model.config.lengths[m], model.config.input_widths[m])
-            got = (entry["length"], entry["width"])
-            if want != got:
-                raise ConfigError(f"checkpoint {p}: modality {m} expects "
-                                  f"(length, width) {want}, bundle has {got}")
+    configs = []
 
-    task = models[0].config.task
-    probs = ensemble_predict(models, _model_batches(
-        models[0].config.modalities, split))
+    def members():
+        # one member at a time: load, check, hand over to be scored, drop
+        for p in paths:
+            model = load_model(p)
+            if model.vocab_hash is not None and bundle.vocab_hash is not None \
+                    and model.vocab_hash != bundle.vocab_hash:
+                raise ConfigError(
+                    f"checkpoint {p} was trained against a different "
+                    f"vocabulary than this bundle")
+            for m in model.config.modalities:
+                if m not in bundle.modalities:
+                    raise ConfigError(f"checkpoint {p} needs modality {m} "
+                                      f"which the bundle lacks")
+                entry = bundle.modalities[m]
+                want = (model.config.lengths[m], model.config.input_widths[m])
+                got = (entry["length"], entry["width"])
+                if want != got:
+                    raise ConfigError(
+                        f"checkpoint {p}: modality {m} expects (length, "
+                        f"width) {want}, bundle has {got}")
+            configs.append(model.config)
+            yield model
+            del model
+
+    probs = ensemble_predict(members(), split.batches)
+    task = configs[0].task
     preds = predictions_from_probabilities(probs, task)
     gold = gold_labels(split, task, cfg.training.sentiment_boundary)
     report = evaluation_report(task, preds, gold)
     text = (f"split {args.split}\nexamples {split.size}\n"
-            f"ensemble {len(models)}\n") + format_report(report)
+            f"ensemble {len(paths)}\n") + format_report(report)
     print(text, end="")
     if cfg.path("out") is not None:
         cfg.path("out").mkdir(parents=True, exist_ok=True)

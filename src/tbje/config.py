@@ -13,6 +13,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .features import MelConfig
 from .model import EncoderConfig
+from .tensor import read_json
 from .training import TrainConfig
 
 PATH_KEYS = ("manifest", "embeddings", "bundle", "out")
@@ -107,10 +108,5 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no config file at {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return RunConfig.from_dict(raw)
+    return RunConfig.from_dict(read_json(path.read_bytes(),
+                                         f"config file {path}"))

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .features import ModalityBatch, Vocabulary
 from .metrics import EMOTIONS, SENTIMENT_MAX, SENTIMENT_MIN
-from .tensor import load_array, save_array
+from .tensor import load_array, read_json, save_array
 
 BUNDLE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -144,7 +144,9 @@ def read_bundle(root) -> DatasetBundle:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise FileNotFoundError(f"no bundle manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = read_json(manifest_path.read_bytes(),
+                         f"bundle manifest {manifest_path}",
+                         required=("splits", "modalities"))
     if manifest.get("format_version") != BUNDLE_VERSION:
         raise ConfigError(
             f"bundle format version {manifest.get('format_version')} "
@@ -184,7 +186,9 @@ def read_bundle(root) -> DatasetBundle:
 
 def load_vocabulary(root) -> Vocabulary:
     root = Path(root)
-    meta = json.loads((root / "vocab.json").read_text(encoding="utf-8"))
+    path = root / "vocab.json"
+    meta = read_json(path.read_bytes(), f"vocabulary {path}",
+                     required=("tokens", "fallback_count"))
     return Vocabulary(tokens=meta["tokens"],
                       embeddings=load_array(root / "vocab.embeddings.tbjt"),
                       fallback_count=meta["fallback_count"])

@@ -6,6 +6,7 @@ batches. Visual features are ingested as-is, never computed here.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -13,6 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 from scipy.signal.windows import hann
 
@@ -157,9 +159,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filter_bank(cfg: MelConfig) -> np.ndarray:
     """Triangular filters (bands x n_fft//2+1) with band edges equally spaced
-    on the mel scale from 0 Hz to Nyquist."""
+    on the mel scale from 0 Hz to Nyquist.
+
+    Built once per config and shared by every caller, so it is read-only.
+    """
     n_bins = cfg.n_fft // 2 + 1
     bin_hz = np.arange(n_bins) * cfg.sample_rate / cfg.n_fft
     edges = mel_to_hz(np.linspace(0.0, hz_to_mel(cfg.sample_rate / 2.0),
@@ -170,11 +176,15 @@ def mel_filter_bank(cfg: MelConfig) -> np.ndarray:
         rising = (bin_hz - lo) / (center - lo)
         falling = (hi - bin_hz) / (hi - center)
         bank[b] = np.maximum(0.0, np.minimum(rising, falling))
+    bank.flags.writeable = False
     return bank
 
 
-def stft_magnitudes(wave: np.ndarray, cfg: MelConfig) -> np.ndarray:
-    """Hann-windowed magnitude spectra, one row per hop; no centering.
+def stft_magnitudes(wave: np.ndarray, cfg: MelConfig,
+                    stride: int = 1) -> np.ndarray:
+    """Hann-windowed magnitude spectra of the frames that start every
+    ``hop * stride`` samples; no centering. ``stride=1`` gives one row per
+    hop, and any stride gives exactly those rows of it.
 
     A waveform shorter than one window is zero-padded to a single frame.
     """
@@ -186,25 +196,22 @@ def stft_magnitudes(wave: np.ndarray, cfg: MelConfig) -> np.ndarray:
                       "zero-padding to a single frame", DataWarning,
                       stacklevel=2)
         wave = np.concatenate([wave, np.zeros(cfg.window - wave.size)])
-    n_frames = 1 + (wave.size - cfg.window) // cfg.hop
-    win = hann(cfg.window, sym=False)
-    frames = np.zeros((n_frames, cfg.n_fft))
-    for i in range(n_frames):
-        frames[i, :cfg.window] = wave[i * cfg.hop:i * cfg.hop + cfg.window] * win
-    return np.abs(np.fft.rfft(frames, axis=-1))
+    frames = sliding_window_view(wave, cfg.window)[::cfg.hop * stride]
+    return np.abs(np.fft.rfft(frames * hann(cfg.window, sym=False),
+                              n=cfg.n_fft, axis=-1))
 
 
 def mel_spectrogram(wave: np.ndarray, cfg: MelConfig | None = None) -> np.ndarray:
     """Log-mel frames after temporal reduction, (ceil(frames/stride), bands).
 
-    Values are natural logs floored at cfg.floor; corpus-level normalization
-    to [0, 1] happens at bundle-build time, not here.
+    Only the kept STFT frames, every ``stride``-th hop, are computed. Values
+    are natural logs floored at cfg.floor; corpus-level normalization to
+    [0, 1] happens at bundle-build time, not here.
     """
     cfg = cfg or MelConfig()
-    spectra = stft_magnitudes(wave, cfg)
+    spectra = stft_magnitudes(wave, cfg, cfg.stride)
     mel = spectra @ mel_filter_bank(cfg).T
-    logmel = np.log(np.maximum(mel, cfg.floor))
-    return logmel[::cfg.stride]
+    return np.log(np.maximum(mel, cfg.floor))
 
 
 def normalize_mel(frames: np.ndarray, lo: float, hi: float) -> np.ndarray:

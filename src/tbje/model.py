@@ -228,7 +228,20 @@ class TbjeModel:
 
 def init_model(config: EncoderConfig, seed: int = 0,
                vocab_hash: Optional[str] = None) -> TbjeModel:
-    rng = make_rng(seed, "model-init")
+    return _build_model(config, make_rng(seed, "model-init"), vocab_hash)
+
+
+class _Slots:
+    """Stands in for the init RNG when only names and shapes are needed:
+    every draw is an uninitialised array for the loader to fill."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
+def _build_model(config: EncoderConfig, rng,
+                 vocab_hash: Optional[str]) -> TbjeModel:
     joint = config.resolved_variant() == "joint"
     proj, blocks, finals = {}, {}, {}
     for m in config.modalities:
@@ -454,6 +467,9 @@ def save_model(path, model: TbjeModel) -> None:
 
 
 def read_model(fh) -> TbjeModel:
+    """Parse one checkpoint. The model is built from the header's config as
+    uninitialised slots, and each tensor payload is read straight into the
+    slot whose name and shape it matches."""
     magic = T.read_exact(fh, 4)
     if magic != CHECKPOINT_MAGIC:
         raise ConfigError(f"bad checkpoint magic {magic!r}; "
@@ -463,24 +479,25 @@ def read_model(fh) -> TbjeModel:
         raise ConfigError(f"unsupported checkpoint version {version}; "
                           f"this build reads {CHECKPOINT_VERSION}")
     (blob_len,) = struct.unpack("<I", T.read_exact(fh, 4))
-    header = json.loads(T.read_exact(fh, blob_len).decode("utf-8"))
+    header = T.read_json(T.read_exact(fh, blob_len), "checkpoint header",
+                         required=("config",))
     config = EncoderConfig.from_dict(header["config"])
-    model = init_model(config, seed=0, vocab_hash=header.get("vocab_hash"))
+    model = _build_model(config, _Slots(), header.get("vocab_hash"))
     params = model.parameter_dict()
     (count,) = struct.unpack("<I", T.read_exact(fh, 4))
     seen = set()
     for _ in range(count):
         (name_len,) = struct.unpack("<I", T.read_exact(fh, 4))
-        name = T.read_exact(fh, name_len).decode("utf-8")
-        data = T.read_array(fh)
+        name = T.read_exact(fh, name_len).decode("utf-8", errors="replace")
         if name not in params:
             raise ConfigError(f"checkpoint tensor {name!r} has no slot in "
                               f"the configured model")
-        if params[name].data.shape != data.shape:
+        shape = T.read_array_header(fh)
+        if params[name].data.shape != shape:
             raise ConfigError(f"checkpoint tensor {name!r} shaped "
-                              f"{data.shape}, model expects "
+                              f"{shape}, model expects "
                               f"{params[name].data.shape}")
-        params[name].data = data
+        T.read_payload(fh, params[name].data)
         seen.add(name)
     missing = sorted(set(params) - seen)
     if missing:
@@ -492,12 +509,17 @@ def read_model(fh) -> TbjeModel:
 def load_model(path, expect: Optional[EncoderConfig] = None) -> TbjeModel:
     with open(path, "rb") as fh:
         model = read_model(fh)
-    if expect is not None and model.config.width != expect.width:
-        raise ConfigError(f"checkpoint hidden width {model.config.width} "
-                          f"does not match configured width {expect.width}")
-    if expect is not None and model.config.to_dict() != expect.to_dict():
-        raise ConfigError("checkpoint config does not match the requested "
-                          "configuration")
+        if fh.read(1):
+            raise ConfigError(f"checkpoint {path} has trailing bytes after "
+                              f"its last tensor")
+    if expect is not None:
+        got, want = model.config.to_dict(), expect.to_dict()
+        differ = [f"{k}: checkpoint {got[k]!r}, requested {want[k]!r}"
+                  for k in sorted(want) if got[k] != want[k]]
+        if differ:
+            raise ConfigError("checkpoint config does not match the "
+                              "requested configuration (" + "; ".join(differ)
+                              + ")")
     return model
 
 

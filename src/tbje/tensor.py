@@ -15,7 +15,9 @@ tensors (parameters and inputs, which no recorded op produced) keep theirs.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 
 import numpy as np
 
@@ -587,15 +589,52 @@ def read_exact(fh, size: int) -> bytes:
     return data
 
 
-def read_array(fh) -> np.ndarray:
+def read_json(raw: bytes, what: str, required=()) -> dict:
+    """Parse a UTF-8 JSON object holding at least the ``required`` keys; a
+    corrupt or incomplete one is a bad artifact."""
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must hold a JSON object")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ConfigError(f"{what} lacks keys {missing}")
+    return obj
+
+
+def read_array_header(fh) -> tuple[int, ...]:
+    """Read one array's magic, rank and extents; returns its shape."""
     magic = read_exact(fh, 4)
     if magic != TENSOR_MAGIC:
         raise ContractError(f"bad tensor magic {magic!r}, expected {TENSOR_MAGIC!r}")
     rank = read_exact(fh, 1)[0]
-    shape = tuple(np.frombuffer(read_exact(fh, 4 * rank), dtype="<u4").astype(int))
-    count = int(math.prod(shape)) if rank else 1
-    payload = read_exact(fh, 8 * count)
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+    return tuple(int(n) for n in np.frombuffer(read_exact(fh, 4 * rank),
+                                               dtype="<u4"))
+
+
+def read_payload(fh, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous float64 array ``out`` straight from the stream,
+    with no intermediate bytes object; a file that ends early is a bad
+    artifact."""
+    if not out.flags.c_contiguous or out.dtype != np.float64:
+        raise ContractError("read_payload needs a C-contiguous float64 array")
+    view = memoryview(out.reshape(-1).view(np.uint8))
+    filled = 0
+    while filled < len(view):
+        got = fh.readinto(view[filled:])
+        if not got:
+            raise ConfigError(f"truncated file: wanted {len(view)} more "
+                              f"bytes, found {filled}")
+        filled += got
+    if sys.byteorder != "little":
+        out.byteswap(inplace=True)
+    return out
+
+
+def read_array(fh) -> np.ndarray:
+    return read_payload(fh, np.empty(read_array_header(fh)))
 
 
 def save_array(path, arr: np.ndarray) -> None:

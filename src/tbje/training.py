@@ -230,20 +230,31 @@ def predict_probabilities(model: TbjeModel, batches) -> np.ndarray:
     return T.softmax(logits, axis=-1).data
 
 
-def ensemble_predict(models: list[TbjeModel], batches) -> np.ndarray:
-    """Arithmetic mean of per-model probabilities."""
-    if not models:
-        raise ContractError("ensemble needs at least one model")
-    reference = models[0].config.to_dict()
-    for i, m in enumerate(models[1:], start=1):
-        if m.config.to_dict() != reference:
-            raise ConfigError(f"ensemble member {i} has a different config "
-                              f"than member 0")
-    total = None
-    for m in models:
-        probs = predict_probabilities(m, batches)
+def ensemble_predict(models, batches) -> np.ndarray:
+    """Arithmetic mean of per-model probabilities.
+
+    ``models`` may be any iterable, such as a generator that loads one
+    member at a time; each member is dropped before the next is drawn, so
+    only one needs to be in memory. A member whose config differs from the
+    first raises once the members before it have been scored.
+    """
+    # a plain loop, not enumerate: enumerate's reused result tuple would
+    # keep the previous member alive while the next one loads
+    reference, total, count = None, None, 0
+    for model in models:
+        config = model.config.to_dict()
+        if reference is None:
+            reference = config
+        elif config != reference:
+            raise ConfigError(f"ensemble member {count} has a different "
+                              f"config than member 0")
+        probs = predict_probabilities(model, batches)
         total = probs if total is None else total + probs
-    return total / len(models)
+        count += 1
+        del model
+    if total is None:
+        raise ContractError("ensemble needs at least one model")
+    return total / count
 
 
 def predictions_from_probabilities(probs: np.ndarray, task: str) -> np.ndarray:
@@ -441,7 +452,10 @@ def load_train_state(path) -> tuple[TbjeModel, TrainState]:
         if version != STATE_VERSION:
             raise ConfigError(f"unsupported train-state version {version}")
         (blob_len,) = struct.unpack("<I", T.read_exact(fh, 4))
-        header = json.loads(T.read_exact(fh, blob_len).decode("utf-8"))
+        header = T.read_json(T.read_exact(fh, blob_len), "train-state header",
+                             required=("step", "epoch", "lr", "best_accuracy",
+                                       "stagnant", "decays_used", "stopped",
+                                       "log"))
         model = read_model(fh)
         state = TrainState(lr=header["lr"])
         state.step = header["step"]
@@ -454,7 +468,7 @@ def load_train_state(path) -> tuple[TbjeModel, TrainState]:
         (count,) = struct.unpack("<I", T.read_exact(fh, 4))
         for _ in range(count):
             (name_len,) = struct.unpack("<I", T.read_exact(fh, 4))
-            name = T.read_exact(fh, name_len).decode("utf-8")
+            name = T.read_exact(fh, name_len).decode("utf-8", errors="replace")
             state.first_moment[name] = T.read_array(fh)
             state.second_moment[name] = T.read_array(fh)
         (best_len,) = struct.unpack("<Q", T.read_exact(fh, 8))

@@ -2,6 +2,7 @@
 gradient checking, and the block sweep, plus exit-code discipline."""
 
 import json
+import shutil
 import warnings
 from pathlib import Path
 
@@ -13,11 +14,11 @@ from tbje.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                       format_report, main)
 from tbje.config import (RunConfig, load_run_config, mel_from_dict,
                          default_encoder, save_run_config)
-from tbje.data import read_bundle
+from tbje.data import load_vocabulary, read_bundle
 from tbje.errors import ConfigError
 from tbje.features import DataWarning, MelConfig
 from tbje.metrics import evaluation_report
-from tbje.model import load_model
+from tbje.model import load_model, save_model
 from tbje.training import (ensemble_predict, gold_labels,
                            predictions_from_probabilities)
 
@@ -392,6 +393,55 @@ class TestEvaluate:
                      "--out", str(tmp_path), str(cut)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: truncated file") and err.count("\n") == 1
+
+    def test_truncated_second_member_fails_after_the_first(
+            self, corpus, trained, tmp_path, capsys):
+        blob = (trained / "model-member1.tbjm").read_bytes()
+        cut = tmp_path / "cut.tbjm"
+        cut.write_bytes(blob[: len(blob) // 2])
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--out", str(tmp_path),
+                     str(trained / "model-member0.tbjm"), str(cut)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated file") and err.count("\n") == 1
+        assert not (tmp_path / "report-test.txt").exists()
+
+    def test_second_member_of_another_vocabulary_rejected(
+            self, corpus, trained, tmp_path, capsys):
+        other = load_model(trained / "model-member1.tbjm")
+        other.vocab_hash = "0" * 64
+        save_model(tmp_path / "other.tbjm", other)
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--out", str(tmp_path),
+                     str(trained / "model-member0.tbjm"),
+                     str(tmp_path / "other.tbjm")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint") and "vocabulary" in err
+        assert err.count("\n") == 1
+
+    def test_manifest_cut_mid_string_is_config_error(self, corpus, trained,
+                                                     tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(corpus / "bundle", bundle)
+        text = (bundle / "manifest.json").read_bytes()
+        (bundle / "manifest.json").write_bytes(
+            text[: text.index(b'"', text.index(b'"ids"') + 5) + 3])
+        with pytest.raises(ConfigError, match="manifest.*not valid JSON"):
+            read_bundle(bundle)
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--bundle", str(bundle)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: bundle manifest")
+        assert err.count("\n") == 1
+
+    def test_corrupt_vocabulary_is_config_error(self, corpus, tmp_path):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(corpus / "bundle", bundle)
+        for raw in (b'{"tokens": ["pad", "un', b'\xff', b'{"tokens": []}'):
+            (bundle / "vocab.json").write_bytes(raw)
+            with pytest.raises(ConfigError, match="vocabulary"):
+                load_vocabulary(bundle)
 
     def test_missing_split_rejected(self, corpus, trained, capsys):
         assert main(["evaluate", "--config", str(corpus / "config.json"),

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,14 @@ def test_filter_bank_rows_nonnegative_and_bounded():
     assert bank.max() <= 1.0
 
 
+def test_filter_bank_is_built_once_and_read_only():
+    bank = mel_filter_bank(MelConfig())
+    assert mel_filter_bank(MelConfig()) is bank
+    assert not bank.flags.writeable
+    with pytest.raises(ValueError):
+        bank[0, 0] = 1.0
+
+
 def test_filter_bank_every_band_has_support():
     bank = mel_filter_bank(MelConfig(sample_rate=16000, n_fft=1024, hop=256,
                                      window=1024, bands=40))
@@ -217,6 +226,44 @@ def test_mel_matches_brute_force_dft_oracle():
     want = np.log(np.maximum(mel, SMALL.floor))[::SMALL.stride]
     rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-9)
     assert rel.max() < 1e-6
+
+
+def mel_from_every_hop(wave, cfg):
+    """The unstrided front end: log-mel of every hop, then every
+    ``stride``-th row kept."""
+    mel = stft_magnitudes(wave, cfg) @ mel_filter_bank(cfg).T
+    return np.log(np.maximum(mel, cfg.floor))[::cfg.stride]
+
+
+@pytest.mark.parametrize("length", [
+    1000,                     # shorter than one window
+    1024,                     # exactly one window
+    16 * 256 * 16,            # a multiple of hop * stride: 16 kept frames
+    12 * 22050,               # a 12 s clip
+])
+def test_strided_mel_equals_every_hop_then_stride(length):
+    cfg = MelConfig()
+    wave = make_rng(94, "mel-stride", length).uniform(-1.0, 1.0, size=length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)
+        got = mel_spectrogram(wave, cfg)
+        want = mel_from_every_hop(wave, cfg)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("multiple", [1, 2, 3, 7])
+def test_strided_stft_rows_equal_every_hop_rows(multiple):
+    cfg = MelConfig()
+    length = multiple * cfg.hop * cfg.stride
+    wave = make_rng(95, "stft-stride", length).uniform(-1.0, 1.0, size=length)
+    every_hop = stft_magnitudes(wave, cfg)
+    assert np.array_equal(stft_magnitudes(wave, cfg, cfg.stride),
+                          every_hop[::cfg.stride])
+    # a filter-bank product of a few rows takes OpenBLAS's small-matrix
+    # kernel, whose summation order differs from the full product's
+    np.testing.assert_allclose(mel_spectrogram(wave, cfg),
+                               mel_from_every_hop(wave, cfg),
+                               rtol=1e-14, atol=0.0)
 
 
 def test_normalize_mel_range_and_clipping():

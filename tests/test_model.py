@@ -1,18 +1,20 @@
 """Encoder variants, glimpse pooling, classification head, checkpoints."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
 
+import tbje.model
 import tbje.tensor as T
 from tbje.errors import ConfigError, ContractError
 from tbje.features import ModalityBatch
 from tbje.gradcheck import check_gradients
-from tbje.model import (EncoderConfig, GlimpseParams, classify,
-                        encode_joint, encode_monomodal, forward_logits,
-                        glimpse, init_model, load_model, model_bytes,
-                        read_model, save_model)
+from tbje.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, EncoderConfig,
+                        GlimpseParams, classify, encode_joint,
+                        encode_monomodal, forward_logits, glimpse, init_model,
+                        load_model, model_bytes, read_model, save_model)
 from tbje.rng import make_rng
 from tbje.tensor import Tensor
 
@@ -475,6 +477,36 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     batches = toy_batches(rng, cfg, 2)
     assert np.array_equal(forward_logits(model, batches).data,
                           forward_logits(loaded, batches).data)
+
+
+def test_read_model_draws_no_init(monkeypatch):
+    blob = model_bytes(init_model(toy_config(), seed=16, vocab_hash="abc123"))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("read_model drew a random init")
+
+    monkeypatch.setattr(tbje.model, "make_rng", no_draw)
+    assert model_bytes(read_model(io.BytesIO(blob))) == blob
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "m.tbjm"
+    path.write_bytes(model_bytes(init_model(toy_config())) + b"\0")
+    with pytest.raises(ConfigError, match="trailing bytes"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("header", [
+    b'{"config": {"blocks": 1, "wid',     # cut mid-string
+    b'\xff\xfe{}',                        # not UTF-8
+    b'{"vocab_hash": null}',               # no config
+    b'[]',                                 # not an object
+])
+def test_checkpoint_corrupt_header_is_config_error(header):
+    blob = (CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION,
+                                           len(header)) + header)
+    with pytest.raises(ConfigError, match="checkpoint header"):
+        read_model(io.BytesIO(blob))
 
 
 def test_checkpoint_wrong_width_names_both_values(tmp_path):

@@ -2,6 +2,8 @@
 serialization, each checked against straight-line references."""
 
 import json
+import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -451,6 +453,32 @@ class TestEnsemble:
         with pytest.raises(ContractError):
             ensemble_predict([], eval_batches(bundle))
 
+    def test_generator_of_members_equals_list(self, bundle, trained_pair):
+        batches = eval_batches(bundle)
+        assert np.array_equal(
+            ensemble_predict((m for m in trained_pair), batches),
+            ensemble_predict(trained_pair, batches))
+        with pytest.raises(ContractError):
+            ensemble_predict(iter(()), batches)
+
+    def test_each_member_is_released_before_the_next_loads(self, bundle,
+                                                           trained_pair):
+        blobs = [model_bytes(m) for m in trained_pair] * 2
+        loaded = []
+
+        def members():
+            for blob in blobs:
+                assert all(ref() is None for ref in loaded)
+                model = read_model(io.BytesIO(blob))
+                loaded.append(weakref.ref(model))
+                yield model
+                del model
+
+        batches = eval_batches(bundle)
+        assert np.array_equal(ensemble_predict(members(), batches),
+                              ensemble_predict(trained_pair * 2, batches))
+        assert len(loaded) == 4
+
     def test_prediction_rules(self):
         probs = np.array([[0.1, 0.7, 0.2], [0.5, 0.2, 0.3]])
         assert predictions_from_probabilities(probs, "sentiment-7").tolist() \
@@ -550,6 +578,18 @@ class TestTrainState:
         path = tmp_path / "junk.tbjs"
         path.write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(ConfigError, match="magic"):
+            load_train_state(path)
+
+    @pytest.mark.parametrize("header", [
+        b'{"epoch": 1, "lo',                   # cut mid-string
+        b'\xff{}',                             # not UTF-8
+        b'{"epoch": 1}',                       # keys missing
+    ])
+    def test_corrupt_header_is_config_error(self, tmp_path, header):
+        path = tmp_path / "state.tbjs"
+        path.write_bytes(TR.STATE_MAGIC + struct.pack(
+            "<II", TR.STATE_VERSION, len(header)) + header)
+        with pytest.raises(ConfigError, match="train-state header"):
             load_train_state(path)
 
     def test_truncated_anywhere_is_config_error(self, bundle, tmp_path):
