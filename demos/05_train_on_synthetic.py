@@ -34,8 +34,7 @@ enc = EncoderConfig(
     input_widths=dict(DEFAULT_WIDTHS), task="sentiment-7",
     positional={"L": True})
 cfg = TrainConfig(lr=2e-3, batch_size=8, decay_factor=0.2, max_decays=2,
-                  patience=8, max_epochs=60, ensemble_size=2,
-                  task="sentiment-7", seed=0)
+                  patience=8, max_epochs=60, ensemble_size=2, seed=0)
 
 models = []
 for member in range(cfg.ensemble_size):
@@ -58,12 +57,12 @@ for member in range(cfg.ensemble_size):
 # ---------------------------------------------------------------------------
 
 print("\nper-member test accuracy:",
-      [round(evaluate_accuracy(m, test, cfg), 3) for m in models])
+      [round(evaluate_accuracy(m, test), 3) for m in models])
 
 probs = ensemble_predict(models, test.batches)
-pred = predictions_from_probabilities(probs, cfg.task)
-gold = gold_labels(test, cfg.task)
-report = evaluation_report(cfg.task, pred, gold)
+pred = predictions_from_probabilities(probs, enc.task)
+gold = gold_labels(test, enc.task)
+report = evaluation_report(enc.task, pred, gold)
 print("ensemble test report:")
 for key, value in report.items():
     print(f"   {key:15s} {value:.4f}" if isinstance(value, float)

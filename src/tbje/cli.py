@@ -3,8 +3,8 @@
 Subcommands: extract-features, train, evaluate, gradcheck, sweep-blocks.
 Exit codes: 0 success, 2 configuration/contract problems, 3 I/O problems,
 4 numeric failures (divergence, failed gradient check). Every command
-honors --config (a RunConfig JSON file) and --seed, and is reproducible
-given them.
+honors --config (a RunConfig JSON file) and --seed (which sets
+training.seed), and is reproducible given them.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ def _resolve_config(args) -> RunConfig:
     cfg = (load_run_config(args.config) if getattr(args, "config", None)
            else RunConfig())
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
         cfg.training = TrainConfig(
             **{**cfg.training.to_dict(), "seed": args.seed})
     for key in ("manifest", "embeddings", "bundle", "out"):
@@ -279,7 +278,7 @@ def cmd_train(args) -> int:
         make_model, bundle.splits["train"], bundle.splits["valid"],
         cfg.training, log_dir=out, state_dir=out, resume=args.resume)
 
-    summary = {"members": [], "task": cfg.training.task,
+    summary = {"members": [], "task": cfg.encoder.task,
                "config": cfg.to_dict()}
     for i, (model, state) in enumerate(members):
         save_model(out / f"model-member{i}.tbjm", model)
@@ -362,7 +361,7 @@ def cmd_evaluate(args) -> int:
     probs = ensemble_predict(members(), split.batches)
     task = configs[0].task
     preds = predictions_from_probabilities(probs, task)
-    gold = gold_labels(split, task, cfg.training.sentiment_boundary)
+    gold = gold_labels(split, task, configs[0].sentiment_boundary)
     report = evaluation_report(task, preds, gold)
     text = (f"split {args.split}\nexamples {split.size}\n"
             f"ensemble {len(paths)}\n") + format_report(report)
@@ -464,8 +463,7 @@ def cmd_sweep_blocks(args) -> int:
         state = fit(model, bundle.splits["train"], bundle.splits["valid"],
                     cfg.training)
         elapsed = time.perf_counter() - started
-        test_acc = evaluate_accuracy(model, bundle.splits["test"],
-                                     cfg.training)
+        test_acc = evaluate_accuracy(model, bundle.splits["test"])
         rows.append((b, state.best_accuracy, test_acc, elapsed))
 
     lines = [f"{'blocks':>6} {'val_accuracy':>12} {'test_accuracy':>13} "
@@ -497,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, paths=()):
         p.add_argument("--config", help="RunConfig JSON file")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the configured seed")
+                       help="override training.seed")
         for key in paths:
             p.add_argument(f"--{key}", help=f"override paths.{key}")
 

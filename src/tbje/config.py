@@ -42,7 +42,6 @@ def mel_from_dict(raw: dict) -> MelConfig:
 
 @dataclass
 class RunConfig:
-    seed: int = 0
     encoder: EncoderConfig = field(default_factory=default_encoder)
     training: TrainConfig = field(default_factory=TrainConfig)
     mel: MelConfig = field(default_factory=MelConfig)
@@ -53,10 +52,6 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown path keys {sorted(unknown)}; "
                               f"known: {list(PATH_KEYS)}")
-        if self.encoder.task != self.training.task:
-            raise ConfigError(
-                f"encoder task {self.encoder.task!r} and training task "
-                f"{self.training.task!r} disagree")
 
     def path(self, key: str):
         value = self.paths.get(key)
@@ -71,7 +66,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.seed,
             "encoder": self.encoder.to_dict(),
             "training": self.training.to_dict(),
             "mel": mel_to_dict(self.mel),
@@ -80,13 +74,11 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        known = {"seed", "encoder", "training", "mel", "paths"}
+        known = {"encoder", "training", "mel", "paths"}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         kwargs = {}
-        if "seed" in raw:
-            kwargs["seed"] = raw["seed"]
         if "encoder" in raw:
             kwargs["encoder"] = EncoderConfig.from_dict(raw["encoder"])
         if "training" in raw:

@@ -152,6 +152,15 @@ def read_bundle(root) -> DatasetBundle:
             f"bundle format version {manifest.get('format_version')} "
             f"unsupported; this build reads {BUNDLE_VERSION}")
 
+    for key, fields in (("splits", {"ids", "count"}),
+                        ("modalities", {"width", "length"})):
+        if not isinstance(manifest[key], dict):
+            raise ConfigError(f"bundle manifest {manifest_path}: {key!r} "
+                              f"must be a JSON object")
+        for name, entry in manifest[key].items():
+            if not isinstance(entry, dict) or not fields <= set(entry):
+                raise ConfigError(f"bundle manifest {manifest_path}: {key} "
+                                  f"entry {name!r} needs {sorted(fields)}")
     expected = []
     for name in manifest["splits"]:
         for m in manifest["modalities"]:

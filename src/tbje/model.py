@@ -1,12 +1,10 @@
 """Joint-encoding Transformer for multimodal classification.
 
-Two encoder variants share one parameter layout:
-
-* monomodal: per block, self-attention sublayer then MLP sublayer;
-* joint: adds a glimpse sublayer to every block, and non-primary modalities
-  replace self-attention with co-attention whose keys and contents are the
-  primary modality's output for the same block (computed first, lockstep
-  per block).
+One block loop encodes one or more modalities. Per block, the primary
+modality runs self-attention and MLP sublayers; every other modality then
+runs co-attention whose keys and contents are the primary modality's output
+for the same block (lockstep per block). The joint variant adds a glimpse
+sublayer to every block; the monomodal variant (one modality) has none.
 
 Classification pools each modality with a final single-glimpse, sums the
 resulting vectors element-wise, and applies layer-norm plus one affine map.
@@ -40,12 +38,10 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class EncoderConfig:
-    """Architecture hyperparameters.
-
-    ``glimpses`` may pin the per-block glimpse count; left as None it follows
-    the padded length of each modality, which is also the only value that
-    keeps the in-block glimpse residual well-shaped.
-    """
+    """Architecture hyperparameters. In-block glimpses take one glimpse per
+    padded row, the only count that keeps the glimpse residual well-shaped.
+    ``sentiment_boundary`` splits gold sentiment into the two sentiment-2
+    classes, so a checkpoint carries the labels it was trained on."""
 
     modalities: tuple[str, ...] = ("L",)
     primary: str = "L"
@@ -61,7 +57,7 @@ class EncoderConfig:
     variant: str = "auto"              # auto | monomodal | joint
     positional: dict = field(default_factory=lambda: {"L": True})
     dropout_per_sublayer: bool = True  # False: dropout on the MHA sublayer only
-    glimpses: Optional[dict] = None
+    sentiment_boundary: float = 0.0
 
     def __post_init__(self):
         self.modalities = tuple(self.modalities)
@@ -102,22 +98,11 @@ class EncoderConfig:
                 raise ConfigError(f"modality {m} needs a padded length >= 1")
             if m not in self.input_widths or self.input_widths[m] < 1:
                 raise ConfigError(f"modality {m} needs an input width >= 1")
-            if (self.glimpses is not None and self.resolved_variant() == "joint"
-                    and self.glimpses.get(m, self.lengths[m]) != self.lengths[m]):
-                raise ConfigError(
-                    f"in-block glimpse count {self.glimpses[m]} for {m} must "
-                    f"equal the padded length {self.lengths[m]} (the glimpse "
-                    f"residual needs matching row counts)")
 
     def resolved_variant(self) -> str:
         if self.variant != "auto":
             return self.variant
         return "monomodal" if len(self.modalities) == 1 else "joint"
-
-    def block_glimpses(self, modality: str) -> int:
-        if self.glimpses is not None and modality in self.glimpses:
-            return self.glimpses[modality]
-        return self.lengths[modality]
 
     def num_classes(self) -> int:
         return TASK_CLASSES[self.task]
@@ -141,11 +126,14 @@ class EncoderConfig:
             "variant": self.variant,
             "positional": dict(self.positional),
             "dropout_per_sublayer": self.dropout_per_sublayer,
-            "glimpses": None if self.glimpses is None else dict(self.glimpses),
+            "sentiment_boundary": self.sentiment_boundary,
         }
 
     @staticmethod
     def from_dict(raw: dict) -> "EncoderConfig":
+        # v1 checkpoint headers carry "glimpses": null and no boundary
+        if "glimpses" in raw and raw["glimpses"] is None:
+            raw = {k: v for k, v in raw.items() if k != "glimpses"}
         known = set(EncoderConfig().to_dict())
         unknown = set(raw) - known
         if unknown:
@@ -254,8 +242,7 @@ def _build_model(config: EncoderConfig, rng,
                 mlp=MlpParams.init(rng, config.width, config.mlp_width),
                 mlp_norm=SublayerParams.init(config.width),
                 glimpse=(GlimpseParams.init(rng, config.width,
-                                            config.block_glimpses(m),
-                                            with_norm=True)
+                                            config.lengths[m], with_norm=True)
                          if joint else None)))
         finals[m] = GlimpseParams.init(rng, config.width, 1, with_norm=False)
     return TbjeModel(config=config, input_proj=proj, blocks=blocks,
@@ -347,29 +334,14 @@ def _run_block(x: Tensor, block: BlockParams, plan: _DropoutPlan,
     return x
 
 
-def encode_monomodal(batch: ModalityBatch, model: TbjeModel,
-                     rng_seed=None, training: bool = False) -> Tensor:
-    """Self-attention encoder stack for a single modality; no in-block
-    glimpse. Returns (batch, N, k)."""
-    plan = _DropoutPlan(model, rng_seed, training)
-    x = _project(batch, model)
-    for b, block in enumerate(model.blocks[batch.modality]):
-        x = sublayer(x, lambda t: multi_head_attention(block.mha, t, t, t,
-                                                       batch.mask),
-                     block.mha_norm, plan.rate("mha"),
-                     plan.rng(batch.modality, b, "mha"), training)
-        x = sublayer(x, block.mlp.apply, block.mlp_norm, plan.rate("mlp"),
-                     plan.rng(batch.modality, b, "mlp"), training)
-    return x
-
-
 def encode_joint(batches: dict[str, ModalityBatch], model: TbjeModel,
                  rng_seed=None, training: bool = False,
                  return_blocks: bool = False):
-    """Joint encoder: per block, the primary modality runs its full block
-    first; every other modality then cross-attends to that block output.
-    Returns {modality: (batch, N_m, k)} and, on request, the per-block trace
-    of detached outputs."""
+    """The encoder: per block, the primary modality runs its full block
+    first; every other modality then cross-attends to that block output. A
+    single modality is a lone primary stream attending to itself. Returns
+    {modality: (batch, N_m, k)} and, on request, the per-block trace of
+    detached outputs."""
     cfg = model.config
     if cfg.primary not in batches:
         raise ConfigError(f"primary modality {cfg.primary!r} missing from "
@@ -424,16 +396,9 @@ def classify(encoded: dict[str, Tensor], masks: dict[str, np.ndarray],
 
 def forward_logits(model: TbjeModel, batches: dict[str, ModalityBatch],
                    rng_seed=None, training: bool = False) -> Tensor:
-    """Full forward pass honoring the configured variant."""
-    cfg = model.config
-    if cfg.resolved_variant() == "monomodal":
-        m = cfg.modalities[0]
-        if m not in batches:
-            raise ConfigError(f"batch for modality {m!r} missing")
-        encoded = {m: encode_monomodal(batches[m], model, rng_seed, training)}
-    else:
-        encoded = encode_joint(batches, model, rng_seed, training)
-    masks = {m: batches[m].mask for m in cfg.modalities}
+    """Full forward pass: encoder, then classifier."""
+    encoded = encode_joint(batches, model, rng_seed, training)
+    masks = {m: batches[m].mask for m in model.config.modalities}
     return classify(encoded, masks, model, rng_seed, training)
 
 

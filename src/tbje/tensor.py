@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -634,7 +635,18 @@ def read_payload(fh, out: np.ndarray) -> np.ndarray:
 
 
 def read_array(fh) -> np.ndarray:
-    return read_payload(fh, np.empty(read_array_header(fh)))
+    """Read one array from a seekable stream. The extents are checked
+    against the bytes left before anything is allocated, so a corrupt
+    header cannot ask for more memory than the file could fill."""
+    shape = read_array_header(fh)
+    size = 8 * math.prod(shape)
+    here = fh.tell()
+    left = fh.seek(0, os.SEEK_END) - here
+    fh.seek(here)
+    if size > left:
+        raise ConfigError(f"truncated file: array header claims {size} "
+                          f"payload bytes, {left} remain")
+    return read_payload(fh, np.empty(shape))
 
 
 def save_array(path, arr: np.ndarray) -> None:
@@ -644,4 +656,7 @@ def save_array(path, arr: np.ndarray) -> None:
 
 def load_array(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        return read_array(fh)
+        arr = read_array(fh)
+        if fh.read(1):
+            raise ConfigError(f"{path} has trailing bytes after its array")
+    return arr

@@ -48,9 +48,7 @@ class TrainConfig:
     patience: int = 3
     ensemble_size: int = 5
     seed: int = 0
-    task: str = "sentiment-2"
     max_epochs: int = 500
-    sentiment_boundary: float = 0.0
 
     def __post_init__(self):
         if self.lr < 0:
@@ -65,8 +63,6 @@ class TrainConfig:
         if self.ensemble_size < 1:
             raise ConfigError(
                 f"ensemble size must be >= 1, got {self.ensemble_size}")
-        if self.task not in TASK_CLASSES:
-            raise ConfigError(f"unknown task {self.task!r}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
@@ -75,9 +71,7 @@ class TrainConfig:
             "lr": self.lr, "batch_size": self.batch_size,
             "decay_factor": self.decay_factor, "max_decays": self.max_decays,
             "patience": self.patience, "ensemble_size": self.ensemble_size,
-            "seed": self.seed, "task": self.task,
-            "max_epochs": self.max_epochs,
-            "sentiment_boundary": self.sentiment_boundary,
+            "seed": self.seed, "max_epochs": self.max_epochs,
         }
 
     @staticmethod
@@ -275,17 +269,17 @@ def gold_labels(split, task: str, boundary: float = 0.0) -> np.ndarray:
     raise ContractError(f"unknown task {task!r}")
 
 
-def evaluate_accuracy(model: TbjeModel, split, cfg: TrainConfig,
-                      chunk: int = 64) -> float:
+def evaluate_accuracy(model: TbjeModel, split, chunk: int = 64) -> float:
     """Accuracy on a split in eval mode; multi-label inputs score per class."""
-    gold = gold_labels(split, cfg.task, cfg.sentiment_boundary)
+    task = model.config.task
+    gold = gold_labels(split, task, model.config.sentiment_boundary)
     preds = []
     n = split.size
     for lo in range(0, n, chunk):
         idx = np.arange(lo, min(lo + chunk, n))
         sub = {m: split.batches[m].take(idx) for m in model.config.modalities}
         probs = predict_probabilities(model, sub)
-        preds.append(predictions_from_probabilities(probs, cfg.task))
+        preds.append(predictions_from_probabilities(probs, task))
     return accuracy(np.concatenate(preds, axis=0), gold)
 
 
@@ -317,8 +311,9 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
     if state is None:
         state = init_state(params, cfg.lr)
         state.best_blob = model_bytes(model)
-    labels = gold_labels(train, cfg.task, cfg.sentiment_boundary)
-    if cfg.task == "emotions-6":
+    task = model.config.task
+    labels = gold_labels(train, task, model.config.sentiment_boundary)
+    if task == "emotions-6":
         labels = labels.astype(np.float64)
     n = train.size
 
@@ -338,7 +333,7 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
                     model, sub, training=True,
                     rng_seed=derive_seed(cfg.seed, "batch", member,
                                          state.epoch, bi))
-                batch_loss = loss(logits, labels[idx], cfg.task)
+                batch_loss = loss(logits, labels[idx], task)
                 value = batch_loss.item()
                 if not np.isfinite(value):
                     raise NumericError(
@@ -349,7 +344,7 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
             adam_step(params, state, lr=state.lr)
             weighted_loss += value * len(idx)
 
-        val_accuracy = evaluate_accuracy(model, valid, cfg)
+        val_accuracy = evaluate_accuracy(model, valid)
         outcome = observe_validation(state, val_accuracy, cfg)
         if outcome == "improved":
             state.best_blob = model_bytes(model)
@@ -473,6 +468,9 @@ def load_train_state(path) -> tuple[TbjeModel, TrainState]:
             state.second_moment[name] = T.read_array(fh)
         (best_len,) = struct.unpack("<Q", T.read_exact(fh, 8))
         state.best_blob = T.read_exact(fh, best_len)
+        if fh.read(1):
+            raise ConfigError(f"train state {path} has trailing bytes after "
+                              f"its best checkpoint")
     expected = set(dict(model.named_parameters()))
     if set(state.first_moment) != expected:
         raise ConfigError("train state moments do not match the model's "

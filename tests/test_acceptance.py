@@ -173,7 +173,7 @@ def test_03_synthetic_overfit_all_modality_combinations():
             positional={"L": True} if "L" in mods else {})
         cfg = TrainConfig(lr=2e-3, batch_size=8, decay_factor=0.5,
                           max_decays=2, patience=150, max_epochs=150,
-                          task="sentiment-7", seed=11)
+                          seed=11)
         model = init_model(enc, seed=11)
         started = time.monotonic()
         state = fit(model, train, train, cfg)   # memorization: valid is train
@@ -181,7 +181,7 @@ def test_03_synthetic_overfit_all_modality_combinations():
 
         label = "+".join(mods)
         assert state.best_accuracy >= 0.99, (label, state.best_accuracy)
-        assert evaluate_accuracy(model, train, cfg) >= 0.99, label
+        assert evaluate_accuracy(model, train) >= 0.99, label
         assert state.epoch <= 200, (label, state.epoch)
         assert elapsed < 300.0, (label, elapsed)
 
@@ -346,10 +346,10 @@ def cli_workspace(tmp_path_factory):
         input_widths=dict(DEFAULT_WIDTHS), task="sentiment-7",
         positional={"L": True})
     cfg = RunConfig(
-        seed=0, encoder=enc,
+        encoder=enc,
         training=TrainConfig(lr=2e-3, batch_size=8, decay_factor=0.5,
                              max_decays=2, patience=150, max_epochs=3,
-                             ensemble_size=2, task="sentiment-7", seed=0))
+                             ensemble_size=2, seed=0))
     save_run_config(root / "config.json", cfg)
     return root
 

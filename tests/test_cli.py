@@ -19,7 +19,7 @@ from tbje.errors import ConfigError
 from tbje.features import DataWarning, MelConfig
 from tbje.metrics import evaluation_report
 from tbje.model import load_model, save_model
-from tbje.training import (ensemble_predict, gold_labels,
+from tbje.training import (TrainConfig, ensemble_predict, gold_labels,
                            predictions_from_probabilities)
 
 from toy_corpus import build_toy_corpus, toy_run_config
@@ -79,7 +79,8 @@ class TestRunConfig:
         assert cfg.training.ensemble_size == 5
 
     def test_file_round_trip(self, tmp_path):
-        cfg = RunConfig(seed=5, paths={"bundle": "b", "out": "o"})
+        cfg = RunConfig(training=TrainConfig(seed=5),
+                        paths={"bundle": "b", "out": "o"})
         path = tmp_path / "cfg.json"
         save_run_config(path, cfg)
         assert load_run_config(path).to_dict() == cfg.to_dict()
@@ -100,10 +101,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="cache"):
             RunConfig(paths={"cache": "/tmp/x"})
 
-    def test_task_mismatch_rejected(self):
-        from tbje.training import TrainConfig
-        with pytest.raises(ConfigError, match="disagree"):
-            RunConfig(training=TrainConfig(task="sentiment-7"))
+    def test_top_level_seed_rejected(self, tmp_path):
+        # training.seed is the one seed; a second one would be ignored
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 5}))
+        with pytest.raises(ConfigError, match="unknown config keys.*seed"):
+            load_run_config(path)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -434,6 +437,64 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: bundle manifest")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("section,entry,key", [
+        ("splits", "test", "count"), ("splits", "test", "ids"),
+        ("modalities", "A", "width")])
+    def test_manifest_entry_without_key_is_config_error(
+            self, corpus, trained, tmp_path, capsys, section, entry, key):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(corpus / "bundle", bundle)
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        del manifest[section][entry][key]
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--bundle", str(bundle)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: bundle manifest")
+        assert f"{section} entry '{entry}'" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["splits", "modalities"])
+    def test_manifest_list_in_place_of_object_is_config_error(
+            self, corpus, tmp_path, key):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(corpus / "bundle", bundle)
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        manifest[key] = list(manifest[key])
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match=f"'{key}' must be a JSON "
+                                              f"object"):
+            read_bundle(bundle)
+
+    def test_gold_labels_use_the_checkpoint_boundary(self, corpus, tmp_path,
+                                                     capsys):
+        # train with boundary 1.0, score under the corpus config (default
+        # boundary 0.0): the train split's 0.5 example must count as
+        # negative. (No toy example lies in [0, 0.5), so 0.5 would not
+        # tell the two boundaries apart.)
+        run = tmp_path / "run"
+        config = variant_config(corpus, tmp_path / "boundary.json",
+                                training={"ensemble_size": 1,
+                                          "max_epochs": 1},
+                                encoder={"sentiment_boundary": 1.0},
+                                paths={"out": str(run)})
+        assert main(["train", "--config", str(config)]) == EXIT_OK
+        checkpoint = run / "model-member0.tbjm"
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--split", "train", "--out", str(tmp_path),
+                     str(checkpoint)]) == EXIT_OK
+        capsys.readouterr()
+        text = (tmp_path / "report-train.txt").read_text()
+
+        split = read_bundle(corpus / "bundle").splits["train"]
+        model = load_model(checkpoint)
+        preds = predictions_from_probabilities(
+            ensemble_predict([model], split.batches), "sentiment-2")
+        reports = {b: format_report(evaluation_report(
+            "sentiment-2", preds, gold_labels(split, "sentiment-2", b)))
+            for b in (0.0, 1.0)}
+        assert reports[0.0] != reports[1.0]
+        assert reports[1.0] in text
 
     def test_corrupt_vocabulary_is_config_error(self, corpus, tmp_path):
         bundle = tmp_path / "bundle"

@@ -1,6 +1,7 @@
 """Encoder variants, glimpse pooling, classification head, checkpoints."""
 
 import io
+import json
 import struct
 
 import numpy as np
@@ -13,7 +14,7 @@ from tbje.features import ModalityBatch
 from tbje.gradcheck import check_gradients
 from tbje.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, EncoderConfig,
                         GlimpseParams, classify, encode_joint,
-                        encode_monomodal, forward_logits, glimpse, init_model,
+                        forward_logits, glimpse, init_model,
                         load_model, model_bytes, read_model, save_model)
 from tbje.rng import make_rng
 from tbje.tensor import Tensor
@@ -129,7 +130,7 @@ def test_monomodal_zero_blocks_is_input_projection():
     model = init_model(cfg, seed=1)
     rng = make_rng(60, "mono-b0")
     batch = toy_batch(rng, "L", 2, 3, 5)
-    got = encode_monomodal(batch, model)
+    got = encode_joint({"L": batch}, model)["L"]
     want = oracles.affine_ref(model.input_proj["L"], batch.features)
     assert np.abs(got.data - want).max() < 1e-14
 
@@ -140,7 +141,7 @@ def test_monomodal_single_token_attention_is_identity_weighted():
     model = init_model(cfg, seed=2)
     rng = make_rng(61, "mono-one")
     batch = toy_batch(rng, "L", 1, 1, 5, ragged=False)
-    got = encode_monomodal(batch, model)
+    got = encode_joint({"L": batch}, model)["L"]
     # with one key the softmax weight is 1, so MHA reduces to the content
     # path: out_proj(concat(content projections of the single row))
     x = oracles.affine_ref(model.input_proj["L"], batch.features[0])
@@ -160,7 +161,7 @@ def test_monomodal_matches_unrolled_oracle():
     model = init_model(cfg, seed=3)
     rng = make_rng(62, "mono-oracle")
     batch = toy_batch(rng, "L", 3, 4, 5)
-    got = encode_monomodal(batch, model)
+    got = encode_joint({"L": batch}, model)["L"]
     for i in range(3):
         want = oracles.monomodal_forward_ref(model, "L", batch.features[i],
                                              batch.mask[i])
@@ -172,7 +173,7 @@ def test_monomodal_wrong_width_rejected():
     model = init_model(cfg)
     bad = ModalityBatch(np.ones((1, 3, 4)), np.ones((1, 3), dtype=bool), "L")
     with pytest.raises(ConfigError):
-        encode_monomodal(bad, model)
+        encode_joint({"L": bad}, model)
 
 
 def test_monomodal_permutation_equivariant_without_positions():
@@ -183,8 +184,8 @@ def test_monomodal_permutation_equivariant_without_positions():
     batch = toy_batch(rng, "L", 1, 4, 5, ragged=False)
     perm = rng.permutation(4)
     permuted = ModalityBatch(batch.features[:, perm], batch.mask[:, perm], "L")
-    base = encode_monomodal(batch, model).data
-    moved = encode_monomodal(permuted, model).data
+    base = encode_joint({"L": batch}, model)["L"].data
+    moved = encode_joint({"L": permuted}, model)["L"].data
     assert np.allclose(moved[0], base[0][perm], atol=1e-12)
 
 
@@ -331,7 +332,7 @@ def test_classify_single_modality_skips_sum():
     model = init_model(cfg, seed=10)
     rng = make_rng(80, "cls-one")
     batch = toy_batch(rng, "L", 2, 3, 5)
-    encoded = encode_monomodal(batch, model)
+    encoded = encode_joint({"L": batch}, model)["L"]
     got = classify({"L": encoded}, {"L": batch.mask}, model)
     vec = glimpse(encoded, model.final_glimpse["L"], batch.mask)
     want = model.head.apply(
@@ -439,7 +440,6 @@ def test_end_to_end_gradcheck_two_modalities():
     dict(dropout_classifier=-0.1),
     dict(lengths={"L": 3}),              # A missing
     dict(input_widths={"L": 5}),
-    dict(glimpses={"L": 2}),             # != padded length in joint variant
 ])
 def test_config_rejections(kw):
     with pytest.raises(ConfigError):
@@ -487,6 +487,26 @@ def test_read_model_draws_no_init(monkeypatch):
 
     monkeypatch.setattr(tbje.model, "make_rng", no_draw)
     assert model_bytes(read_model(io.BytesIO(blob))) == blob
+
+
+def test_v1_header_with_null_glimpses_and_no_boundary_loads():
+    model = init_model(toy_config(), seed=17)
+    blob = model_bytes(model)
+    (old_len,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + old_len])
+    del header["config"]["sentiment_boundary"]
+    header["config"]["glimpses"] = None
+    v1 = json.dumps(header).encode("utf-8")
+    loaded = read_model(io.BytesIO(blob[:8] + struct.pack("<I", len(v1)) + v1
+                                   + blob[12 + old_len:]))
+    assert loaded.config.sentiment_boundary == 0.0
+    assert model_bytes(loaded) == blob
+
+
+def test_glimpses_key_rejected_unless_null():
+    assert EncoderConfig.from_dict({"glimpses": None}) == EncoderConfig()
+    with pytest.raises(ConfigError, match="glimpses"):
+        EncoderConfig.from_dict({"glimpses": {"L": 50}})
 
 
 def test_checkpoint_trailing_bytes_rejected(tmp_path):

@@ -522,3 +522,22 @@ def test_tensor_truncated_at_every_byte_is_config_error():
     for cut in range(len(raw)):
         with pytest.raises(ConfigError, match="truncated"):
             T.read_array(io.BytesIO(raw[:cut]))
+
+
+@pytest.mark.parametrize("extents", [(2 ** 31, 2 ** 31), (3, 3)])
+def test_tensor_header_claiming_more_than_the_file_is_config_error(extents):
+    # 2^31 x 2^31 float64 is past what numpy can allocate; 3 x 3 is not,
+    # but either way the check fires before any payload buffer exists
+    raw = (T.TENSOR_MAGIC + bytes([2]) + np.asarray(extents, "<u4").tobytes()
+           + bytes(8 * 4))
+    with pytest.raises(ConfigError, match="truncated file: array header "
+                                          "claims"):
+        T.read_array(io.BytesIO(raw))
+
+
+def test_tensor_file_with_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "t.tbjt"
+    T.save_array(path, np.arange(4.0))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ConfigError, match="trailing bytes"):
+        T.load_array(path)

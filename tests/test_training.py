@@ -49,7 +49,7 @@ def tiny_encoder(modalities=("L", "A")):
 
 def quick_cfg(**kw):
     base = dict(lr=2e-3, batch_size=8, decay_factor=0.5, max_decays=2,
-                patience=150, max_epochs=8, task="sentiment-7", seed=11)
+                patience=150, max_epochs=8, seed=11)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -235,7 +235,7 @@ class TestAdam:
 
 class TestSchedule:
     def test_flat_sequence_decays_twice_then_stops_three_later(self):
-        cfg = TrainConfig(lr=1e-4, task="sentiment-2")
+        cfg = TrainConfig(lr=1e-4)
         trace = schedule_trace([0.5] * 10, cfg)
         assert [o for o, _ in trace] == [
             "improved", "decayed", "decayed", "stagnant", "stagnant",
@@ -247,7 +247,7 @@ class TestSchedule:
         assert lrs[3:] == [lrs[2]] * 3
 
     def test_improvement_resets_patience_but_not_lr(self):
-        cfg = TrainConfig(lr=1e-4, task="sentiment-2")
+        cfg = TrainConfig(lr=1e-4)
         trace = schedule_trace([.5, .4, .4, .6, .6, .6, .6, .9], cfg)
         assert [o for o, _ in trace] == [
             "improved", "decayed", "decayed", "improved", "stagnant",
@@ -256,25 +256,25 @@ class TestSchedule:
         assert trace[3][1] == trace[2][1]
 
     def test_equal_value_is_not_improvement(self):
-        cfg = TrainConfig(task="sentiment-2")
+        cfg = TrainConfig()
         state = TrainState(lr=cfg.lr)
         assert observe_validation(state, 0.7, cfg) == "improved"
         assert observe_validation(state, 0.7, cfg) == "decayed"
 
     def test_first_epoch_always_improves(self):
-        cfg = TrainConfig(task="sentiment-2")
+        cfg = TrainConfig()
         state = TrainState(lr=cfg.lr)
         assert observe_validation(state, 0.0, cfg) == "improved"
         assert state.best_accuracy == 0.0
 
     def test_no_decays_goes_straight_to_patience(self):
-        cfg = TrainConfig(task="sentiment-2", max_decays=0, patience=2)
+        cfg = TrainConfig(max_decays=0, patience=2)
         trace = schedule_trace([.5, .5, .5, .5], cfg)
         assert [o for o, _ in trace] == ["improved", "stagnant", "stopped"]
         assert all(lr == cfg.lr for _, lr in trace)
 
     def test_interleaved_recovery_never_stops(self):
-        cfg = TrainConfig(task="sentiment-2")
+        cfg = TrainConfig()
         values = [0.1 * i for i in range(1, 9)]
         trace = schedule_trace(values, cfg)
         assert all(o == "improved" for o, _ in trace)
@@ -537,18 +537,17 @@ class TestEvaluation:
     def test_accuracy_matches_direct_computation(self, bundle, trained_pair):
         model = trained_pair[0]
         split = bundle.splits["test"]
-        cfg = quick_cfg()
+        task = model.config.task
         probs = predict_probabilities(model, eval_batches(bundle))
-        direct = accuracy(predictions_from_probabilities(probs, cfg.task),
-                          gold_labels(split, cfg.task))
-        assert evaluate_accuracy(model, split, cfg) == direct
+        direct = accuracy(predictions_from_probabilities(probs, task),
+                          gold_labels(split, task))
+        assert evaluate_accuracy(model, split) == direct
 
     def test_accuracy_is_chunking_invariant(self, bundle, trained_pair):
         model = trained_pair[0]
         split = bundle.splits["test"]
-        cfg = quick_cfg()
-        assert evaluate_accuracy(model, split, cfg, chunk=3) == \
-            evaluate_accuracy(model, split, cfg, chunk=64)
+        assert evaluate_accuracy(model, split, chunk=3) == \
+            evaluate_accuracy(model, split, chunk=64)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +612,16 @@ class TestTrainState:
             with pytest.raises(ConfigError, match="truncated"):
                 load_train_state(path)
 
+    def test_trailing_bytes_rejected(self, bundle, tmp_path):
+        model = init_model(tiny_encoder(("L",)), seed=7)
+        state = fit(model, bundle.splits["train"], bundle.splits["valid"],
+                    quick_cfg(max_epochs=1))
+        path = tmp_path / "state.tbjs"
+        save_train_state(path, model, state)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ConfigError, match="trailing bytes"):
+            load_train_state(path)
+
     def test_moment_name_mismatch_rejected(self, bundle, tmp_path):
         model = init_model(tiny_encoder(("L",)), seed=7)
         state = fit(model, bundle.splits["train"], bundle.splits["valid"],
@@ -647,7 +656,6 @@ class TestTrainConfig:
         {"max_decays": -1},
         {"patience": 0},
         {"ensemble_size": 0},
-        {"task": "regression"},
         {"max_epochs": 0},
     ])
     def test_invalid_values_rejected(self, overrides):

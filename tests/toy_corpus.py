@@ -117,11 +117,10 @@ def toy_run_config(root, with_audio=True, with_visual=True,
         heads=2, mlp_width=24, lengths=lengths, input_widths=widths,
         task="sentiment-2", positional={"L": True})
     training = dict(lr=2e-3, batch_size=4, decay_factor=0.5, max_decays=2,
-                    patience=150, max_epochs=3, ensemble_size=2,
-                    task="sentiment-2", seed=0)
+                    patience=150, max_epochs=3, ensemble_size=2, seed=0)
     training.update(training_overrides)
     cfg = RunConfig(
-        seed=training["seed"], encoder=encoder,
+        encoder=encoder,
         training=TrainConfig(**training), mel=MEL,
         paths={"manifest": str(root / "manifest.csv"),
                "embeddings": str(root / "embeddings.txt"),
