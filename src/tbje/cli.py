@@ -192,8 +192,8 @@ def cmd_extract_features(args) -> int:
         for row in rows:
             wave = load_waveform(base / row["audio"], cfg.mel.sample_rate)
             mel_frames[row["id"]] = mel_spectrogram(wave, cfg.mel)
-        train_stack = np.concatenate(
-            [mel_frames[row["id"]] for row in by_split["train"]], axis=0)
+        train_stack = np.vstack(
+            [mel_frames[row["id"]] for row in by_split["train"]])
         lo, hi = float(train_stack.min()), float(train_stack.max())
         if hi <= lo:
             hi = lo + 1.0
@@ -399,14 +399,14 @@ def _random_batches(config: EncoderConfig, rng) -> dict:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _resolve_config(args) if args.config else None
-    encoder = cfg.encoder if cfg is not None else toy_encoder()
+    cfg = _resolve_config(args)
+    encoder = cfg.encoder if args.config else toy_encoder()
     if encoder.blocks > 2 or encoder.width > 16:
         raise ConfigError(
             f"gradcheck runs on toy configurations only: need blocks <= 2 "
             f"and width <= 16, got blocks={encoder.blocks} "
             f"width={encoder.width}")
-    seed = args.seed if args.seed is not None else 0
+    seed = cfg.training.seed
     model = init_model(encoder, seed=seed)
     rng = make_rng(seed, "gradcheck-data")
     batches = _random_batches(encoder, rng)

@@ -195,7 +195,7 @@ def stft_magnitudes(wave: np.ndarray, cfg: MelConfig,
         warnings.warn("waveform shorter than one analysis window; "
                       "zero-padding to a single frame", DataWarning,
                       stacklevel=2)
-        wave = np.concatenate([wave, np.zeros(cfg.window - wave.size)])
+        wave = np.pad(wave, (0, cfg.window - wave.size))
     frames = sliding_window_view(wave, cfg.window)[::cfg.hop * stride]
     return np.abs(np.fft.rfft(frames * hann(cfg.window, sym=False),
                               n=cfg.n_fft, axis=-1))

@@ -50,15 +50,14 @@ class AffineParams:
 
 @dataclass
 class MhaParams:
-    """Per-head query/key/content projections (width k -> k/h each) plus the
-    output projection applied after head concatenation."""
+    """Query, key and content projections (width k -> k, head i in column
+    block i) plus the output projection applied after the heads merge."""
 
-    query: list[AffineParams]
-    key: list[AffineParams]
-    content: list[AffineParams]
+    query: AffineParams
+    key: AffineParams
+    content: AffineParams
     out: AffineParams
     heads: int
-    width: int
 
     @staticmethod
     def init(rng: np.random.Generator, width: int, heads: int) -> "MhaParams":
@@ -67,16 +66,20 @@ class MhaParams:
                 f"hidden width {width} must be a positive multiple of the "
                 f"head count {heads}")
         sub = width // heads
-        mk = lambda: [AffineParams.init(rng, width, sub) for _ in range(heads)]
-        return MhaParams(query=mk(), key=mk(), content=mk(),
-                         out=AffineParams.init(rng, width, width),
-                         heads=heads, width=width)
+
+        def by_head() -> AffineParams:
+            # one Xavier draw per head, each limited by its own (k, k/h) shape
+            blocks = [xavier_uniform(rng, width, sub) for _ in range(heads)]
+            return AffineParams(
+                weight=Tensor(np.hstack(blocks), requires_grad=True),
+                bias=Tensor(np.zeros(width), requires_grad=True))
+
+        return MhaParams(query=by_head(), key=by_head(), content=by_head(),
+                         out=AffineParams.init(rng, width, width), heads=heads)
 
     def named(self, prefix: str) -> NamedTensors:
-        for tag, group in (("q", self.query), ("k", self.key), ("c", self.content)):
-            for i, p in enumerate(group):
-                yield from p.named(f"{prefix}.{tag}{i}")
-        yield from self.out.named(prefix + ".out")
+        for tag in ("query", "key", "content", "out"):
+            yield from getattr(self, tag).named(f"{prefix}.{tag}")
 
 
 @dataclass
@@ -146,15 +149,24 @@ def attention(query: Tensor, key: Tensor, content: Tensor,
     return T.matmul(T.softmax(scores, axis=-1), content)
 
 
+def _split_heads(x: Tensor, heads: int) -> Tensor:
+    """(…, N, k) -> (…, h, N, k/h): head i is column block i."""
+    *lead, width = x.data.shape
+    return T.transpose(T.reshape(x, (*lead, heads, width // heads)), -3, -2)
+
+
 def multi_head_attention(params: MhaParams, query: Tensor, key: Tensor,
                          content: Tensor,
                          key_mask: Optional[np.ndarray] = None) -> Tensor:
-    heads = [attention(params.query[i].apply(query),
-                       params.key[i].apply(key),
-                       params.content[i].apply(content),
-                       key_mask)
-             for i in range(params.heads)]
-    return params.out.apply(T.concat(heads, axis=-1))
+    """All heads in one batched attention call over the head axis, merged
+    back to (…, N, k) before the output projection."""
+    heads = attention(_split_heads(params.query.apply(query), params.heads),
+                      _split_heads(params.key.apply(key), params.heads),
+                      _split_heads(params.content.apply(content), params.heads),
+                      key_mask)
+    merged = T.transpose(heads, -3, -2)                         # (…, N, h, k/h)
+    *lead, h, sub = merged.data.shape
+    return params.out.apply(T.reshape(merged, (*lead, h * sub)))
 
 
 def sublayer(x: Tensor, f: Callable[[Tensor], Tensor], params: SublayerParams,

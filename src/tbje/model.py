@@ -33,7 +33,8 @@ MODALITY_TAGS = ("L", "A", "V")
 TASK_CLASSES = {"sentiment-2": 2, "sentiment-7": 7, "emotions-6": 6}
 
 CHECKPOINT_MAGIC = b"TBJM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_V1_HEAD_MAPS = ("query", "key", "content")
 
 
 @dataclass
@@ -78,6 +79,9 @@ class EncoderConfig:
         if self.task not in TASK_CLASSES:
             raise ConfigError(f"unknown task {self.task!r}; expected one of "
                               f"{sorted(TASK_CLASSES)}")
+        if self.sentiment_boundary != 0.0 and self.task != "sentiment-2":
+            raise ConfigError(f"sentiment_boundary applies only to "
+                              f"sentiment-2, not {self.task!r}")
         if self.variant not in ("auto", "monomodal", "joint"):
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.variant == "monomodal" and len(self.modalities) != 1:
@@ -434,37 +438,49 @@ def save_model(path, model: TbjeModel) -> None:
 def read_model(fh) -> TbjeModel:
     """Parse one checkpoint. The model is built from the header's config as
     uninitialised slots, and each tensor payload is read straight into the
-    slot whose name and shape it matches."""
+    slot whose name and shape it matches. A version-1 checkpoint's per-head
+    payloads fill the column blocks of the fused attention maps."""
     magic = T.read_exact(fh, 4)
     if magic != CHECKPOINT_MAGIC:
         raise ConfigError(f"bad checkpoint magic {magic!r}; "
                           f"expected {CHECKPOINT_MAGIC!r}")
     (version,) = struct.unpack("<I", T.read_exact(fh, 4))
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise ConfigError(f"unsupported checkpoint version {version}; "
-                          f"this build reads {CHECKPOINT_VERSION}")
+                          f"this build reads 1 and {CHECKPOINT_VERSION}")
     (blob_len,) = struct.unpack("<I", T.read_exact(fh, 4))
     header = T.read_json(T.read_exact(fh, blob_len), "checkpoint header",
                          required=("config",))
     config = EncoderConfig.from_dict(header["config"])
     model = _build_model(config, _Slots(), header.get("vocab_hash"))
-    params = model.parameter_dict()
+    slots = {name: p.data for name, p in model.named_parameters()}
+    if version == 1:
+        # head i of a query, key or content map was its own tensor there,
+        # `….mha.{q,k,c}{i}.{weight,bias}`; it fills column block i here
+        for name in [n for n in slots if n.split(".")[-2] in _V1_HEAD_MAPS]:
+            block, proj, kind = name.rsplit(".", 2)
+            heads = np.split(slots.pop(name), config.heads, axis=-1)
+            slots.update((f"{block}.{proj[0]}{i}.{kind}", head)
+                         for i, head in enumerate(heads))
     (count,) = struct.unpack("<I", T.read_exact(fh, 4))
     seen = set()
     for _ in range(count):
         (name_len,) = struct.unpack("<I", T.read_exact(fh, 4))
         name = T.read_exact(fh, name_len).decode("utf-8", errors="replace")
-        if name not in params:
+        if name not in slots:
             raise ConfigError(f"checkpoint tensor {name!r} has no slot in "
                               f"the configured model")
         shape = T.read_array_header(fh)
-        if params[name].data.shape != shape:
+        slot = slots[name]
+        if slot.shape != shape:
             raise ConfigError(f"checkpoint tensor {name!r} shaped "
-                              f"{shape}, model expects "
-                              f"{params[name].data.shape}")
-        T.read_payload(fh, params[name].data)
+                              f"{shape}, model expects {slot.shape}")
+        if slot.flags.c_contiguous:
+            T.read_payload(fh, slot)
+        else:
+            slot[...] = T.read_payload(fh, np.empty(shape))
         seen.add(name)
-    missing = sorted(set(params) - seen)
+    missing = sorted(set(slots) - seen)
     if missing:
         raise ConfigError(f"checkpoint is missing tensors {missing[:5]}"
                           + ("…" if len(missing) > 5 else ""))

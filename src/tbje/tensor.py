@@ -26,9 +26,8 @@ from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 __all__ = [
     "Tensor", "Tape", "backward", "add", "sub", "mul", "scale", "matmul",
-    "transpose", "concat", "slice_last", "tsum", "tmean", "softmax",
-    "log_softmax", "log", "sigmoid", "log_sigmoid", "relu", "layer_norm",
-    "dropout", "masked_fill",
+    "transpose", "reshape", "tsum", "tmean", "softmax", "log_softmax", "log",
+    "sigmoid", "log_sigmoid", "relu", "layer_norm", "dropout", "masked_fill",
 ]
 
 _active_tape = None
@@ -308,39 +307,6 @@ def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
     def make_vjp():
         def vjp(g):
             _accumulate(a, np.swapaxes(g, axis0, axis1))
-        return vjp
-
-    return _from_op(data, (a,), make_vjp)
-
-
-def concat(parts, axis: int = -1) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=axis)
-
-    def make_vjp():
-        sizes = [p.data.shape[axis] for p in parts]
-
-        def vjp(g):
-            offsets = np.cumsum([0] + sizes)
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                if p.requires_grad:
-                    index = [slice(None)] * g.ndim
-                    index[axis] = slice(lo, hi)
-                    _accumulate(p, g[tuple(index)])
-        return vjp
-
-    return _from_op(data, tuple(parts), make_vjp)
-
-
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    """Slice ``[start:stop]`` along the last axis."""
-    data = a.data[..., start:stop]
-
-    def make_vjp():
-        def vjp(g):
-            full = np.zeros_like(a.data)
-            full[..., start:stop] = g
-            _accumulate(a, full)
         return vjp
 
     return _from_op(data, (a,), make_vjp)

@@ -36,7 +36,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 STATE_MAGIC = b"TBJS"
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 
 @dataclass
@@ -215,17 +215,26 @@ def schedule_trace(values, cfg: TrainConfig) -> list[tuple[str, float]]:
 # prediction helpers
 # ---------------------------------------------------------------------------
 
-def predict_probabilities(model: TbjeModel, batches) -> np.ndarray:
-    """Eval-mode class probabilities: softmax rows for sentiment tasks,
-    per-label sigmoids for emotions."""
-    logits = forward_logits(model, batches)
-    if model.config.task == "emotions-6":
-        return T.sigmoid(logits).data
-    return T.softmax(logits, axis=-1).data
+def predict_probabilities(model: TbjeModel, batches,
+                          chunk: int = 64) -> np.ndarray:
+    """Eval-mode class probabilities, ``chunk`` examples per forward pass:
+    softmax rows for sentiment tasks, per-label sigmoids for emotions."""
+    n = len(next(iter(batches.values())))
+    parts = []
+    for lo in range(0, max(n, 1), chunk):    # an empty split gives (0, classes)
+        idx = np.arange(lo, min(lo + chunk, n))
+        logits = forward_logits(model, {m: batches[m].take(idx)
+                                        for m in model.config.modalities
+                                        if m in batches})
+        probs = (T.sigmoid(logits) if model.config.task == "emotions-6"
+                 else T.softmax(logits, axis=-1))
+        parts.append(probs.data)
+    return np.vstack(parts)
 
 
-def ensemble_predict(models, batches) -> np.ndarray:
-    """Arithmetic mean of per-model probabilities.
+def ensemble_predict(models, batches, chunk: int = 64) -> np.ndarray:
+    """Arithmetic mean of per-model probabilities, each scored ``chunk``
+    examples per forward pass.
 
     ``models`` may be any iterable, such as a generator that loads one
     member at a time; each member is dropped before the next is drawn, so
@@ -242,7 +251,7 @@ def ensemble_predict(models, batches) -> np.ndarray:
         elif config != reference:
             raise ConfigError(f"ensemble member {count} has a different "
                               f"config than member 0")
-        probs = predict_probabilities(model, batches)
+        probs = predict_probabilities(model, batches, chunk)
         total = probs if total is None else total + probs
         count += 1
         del model
@@ -273,14 +282,8 @@ def evaluate_accuracy(model: TbjeModel, split, chunk: int = 64) -> float:
     """Accuracy on a split in eval mode; multi-label inputs score per class."""
     task = model.config.task
     gold = gold_labels(split, task, model.config.sentiment_boundary)
-    preds = []
-    n = split.size
-    for lo in range(0, n, chunk):
-        idx = np.arange(lo, min(lo + chunk, n))
-        sub = {m: split.batches[m].take(idx) for m in model.config.modalities}
-        probs = predict_probabilities(model, sub)
-        preds.append(predictions_from_probabilities(probs, task))
-    return accuracy(np.concatenate(preds, axis=0), gold)
+    probs = predict_probabilities(model, split.batches, chunk)
+    return accuracy(predictions_from_probabilities(probs, task), gold)
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,20 @@ def affine_ref(params, x):
     return np.asarray(x, dtype=np.float64) @ params.weight.data + params.bias.data
 
 
+def head_affine_ref(params, x, cols):
+    """The columns ``cols`` of an affine map: one head's projection."""
+    return (np.asarray(x, dtype=np.float64) @ params.weight.data[:, cols]
+            + params.bias.data[cols])
+
+
 def mha_ref(params, q, k, c, keep=None):
+    sub = params.query.weight.data.shape[1] // params.heads
     head_outs = []
     for i in range(params.heads):
-        head_outs.append(attention_ref(affine_ref(params.query[i], q),
-                                       affine_ref(params.key[i], k),
-                                       affine_ref(params.content[i], c),
+        cols = slice(i * sub, (i + 1) * sub)
+        head_outs.append(attention_ref(head_affine_ref(params.query, q, cols),
+                                       head_affine_ref(params.key, k, cols),
+                                       head_affine_ref(params.content, c, cols),
                                        keep))
     return affine_ref(params.out, np.concatenate(head_outs, axis=-1))
 

@@ -53,7 +53,10 @@ def random_modality_batch(rng, tag, n, width):
 
 def test_01_gradcheck_toy_joint_model(capsys):
     started = time.monotonic()
-    code = main(["gradcheck"])
+    # each (k, k) attention map holds both heads' column blocks, so 12
+    # coordinates per tensor sample each head as densely as the default 6
+    # samples a head-sized tensor
+    code = main(["gradcheck", "--max-coords", "12"])
     elapsed = time.monotonic() - started
     out = capsys.readouterr().out
 

@@ -3,6 +3,7 @@ gradient checking, and the block sweep, plus exit-code discipline."""
 
 import json
 import shutil
+import struct
 import warnings
 from pathlib import Path
 
@@ -276,6 +277,21 @@ class TestTrain:
                      "train-member0.ndjson", "train-member1.ndjson"):
             assert (direct / name).read_bytes() == (paused / name).read_bytes()
 
+    def test_resume_from_v1_state_rejected(self, corpus, tmp_path, capsys):
+        config = variant_config(corpus, tmp_path / "one.json",
+                                training={"max_epochs": 1})
+        out = tmp_path / "old"
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        state = out / "state-member0.tbjs"
+        blob = state.read_bytes()
+        state.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--out", str(out),
+                     "--resume"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: unsupported train-state version 1\n"
+
     def test_bundle_mismatch_rejected(self, corpus, tmp_path, capsys):
         bad = variant_config(corpus, tmp_path / "bad.json",
                              encoder={"lengths": {"L": 7, "A": 4, "V": 3}})
@@ -535,6 +551,25 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "proj.L." in out
         assert "proj.A." not in out and "enc.A." not in out
+
+    def test_config_seed_is_read_and_seed_flag_wins(self, tmp_path, capsys):
+        from tbje.model import EncoderConfig
+        encoder = EncoderConfig(
+            modalities=("L",), primary="L", blocks=1, width=8, heads=2,
+            mlp_width=12, lengths={"L": 3}, input_widths={"L": 4},
+            task="sentiment-2")
+        out = {}
+        for seed in (0, 7):
+            path = tmp_path / f"seed{seed}.json"
+            save_run_config(path, RunConfig(encoder=encoder,
+                                            training=TrainConfig(seed=seed)))
+            assert main(["gradcheck", "--config", str(path),
+                         "--max-coords", "2"]) == EXIT_OK
+            out[seed] = capsys.readouterr().out
+        assert out[0] != out[7]
+        assert main(["gradcheck", "--config", str(tmp_path / "seed7.json"),
+                     "--seed", "0", "--max-coords", "2"]) == EXIT_OK
+        assert capsys.readouterr().out == out[0]
 
     def test_full_size_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "big.json"

@@ -8,7 +8,7 @@ from tbje.errors import ConfigError, ContractError
 from tbje.gradcheck import check_gradients
 from tbje.layers import (AffineParams, MhaParams, MlpParams, SublayerParams,
                          attention, multi_head_attention, positional_encoding,
-                         sublayer)
+                         sublayer, xavier_uniform)
 from tbje.rng import make_rng
 from tbje.tensor import Tensor
 
@@ -100,10 +100,8 @@ def test_attention_batched_equals_per_example():
 # ---------------------------------------------------------------------------
 
 def identity_mha(width):
-    eye = lambda n_out: AffineParams(Tensor(np.eye(width)[:, :n_out]),
-                                     Tensor(np.zeros(n_out)))
-    return MhaParams(query=[eye(width)], key=[eye(width)], content=[eye(width)],
-                     out=eye(width), heads=1, width=width)
+    eye = lambda: AffineParams(Tensor(np.eye(width)), Tensor(np.zeros(width)))
+    return MhaParams(query=eye(), key=eye(), content=eye(), out=eye(), heads=1)
 
 
 def test_mha_single_identity_head_equals_attention():
@@ -115,9 +113,27 @@ def test_mha_single_identity_head_equals_attention():
 
 def test_mha_head_subspace_width():
     params = MhaParams.init(make_rng(31, "mha-width"), 512, 4)
-    assert params.query[0].weight.data.shape == (512, 128)
-    assert len(params.query) == 4
+    assert params.query.weight.data.shape == (512, 512)
+    assert params.heads == 4
+    assert params.query.weight.data.shape[1] // params.heads == 128
     assert params.out.weight.data.shape == (512, 512)
+
+
+def test_mha_init_concatenates_per_head_draws():
+    width, heads = 8, 2
+    rng = make_rng(36, "mha-init")
+    params = MhaParams.init(rng, width, heads)
+    # the same stream, drawn one head block at a time, each Xavier-limited
+    # by its own (k, k/h) shape: all query heads, then key, then content
+    expect = make_rng(36, "mha-init")
+    maps = [np.hstack([xavier_uniform(expect, width, width // heads)
+                       for _ in range(heads)]) for _ in range(3)]
+    maps.append(xavier_uniform(expect, width, width))
+    for got, want in zip((params.query, params.key, params.content,
+                          params.out), maps):
+        assert np.array_equal(got.weight.data, want)
+        assert np.array_equal(got.bias.data, np.zeros(width))
+    assert rng.random() == expect.random()
 
 
 def test_mha_rejects_indivisible_width():
@@ -153,7 +169,7 @@ def test_mha_gradcheck():
         out = multi_head_attention(params, q, k, c)
         return T.tmean(T.mul(out, out))
 
-    errs = check_gradients(loss_fn, named, max_coords=8)
+    errs = check_gradients(loss_fn, named, max_coords=16)
     assert max(errs.values()) < 1e-4
 
 
@@ -192,7 +208,7 @@ def test_sublayer_matches_oracle():
 def test_sublayer_shape_change_rejected():
     rng = make_rng(42, "sub-shape")
     with pytest.raises(ContractError):
-        sublayer(tens(rng, 3, 4), lambda t: T.slice_last(t, 0, 2),
+        sublayer(tens(rng, 3, 4), lambda t: T.transpose(t),
                  SublayerParams.init(4))
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import tbje.model
 import tbje.tensor as T
+from tbje.config import default_encoder
 from tbje.errors import ConfigError, ContractError
 from tbje.features import ModalityBatch
 from tbje.gradcheck import check_gradients
@@ -143,11 +144,10 @@ def test_monomodal_single_token_attention_is_identity_weighted():
     batch = toy_batch(rng, "L", 1, 1, 5, ragged=False)
     got = encode_joint({"L": batch}, model)["L"]
     # with one key the softmax weight is 1, so MHA reduces to the content
-    # path: out_proj(concat(content projections of the single row))
+    # path: out_proj(content projection of the single row, all heads)
     x = oracles.affine_ref(model.input_proj["L"], batch.features[0])
     block = model.blocks["L"][0]
-    content = np.concatenate([oracles.affine_ref(p, x)
-                              for p in block.mha.content], axis=-1)
+    content = oracles.affine_ref(block.mha.content, x)
     mha_out = oracles.affine_ref(block.mha.out, content)
     state = oracles.sublayer_ref(x, mha_out, block.mha_norm)
     state = oracles.sublayer_ref(state, oracles.mlp_ref(block.mlp, state),
@@ -419,7 +419,7 @@ def test_end_to_end_gradcheck_two_modalities():
         logits = forward_logits(model, batches)
         return T.tmean(T.mul(logits, logits))
 
-    errs = check_gradients(loss_fn, model.parameter_dict(), max_coords=4)
+    errs = check_gradients(loss_fn, model.parameter_dict(), max_coords=8)
     assert max(errs.values()) < 1e-4
 
 
@@ -444,6 +444,28 @@ def test_end_to_end_gradcheck_two_modalities():
 def test_config_rejections(kw):
     with pytest.raises(ConfigError):
         toy_config(**kw)
+
+
+@pytest.mark.parametrize("task", ["sentiment-2", "sentiment-7", "emotions-6"])
+def test_sentiment_boundary_only_with_sentiment_2(task):
+    assert toy_config(task=task).sentiment_boundary == 0.0
+    if task == "sentiment-2":
+        assert toy_config(task=task,
+                          sentiment_boundary=1.0).sentiment_boundary == 1.0
+    else:
+        with pytest.raises(ConfigError, match="sentiment_boundary"):
+            toy_config(task=task, sentiment_boundary=1.0)
+
+
+def test_default_model_has_252_parameter_tensors():
+    names = [name for name, _ in init_model(default_encoder()).named_parameters()]
+    assert len(names) == 252
+    # one query, key, content and output map per block: 2 modalities x 6 blocks
+    assert sum(".mha." in name for name in names) == 2 * 6 * 8
+    assert [n for n in names if n.startswith("enc.A.5.mha.")] == [
+        f"enc.A.5.mha.{proj}.{kind}"
+        for proj in ("query", "key", "content", "out")
+        for kind in ("weight", "bias")]
 
 
 def test_config_roundtrip_and_unknown_keys():
@@ -501,6 +523,75 @@ def test_v1_header_with_null_glimpses_and_no_boundary_loads():
                                    + blob[12 + old_len:]))
     assert loaded.config.sentiment_boundary == 0.0
     assert model_bytes(loaded) == blob
+
+
+def v1_checkpoint(model, edit=None) -> bytes:
+    """``model`` in checkpoint format 1: a v1 header (null glimpses, no
+    boundary) and every attention head's query/key/content block as its own
+    tensor, ``….mha.{q,k,c}{i}.{weight,bias}``. ``edit`` may rewrite the
+    (name, array) list before it is written."""
+    tensors = []
+    for name, p in model.named_parameters():
+        head, _, kind = name.rpartition(".")
+        mha, _, proj = head.rpartition(".")
+        if mha.endswith(".mha") and proj in ("query", "key", "content"):
+            blocks = np.split(p.data, model.config.heads, axis=-1)
+            tensors += [(f"{mha}.{proj[0]}{i}.{kind}", block)
+                        for i, block in enumerate(blocks)]
+        else:
+            tensors.append((name, p.data))
+    if edit is not None:
+        tensors = edit(tensors)
+    config = model.config.to_dict()
+    del config["sentiment_boundary"]
+    config["glimpses"] = None
+    header = json.dumps({"config": config,
+                         "vocab_hash": model.vocab_hash}).encode("utf-8")
+    buf = io.BytesIO()
+    buf.write(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header)
+    buf.write(struct.pack("<I", len(tensors)))
+    for name, data in tensors:
+        buf.write(struct.pack("<I", len(name)) + name.encode("utf-8"))
+        T.write_array(buf, data)
+    return buf.getvalue()
+
+
+def test_v1_checkpoint_heads_fill_column_blocks():
+    cfg = toy_config(heads=4)
+    model = init_model(cfg, seed=18, vocab_hash="abc123")
+    loaded = read_model(io.BytesIO(v1_checkpoint(model)))
+    want = model.parameter_dict()
+    got = loaded.parameter_dict()
+    assert list(got) == list(want)
+    for name in want:
+        assert np.array_equal(got[name].data, want[name].data), name
+    batches = toy_batches(make_rng(88, "ckpt-v1"), cfg, 2)
+    assert np.array_equal(forward_logits(model, batches).data,
+                          forward_logits(loaded, batches).data)
+    assert model_bytes(loaded) == model_bytes(model)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ts: [t for t in ts if t[0] != "enc.A.0.mha.k1.weight"],
+     r"missing tensors \['enc.A.0.mha.k1.weight'\]"),
+    (lambda ts: [(n, d[:, :1] if n == "enc.L.0.mha.c0.weight" else d)
+                 for n, d in ts], "'enc.L.0.mha.c0.weight' shaped"),
+    (lambda ts: [(n, d[:1] if n == "enc.L.0.mha.q1.bias" else d)
+                 for n, d in ts], "'enc.L.0.mha.q1.bias' shaped"),
+    (lambda ts: ts + [("enc.L.0.mha.q2.bias", np.zeros(4))], "no slot"),
+    (lambda ts: ts + [("enc.L.0.mha.query.bias", np.zeros(8))], "no slot"),
+])
+def test_v1_checkpoint_bad_head_is_config_error(edit, message):
+    model = init_model(toy_config(), seed=18)
+    with pytest.raises(ConfigError, match=message):
+        read_model(io.BytesIO(v1_checkpoint(model, edit)))
+
+
+def test_v1_checkpoint_truncated_anywhere_is_config_error():
+    blob = v1_checkpoint(init_model(toy_config(), seed=18))
+    for cut in truncation_cuts(blob, stride=97):
+        with pytest.raises(ConfigError, match="truncated"):
+            read_model(io.BytesIO(blob[:cut]))
 
 
 def test_glimpses_key_rejected_unless_null():

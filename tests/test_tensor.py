@@ -392,17 +392,17 @@ def test_grad_binary_broadcasting(op):
     fd_check(lambda: T.tsum(T.mul(o := op(a, b), o)), [a, b])
 
 
-def test_grad_scale_transpose_slice_concat():
+def test_grad_scale_transpose_reshape():
     rng = make_rng(4, "move")
-    a = T.Tensor(rand(rng, 3, 4), requires_grad=True)
-    b = T.Tensor(rand(rng, 3, 2), requires_grad=True)
+    a = T.Tensor(rand(rng, 2, 3, 4), requires_grad=True)
 
     def build():
-        joined = T.concat([T.scale(a, 1.7), b], axis=-1)
-        piece = T.slice_last(joined, 1, 5)
-        return T.tsum(T.mul(piece, T.transpose(T.transpose(piece))))
+        # the head split and merge of multi-head attention
+        heads = T.transpose(T.reshape(T.scale(a, 1.7), (2, 3, 2, 2)), -3, -2)
+        merged = T.reshape(T.transpose(heads, -3, -2), (2, 3, 4))
+        return T.tsum(T.mul(merged, T.transpose(T.transpose(merged))))
 
-    fd_check(build, [a, b])
+    fd_check(build, [a])
 
 
 def test_grad_reductions():

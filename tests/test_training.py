@@ -461,6 +461,28 @@ class TestEnsemble:
         with pytest.raises(ContractError):
             ensemble_predict(iter(()), batches)
 
+    def test_chunked_scoring_matches_one_pass(self, bundle, trained_pair,
+                                              monkeypatch):
+        batches = eval_batches(bundle)
+        n = len(batches["L"])
+        assert n > 3
+        one_pass = ensemble_predict(trained_pair, batches, chunk=n)
+        sizes, true_forward = [], TR.forward_logits
+
+        def forward(model, sub, *args, **kwargs):
+            sizes.append(len(sub["L"]))
+            return true_forward(model, sub, *args, **kwargs)
+
+        monkeypatch.setattr(TR, "forward_logits", forward)
+        chunked = ensemble_predict(trained_pair, batches, chunk=3)
+        np.testing.assert_allclose(chunked, one_pass, rtol=0, atol=1e-12)
+        per_member = [3] * (n // 3) + ([n % 3] if n % 3 else [])
+        assert sizes == per_member * 2
+
+    def test_empty_split_scores_to_no_rows(self, bundle, trained_pair):
+        none = {m: b.take([]) for m, b in eval_batches(bundle).items()}
+        assert ensemble_predict(trained_pair, none, chunk=3).shape == (0, 7)
+
     def test_each_member_is_released_before_the_next_loads(self, bundle,
                                                            trained_pair):
         blobs = [model_bytes(m) for m in trained_pair] * 2
