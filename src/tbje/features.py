@@ -6,6 +6,7 @@ batches. Visual features are ingested as-is, never computed here.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
@@ -303,9 +304,12 @@ class ModalityBatch:
         return self.features.shape[0]
 
     def take(self, indices) -> "ModalityBatch":
+        """The rows at ``indices``. A row subset of a valid batch is valid,
+        so ``__post_init__``'s scans are not run again."""
         idx = np.asarray(indices, dtype=np.int64)
-        return ModalityBatch(self.features[idx], self.mask[idx],
-                             self.modality)
+        out = copy.copy(self)
+        out.features, out.mask = self.features[idx], self.mask[idx]
+        return out
 
 
 def make_batch(sequences, length: int, modality: str) -> ModalityBatch:

@@ -41,7 +41,7 @@ class AffineParams:
             bias=Tensor(np.zeros(n_out), requires_grad=True))
 
     def apply(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight), self.bias)
+        return T.matmul(x, self.weight, self.bias)
 
     def named(self, prefix: str) -> NamedTensors:
         yield prefix + ".weight", self.weight
@@ -172,13 +172,13 @@ def multi_head_attention(params: MhaParams, query: Tensor, key: Tensor,
 def sublayer(x: Tensor, f: Callable[[Tensor], Tensor], params: SublayerParams,
              dropout_p: float = 0.0, rng: Optional[np.random.Generator] = None,
              training: bool = False) -> Tensor:
-    """Residual wrapper layer_norm(x + dropout(f(x)))."""
+    """Residual wrapper layer_norm(x + dropout(f(x))), one tape record."""
     fx = f(x)
     if fx.data.shape != x.data.shape:
         raise ContractError(
             f"sublayer function changed shape {x.data.shape} -> {fx.data.shape}")
-    return T.layer_norm(T.add(x, T.dropout(fx, dropout_p, rng, training)),
-                        params.gain, params.bias)
+    return T.residual_norm(x, fx, params.gain, params.bias, dropout_p, rng,
+                           training)
 
 
 def positional_encoding(n: int, width: int) -> Tensor:

@@ -262,13 +262,18 @@ def _build_model(config: EncoderConfig, rng,
 # ---------------------------------------------------------------------------
 
 def glimpse(m: Tensor, params: GlimpseParams, mask=None) -> Tensor:
-    """Attention pooling of rows: embed once, score per glimpse, masked
-    softmax over rows, weighted sums of the original rows. (…, N, k) in,
-    (…, G, k) out."""
+    """Attention pooling of rows: score each row per glimpse through the
+    shared embedding, masked softmax over rows, weighted sums of the
+    original rows. (…, N, k) in, (…, G, k) out.
+
+    Nothing sits between the embedding and the score vectors, so the scores
+    are ``m @ (embed @ scoresᵀ)``: rows go through the k×G product, not the
+    2k-wide embedding, and the tape differentiates the product back into
+    both parameters."""
     if mask is not None and not np.asarray(mask, dtype=bool).any(axis=-1).all():
         raise ContractError("glimpse is undefined when every row is masked")
-    embedded = T.matmul(m, params.embed)                        # (…, N, 2k)
-    scores = T.transpose(T.matmul(embedded, T.transpose(params.scores)))
+    score_map = T.matmul(params.embed, T.transpose(params.scores))  # (k, G)
+    scores = T.transpose(T.matmul(m, score_map))                 # (…, G, N)
     if mask is not None:
         keep = np.asarray(mask, dtype=bool)
         while keep.ndim < scores.data.ndim:

@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A ``Tape`` is a Wengert list: every primitive executed while a tape is
-active appends a record holding the output, the inputs, and a closure that
-propagates the output gradient to the inputs. ``Tape.backward`` walks the
+active appends a record holding the output and a closure that propagates
+the output gradient to the inputs. ``Tape.backward`` walks the
 records in exact reverse execution order, so no graph search is needed.
 It consumes the records as it goes: each record is dropped once its vjp has
 run, so the closure and the activations it captured are freed while the
@@ -11,6 +11,11 @@ tape unwinds, and each op output's ``.grad`` is cleared once propagated.
 Everything is float64. Gradients accumulate into ``Tensor.grad`` (a numpy
 array of the same shape as ``Tensor.data``); after ``backward`` only leaf
 tensors (parameters and inputs, which no recorded op produced) keep theirs.
+
+Two primitives cover a whole layer each, so the tape holds one record where
+a chain of small ops would hold several, each with its own activation:
+``matmul`` with a ``bias`` is the affine map ``x @ W + b``, and
+``residual_norm`` is the residual sublayer ``layer_norm(x + dropout(fx))``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from .errors import ConfigError, ContractError, NumericError, ShapeError
 __all__ = [
     "Tensor", "Tape", "backward", "add", "sub", "mul", "scale", "matmul",
     "transpose", "reshape", "tsum", "tmean", "softmax", "log_softmax", "log",
-    "sigmoid", "log_sigmoid", "relu", "layer_norm", "dropout", "masked_fill",
+    "sigmoid", "log_sigmoid", "relu", "layer_norm", "residual_norm", "dropout",
+    "masked_fill",
 ]
 
 _active_tape = None
@@ -60,8 +66,8 @@ class Tape:
     def __len__(self):
         return len(self._records)
 
-    def record(self, out, inputs, vjp):
-        self._records.append((out, inputs, vjp))
+    def record(self, out, vjp):
+        self._records.append((out, vjp))
 
     def backward(self, loss: "Tensor") -> None:
         """Propagate d(loss)/d(x) into ``x.grad`` for every recorded ancestor.
@@ -81,7 +87,7 @@ class Tape:
         loss.grad = np.ones_like(loss.data)
         records = self._records
         while records:
-            out, _inputs, vjp = records.pop()
+            out, vjp = records.pop()
             if out.grad is not None:
                 vjp(out.grad)
                 out.grad = None
@@ -105,8 +111,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        # contiguity matters: gradcheck and serialization treat .data as a
-        # flat buffer, which a strided view would silently break
+        # contiguity matters: gradcheck and serialization treat a leaf's
+        # .data as a flat buffer, which a strided view would silently break.
+        # Op outputs skip this (see _from_op): a transpose stays a view.
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -161,10 +168,14 @@ def _as_tensor(x) -> Tensor:
 
 
 def _from_op(data, inputs, make_vjp):
-    """Build the op output and, when grads are wanted, record its vjp."""
-    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
+    """Build the op output and, when grads are wanted, record its vjp. The
+    output keeps the layout of ``data``, so a strided view is not copied."""
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(data, dtype=np.float64)
+    out.requires_grad = any(t.requires_grad for t in inputs)
+    out.grad = None
     if out.requires_grad and _active_tape is not None:
-        _active_tape.record(out, inputs, make_vjp())
+        _active_tape.record(out, make_vjp())
     return out
 
 
@@ -250,12 +261,14 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _from_op(data, (a,), make_vjp)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Matrix product over the last two axes, broadcasting leading (batch) axes.
 
     A 2-D right operand (a weight) takes one GEMM over ``a`` flattened to
     ``(rows, k)``, forward and backward, so the weight gradient is a single
     ``a2d.T @ g2d`` instead of one product per batch row summed afterwards.
+    Such a product may take a ``bias`` added to every row: the affine map
+    ``a @ b + bias`` as one record.
     """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(
@@ -264,7 +277,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul inner extents disagree: {a.data.shape} vs {b.data.shape}")
     if b.data.ndim == 2:
-        return _matmul_weight(a, b)
+        return _matmul_weight(a, b, bias)
+    if bias is not None:
+        raise ShapeError("a matmul bias needs a 2-d right operand")
     data = a.data @ b.data
 
     def make_vjp():
@@ -280,12 +295,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(data, (a, b), make_vjp)
 
 
-def _matmul_weight(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for a 2-D ``b``, as GEMMs over the rows of ``a``."""
+def _matmul_weight(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b (+ bias)`` for a 2-D ``b``, as GEMMs over the rows of ``a``.
+    The bias is added in place to the fresh product."""
     shape = a.data.shape
     rows = math.prod(shape[:-1])
     a2d = a.data.reshape(rows, shape[-1])
-    data = (a2d @ b.data).reshape(shape[:-1] + b.data.shape[1:])
+    data = a2d @ b.data
+    inputs = (a, b)
+    if bias is not None:
+        if bias.data.shape != b.data.shape[1:]:
+            raise ShapeError(f"matmul bias shaped {bias.data.shape}, want "
+                             f"{b.data.shape[1:]}")
+        data += bias.data
+        inputs = (a, b, bias)
+    data = data.reshape(shape[:-1] + b.data.shape[1:])
 
     def make_vjp():
         bd = b.data
@@ -296,9 +320,11 @@ def _matmul_weight(a: Tensor, b: Tensor) -> Tensor:
                 _accumulate(a, (g2d @ bd.T).reshape(shape))
             if b.requires_grad:
                 _accumulate(b, a2d.T @ g2d)
+            if bias is not None and bias.requires_grad:
+                _accumulate(bias, g2d.sum(0))
         return vjp
 
-    return _from_op(data, (a, b), make_vjp)
+    return _from_op(data, inputs, make_vjp)
 
 
 def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
@@ -457,17 +483,38 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     it, so ordinary rows come out with variance 1 to float precision while
     constant rows map to zero without a division by zero.
     """
+    return residual_norm(x, None, gain, bias, eps=eps)
+
+
+def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
+                  p: float = 0.0, rng: np.random.Generator | None = None,
+                  training: bool = False, eps: float = 1e-5) -> Tensor:
+    """``layer_norm(x + dropout(fx, p, rng, training), gain, bias, eps)`` as
+    one record; ``fx=None`` is ``layer_norm(x, gain, bias, eps)``.
+
+    Values, gradients and the dropout draw are bit-identical to that chain
+    of three ops, but the record keeps only the dropout mask, the
+    standardized sum and its per-row scale, not the masked branch and the
+    sum as well.
+    """
     width = x.data.shape[-1]
     if gain.data.shape != (width,) or bias.data.shape != (width,):
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({width},), got "
             f"{gain.data.shape} and {bias.data.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
+    keep, s = None, x.data
+    if fx is not None:
+        keep = _dropout_keep(fx.data.shape, p, rng, training)
+        s = s + (fx.data if keep is None else fx.data * keep)
+    mu = s.mean(axis=-1, keepdims=True)
+    centered = s - mu
+    del s
     var = (centered * centered).mean(axis=-1, keepdims=True)
     denom = np.sqrt(np.maximum(var, eps))
     xhat = centered / denom
+    del centered
     data = xhat * gain.data + bias.data
+    inputs = (x, gain, bias) if fx is None else (x, fx, gain, bias)
 
     def make_vjp():
         floored = var <= eps
@@ -477,16 +524,36 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                 _accumulate(gain, (g * xhat).reshape(-1, width).sum(axis=0))
             if bias.requires_grad:
                 _accumulate(bias, g.reshape(-1, width).sum(axis=0))
-            if x.requires_grad:
-                gx = g * gain.data
-                mean_gx = gx.mean(axis=-1, keepdims=True)
-                mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
-                # the variance term vanishes where the eps floor is active
-                correction = np.where(floored, 0.0, xhat * mean_gx_xhat)
-                _accumulate(x, (gx - mean_gx - correction) / denom)
+            x_grad = x.requires_grad
+            fx_grad = fx is not None and fx.requires_grad
+            if not (x_grad or fx_grad):
+                return
+            gx = g * gain.data
+            mean_gx = gx.mean(axis=-1, keepdims=True)
+            mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
+            # the variance term vanishes where the eps floor is active
+            correction = np.where(floored, 0.0, xhat * mean_gx_xhat)
+            gs = (gx - mean_gx - correction) / denom
+            if x_grad:
+                _accumulate(x, gs)
+            if fx_grad:
+                _accumulate(fx, gs if keep is None else gs * keep)
         return vjp
 
-    return _from_op(data, (x, gain, bias), make_vjp)
+    return _from_op(data, inputs, make_vjp)
+
+
+def _dropout_keep(shape, p: float, rng: np.random.Generator | None,
+                  training: bool) -> np.ndarray | None:
+    """The inverted-dropout mask, 0 or 1/(1-p) per entry, or ``None`` where
+    dropout is the identity (eval mode or p == 0)."""
+    if not training or p == 0.0:
+        return None
+    if not 0.0 < p < 1.0:
+        raise ContractError(f"dropout rate must lie in [0, 1), got {p}")
+    if rng is None:
+        raise ContractError("dropout in training mode needs an RNG")
+    return (rng.random(shape) >= p) / (1.0 - p)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
@@ -496,13 +563,9 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
     In eval mode (or with p == 0) the input tensor is returned unchanged,
     so eval is the identity bit for bit.
     """
-    if not training or p == 0.0:
+    keep = _dropout_keep(x.data.shape, p, rng, training)
+    if keep is None:
         return x
-    if not 0.0 < p < 1.0:
-        raise ContractError(f"dropout rate must lie in [0, 1), got {p}")
-    if rng is None:
-        raise ContractError("dropout in training mode needs an RNG")
-    keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
     data = x.data * keep
 
     def make_vjp():

@@ -147,7 +147,13 @@ def loss(logits: Tensor, labels, task: str) -> Tensor:
 def adam_step(params, state: TrainState, lr: float,
               beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
               eps: float = ADAM_EPS) -> None:
-    """One bias-corrected Adam update over every named parameter."""
+    """One bias-corrected Adam update over every named parameter, in place:
+
+        m = beta1 m + (1 - beta1) g,   v = beta2 v + (1 - beta2) g g,
+        p = p - lr m̂ / (sqrt(v̂) + eps)
+
+    Each operation and its order are those of the formula as written, so
+    the result is bit for bit the same; only the buffers are reused."""
     state.step += 1
     t = state.step
     for name, p in params.items():
@@ -158,13 +164,21 @@ def adam_step(params, state: TrainState, lr: float,
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter {name!r} "
                                f"at step {t}")
-        m = state.first_moment[name] = (
-            beta1 * state.first_moment[name] + (1.0 - beta1) * g)
-        v = state.second_moment[name] = (
-            beta2 * state.second_moment[name] + (1.0 - beta2) * g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.first_moment[name], state.second_moment[name]
+        scratch = np.multiply(g, 1.0 - beta1)
+        np.multiply(m, beta1, out=m)
+        np.add(m, scratch, out=m)
+        np.multiply(g, 1.0 - beta2, out=scratch)
+        np.multiply(scratch, g, out=scratch)
+        np.multiply(v, beta2, out=v)
+        np.add(v, scratch, out=v)
+        step = np.divide(m, 1.0 - beta1 ** t)
+        np.multiply(step, lr, out=step)
+        np.divide(v, 1.0 - beta2 ** t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        np.add(scratch, eps, out=scratch)
+        np.divide(step, scratch, out=step)
+        np.subtract(p.data, step, out=p.data)
 
 
 def init_state(params, lr: float) -> TrainState:

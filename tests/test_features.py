@@ -366,3 +366,16 @@ def test_make_batch_and_take():
     sub = batch.take([2, 0])
     assert np.array_equal(sub.features[0], batch.features[2])
     assert sub.modality == "A"
+
+
+def test_take_does_not_validate_again(monkeypatch):
+    batch = make_batch([np.ones((t, 2)) for t in (1, 3, 2)], 3, "L")
+
+    def scan(self):
+        raise AssertionError("a row subset was validated again")
+
+    monkeypatch.setattr(ModalityBatch, "__post_init__", scan)
+    sub = batch.take([2, 2, 0])
+    assert np.array_equal(sub.features, batch.features[[2, 2, 0]])
+    assert np.array_equal(sub.mask, batch.mask[[2, 2, 0]])
+    assert sub.modality == "L" and len(sub) == 3 and len(batch) == 3

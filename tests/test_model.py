@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+import tbje.layers
 import tbje.model
 import tbje.tensor as T
 from tbje.config import default_encoder
@@ -81,6 +82,35 @@ def test_glimpse_matches_straight_line_oracle():
         got = glimpse(m, params)
         want = oracles.glimpse_ref(m.data, params.embed.data, params.scores.data)
         assert np.abs(got.data - want).max() < ORACLE_TOL
+
+
+def glimpse_embed_first(m, params, keep):
+    """The glimpse scored in the other association, (m @ embed) @ scoresᵀ."""
+    embedded = T.matmul(m, params.embed)
+    scores = T.transpose(T.matmul(embedded, T.transpose(params.scores)))
+    scores = T.masked_fill(scores, keep[..., None, :], -np.inf)
+    return T.matmul(T.softmax(scores, axis=-1), m)
+
+
+def test_glimpse_matches_embed_first_order_with_gradients():
+    rng = make_rng(57, "gl-assoc")
+    params = GlimpseParams.init(rng, 6, 5, with_norm=False)
+    m = Tensor(rng.uniform(-2, 2, size=(3, 5, 6)), requires_grad=True)
+    keep = rng.uniform(size=(3, 5)) > 0.3
+    keep[:, 0] = True
+    g = Tensor(rng.uniform(-1, 1, size=(3, 5, 6)))
+    results = []
+    for pool in (lambda: glimpse(m, params, keep),
+                 lambda: glimpse_embed_first(m, params, keep)):
+        for t in (m, params.embed, params.scores):
+            t.grad = None
+        with T.Tape() as tape:
+            out = pool()
+            tape.backward(T.tsum(T.mul(out, g)))
+        results.append((out.data, m.grad, params.embed.grad,
+                        params.scores.grad))
+    for got, want in zip(*results):
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_glimpse_batched_matches_per_example():
@@ -650,3 +680,42 @@ def test_checkpoint_truncated_anywhere_is_config_error():
     for cut in truncation_cuts(blob, stride=97):
         with pytest.raises(ConfigError, match="truncated"):
             read_model(io.BytesIO(blob[:cut]))
+
+
+def test_each_residual_sublayer_and_affine_map_is_one_record(monkeypatch):
+    """A training forward of a toy joint model: every residual sublayer
+    records once around its function, every affine map records once."""
+    cfg = toy_config(dropout_block=0.1, dropout_classifier=0.5)
+    model = init_model(cfg, seed=6)
+    batches = toy_batches(make_rng(58, "records"), cfg, 3)
+    tape = T.Tape()
+    sublayer_adds, affine_adds = [], []
+    real_sublayer, real_apply = tbje.model.sublayer, tbje.layers.AffineParams.apply
+
+    def sublayer(x, f, *args):
+        after_f = []
+
+        def counted_f(t):
+            out = f(t)
+            after_f.append(len(tape))
+            return out
+
+        out = real_sublayer(x, counted_f, *args)
+        sublayer_adds.append(len(tape) - after_f[0])
+        return out
+
+    def apply(self, x):
+        before = len(tape)
+        out = real_apply(self, x)
+        affine_adds.append(len(tape) - before)
+        return out
+
+    monkeypatch.setattr(tbje.model, "sublayer", sublayer)
+    monkeypatch.setattr(tbje.layers.AffineParams, "apply", apply)
+    with tape:
+        forward_logits(model, batches, rng_seed=1, training=True)
+    # per modality and block: attention, MLP and glimpse sublayers; the
+    # affine maps are 4 in attention and 2 in the MLP, plus one input
+    # projection per modality and the classifier head
+    assert sublayer_adds == [1] * 3 * 2 * cfg.blocks
+    assert affine_adds == [1] * (6 * 2 * cfg.blocks + 2 + 1)

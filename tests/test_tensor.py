@@ -206,8 +206,8 @@ def test_tape_replays_in_reverse_execution_order():
         b = T.scale(a, 3.0)
         c = T.tsum(b)
         # tag each record's vjp with a probe
-        for i, (out, inputs, vjp) in enumerate(tape._records):
-            tape._records[i] = (out, inputs,
+        for i, (out, vjp) in enumerate(tape._records):
+            tape._records[i] = (out,
                                 (lambda f, k: lambda g: (order.append(k), f(g)))(vjp, i))
         tape.backward(c)
     assert order == [2, 1, 0]
@@ -441,6 +441,110 @@ def test_grad_dropout_is_scaled_mask():
         tape.backward(T.tsum(out))
     expected = (T.dropout(x, 0.25, make_rng(9, "dg"), training=True).data != 0)
     assert np.array_equal(x.grad, expected / 0.75)
+
+
+def test_transpose_is_a_view_and_leaves_stay_contiguous():
+    x = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with T.Tape():
+        t = T.transpose(x)
+    assert np.shares_memory(t.data, x.data)
+    assert T.Tensor(x.data.T).data.flags.c_contiguous
+    assert t.detach().data.flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# fused primitives: the affine map and the residual sublayer
+# ---------------------------------------------------------------------------
+
+def test_affine_matmul_equals_matmul_then_add():
+    rng = make_rng(15, "affine")
+    x = T.Tensor(rand(rng, 2, 3, 5), requires_grad=True)
+    w = T.Tensor(rand(rng, 5, 4), requires_grad=True)
+    b = T.Tensor(rand(rng, 4), requires_grad=True)
+    g = T.Tensor(rand(rng, 2, 3, 4))
+    grads = []
+    for build in (lambda: T.matmul(x, w, b),
+                  lambda: T.add(T.matmul(x, w), b)):
+        for t in (x, w, b):
+            t.grad = None
+        with T.Tape() as tape:
+            out = build()
+            tape.backward(T.tsum(T.mul(out, g)))
+        grads.append((out.data, x.grad, w.grad, b.grad))
+    (y, dx, dw, db), (y0, dx0, dw0, db0) = grads
+    assert np.array_equal(y, y0)
+    assert np.array_equal(dx, dx0) and np.array_equal(dw, dw0)
+    assert np.abs(db - db0).max() < 1e-12
+    fd_check(lambda: T.tmean(T.mul(m := T.matmul(x, w, b), m)), [x, w, b])
+
+
+def test_affine_matmul_is_one_record_and_checks_its_bias():
+    x = T.Tensor(np.ones((3, 2)), requires_grad=True)
+    w = T.Tensor(np.ones((2, 4)), requires_grad=True)
+    with T.Tape() as tape:
+        T.matmul(x, w, T.Tensor(np.zeros(4), requires_grad=True))
+    assert len(tape) == 1
+    with pytest.raises(ShapeError, match="bias"):
+        T.matmul(x, w, T.Tensor(np.zeros(1)))
+    with pytest.raises(ShapeError, match="bias"):
+        T.matmul(T.Tensor(np.ones((2, 3, 2))), T.Tensor(np.ones((2, 2, 4))),
+                 T.Tensor(np.zeros(4)))
+
+
+def residual_chain(x, fx, gain, bias, p, seed, training):
+    return T.layer_norm(T.add(x, T.dropout(fx, p, make_rng(seed, "res"),
+                                           training)), gain, bias)
+
+
+def residual_fused(x, fx, gain, bias, p, seed, training):
+    return T.residual_norm(x, fx, gain, bias, p, make_rng(seed, "res"),
+                           training)
+
+
+@pytest.mark.parametrize("p, training", [(0.1, True), (0.1, False),
+                                         (0.0, True)],
+                         ids=["train", "eval", "p0"])
+def test_residual_norm_bit_identical_to_three_op_chain(p, training):
+    rng = make_rng(16, "res-eq")
+    x = T.Tensor(rand(rng, 3, 4, 8), requires_grad=True)
+    fx = T.Tensor(rand(rng, 3, 4, 8), requires_grad=True)
+    gain = T.Tensor(rand(rng, 8), requires_grad=True)
+    bias = T.Tensor(rand(rng, 8), requires_grad=True)
+    g = T.Tensor(rand(rng, 3, 4, 8))
+    results = []
+    for op in (residual_fused, residual_chain):
+        for t in (x, fx, gain, bias):
+            t.grad = None
+        with T.Tape() as tape:
+            out = op(x, fx, gain, bias, p, 3, training)
+            tape.backward(T.tsum(T.mul(out, g)))
+        results.append([out.data] + [t.grad for t in (x, fx, gain, bias)])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+def test_residual_norm_is_one_record_and_passes_fd_check():
+    rng = make_rng(17, "res-fd")
+    x = T.Tensor(rand(rng, 4, 6), requires_grad=True)
+    fx = T.Tensor(rand(rng, 4, 6), requires_grad=True)
+    gain = T.Tensor(rand(rng, 6), requires_grad=True)
+    bias = T.Tensor(rand(rng, 6), requires_grad=True)
+    with T.Tape() as tape:
+        residual_fused(x, fx, gain, bias, 0.1, 4, True)
+    assert len(tape) == 1
+    fd_check(lambda: T.tsum(T.mul(
+        o := residual_fused(x, fx, gain, bias, 0.1, 4, True), o)),
+        [x, fx, gain, bias])
+
+
+def test_residual_norm_keeps_dropout_errors():
+    x = T.Tensor(np.ones((2, 3)))
+    ones, zeros = T.Tensor(np.ones(3)), T.Tensor(np.zeros(3))
+    for p in (1.0, -0.1):
+        with pytest.raises(ContractError, match="dropout rate"):
+            T.residual_norm(x, x, ones, zeros, p, make_rng(0, "r"), True)
+    with pytest.raises(ContractError, match="needs an RNG"):
+        T.residual_norm(x, x, ones, zeros, 0.1, None, True)
 
 
 def test_grad_masked_fill_softmax_chain():

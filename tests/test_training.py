@@ -210,6 +210,39 @@ class TestAdam:
             assert np.array_equal(p.data, ref)
         assert abs(p.data[0] - 3.0) < 0.5
 
+    def test_in_place_steps_equal_the_formula_on_a_toy_model(self, bundle):
+        beta1, beta2, eps = TR.ADAM_BETA1, TR.ADAM_BETA2, TR.ADAM_EPS
+        model = init_model(tiny_encoder(), seed=5)
+        params = model.parameter_dict()
+        state = init_state(params, lr=2e-3)
+        ref = {n: (p.data.copy(), np.zeros_like(p.data),
+                   np.zeros_like(p.data)) for n, p in params.items()}
+        train = bundle.splits["train"]
+        labels = gold_labels(train, "sentiment-7")
+        for t in range(1, 4):
+            idx = np.arange(8 * (t - 1), 8 * t)
+            sub = {m: train.batches[m].take(idx) for m in ("L", "A")}
+            for p in params.values():
+                p.grad = None
+            with Tape() as tape:
+                logits = TR.forward_logits(model, sub, rng_seed=t,
+                                           training=True)
+                tape.backward(loss(logits, labels[idx], "sentiment-7"))
+            for name, p in params.items():
+                w, m, v = ref[name]
+                g = p.grad
+                m = beta1 * m + (1.0 - beta1) * g
+                v = beta2 * v + (1.0 - beta2) * g * g
+                m_hat = m / (1.0 - beta1 ** t)
+                v_hat = v / (1.0 - beta2 ** t)
+                ref[name] = (w - 2e-3 * m_hat / (np.sqrt(v_hat) + eps), m, v)
+            adam_step(params, state, lr=2e-3)
+        for name, p in params.items():
+            w, m, v = ref[name]
+            assert np.array_equal(p.data, w)
+            assert np.array_equal(state.first_moment[name], m)
+            assert np.array_equal(state.second_moment[name], v)
+
     def test_missing_gradient_raises(self):
         _, params, state = one_param([1.0])
         with pytest.raises(ContractError, match="'w'"):
