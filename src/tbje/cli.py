@@ -18,10 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
-from .config import RunConfig, load_run_config, save_run_config
-from .data import (DatasetBundle, Split, load_vocabulary, read_bundle,
-                   write_bundle)
+from .config import RunConfig, load_run_config
+from .data import DatasetBundle, Split, read_bundle, write_bundle
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .features import (EMBEDDING_DIM, ModalityBatch, build_vocabulary,
                        load_waveform, make_batch, mel_spectrogram,
@@ -31,7 +29,7 @@ from .metrics import EMOTIONS, SENTIMENT_MAX, SENTIMENT_MIN, evaluation_report
 from .model import (EncoderConfig, TbjeModel, forward_logits, init_model,
                     load_model, save_model)
 from .rng import make_rng
-from .tensor import Tape, load_array
+from .tensor import load_array
 from .training import (TrainConfig, cross_entropy, ensemble_predict,
                        evaluate_accuracy, fit, gold_labels,
                        predictions_from_probabilities, train_ensemble)

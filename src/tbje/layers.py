@@ -29,10 +29,10 @@ def xavier_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarra
 
 @dataclass
 class AffineParams:
-    """Learned map x @ weight + bias; weight is (in, out)."""
+    """Learned map x @ weight + bias; weight is (in, out), bias may be None."""
 
     weight: Tensor
-    bias: Tensor
+    bias: Optional[Tensor]
 
     @staticmethod
     def init(rng: np.random.Generator, n_in: int, n_out: int) -> "AffineParams":
@@ -45,13 +45,16 @@ class AffineParams:
 
     def named(self, prefix: str) -> NamedTensors:
         yield prefix + ".weight", self.weight
-        yield prefix + ".bias", self.bias
+        if self.bias is not None:
+            yield prefix + ".bias", self.bias
 
 
 @dataclass
 class MhaParams:
     """Query, key and content projections (width k -> k, head i in column
-    block i) plus the output projection applied after the heads merge."""
+    block i) plus the output projection applied after the heads merge. The
+    key map is bias-free: a key bias adds the same q·b to every score of a
+    query row, which the softmax cancels."""
 
     query: AffineParams
     key: AffineParams
@@ -67,14 +70,16 @@ class MhaParams:
                 f"head count {heads}")
         sub = width // heads
 
-        def by_head() -> AffineParams:
+        def by_head(bias: bool = True) -> AffineParams:
             # one Xavier draw per head, each limited by its own (k, k/h) shape
             blocks = [xavier_uniform(rng, width, sub) for _ in range(heads)]
             return AffineParams(
                 weight=Tensor(np.hstack(blocks), requires_grad=True),
-                bias=Tensor(np.zeros(width), requires_grad=True))
+                bias=(Tensor(np.zeros(width), requires_grad=True) if bias
+                      else None))
 
-        return MhaParams(query=by_head(), key=by_head(), content=by_head(),
+        return MhaParams(query=by_head(), key=by_head(bias=False),
+                         content=by_head(),
                          out=AffineParams.init(rng, width, width), heads=heads)
 
     def named(self, prefix: str) -> NamedTensors:

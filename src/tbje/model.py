@@ -33,7 +33,7 @@ MODALITY_TAGS = ("L", "A", "V")
 TASK_CLASSES = {"sentiment-2": 2, "sentiment-7": 7, "emotions-6": 6}
 
 CHECKPOINT_MAGIC = b"TBJM"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _V1_HEAD_MAPS = ("query", "key", "content")
 
 
@@ -444,21 +444,25 @@ def read_model(fh) -> TbjeModel:
     """Parse one checkpoint. The model is built from the header's config as
     uninitialised slots, and each tensor payload is read straight into the
     slot whose name and shape it matches. A version-1 checkpoint's per-head
-    payloads fill the column blocks of the fused attention maps."""
+    payloads fill the column blocks of the fused attention maps. Versions 1
+    and 2 store a key bias per attention map, read into a dropped slot."""
     magic = T.read_exact(fh, 4)
     if magic != CHECKPOINT_MAGIC:
         raise ConfigError(f"bad checkpoint magic {magic!r}; "
                           f"expected {CHECKPOINT_MAGIC!r}")
     (version,) = struct.unpack("<I", T.read_exact(fh, 4))
-    if version not in (1, CHECKPOINT_VERSION):
+    if version not in range(1, CHECKPOINT_VERSION + 1):
         raise ConfigError(f"unsupported checkpoint version {version}; "
-                          f"this build reads 1 and {CHECKPOINT_VERSION}")
+                          f"this build reads 1 to {CHECKPOINT_VERSION}")
     (blob_len,) = struct.unpack("<I", T.read_exact(fh, 4))
     header = T.read_json(T.read_exact(fh, blob_len), "checkpoint header",
                          required=("config",))
     config = EncoderConfig.from_dict(header["config"])
     model = _build_model(config, _Slots(), header.get("vocab_hash"))
     slots = {name: p.data for name, p in model.named_parameters()}
+    if version < 3:
+        for name in [n for n in slots if n.endswith(".mha.key.weight")]:
+            slots[name[:-len("weight")] + "bias"] = np.empty(config.width)
     if version == 1:
         # head i of a query, key or content map was its own tensor there,
         # `….mha.{q,k,c}{i}.{weight,bias}`; it fills column block i here
@@ -475,15 +479,7 @@ def read_model(fh) -> TbjeModel:
         if name not in slots:
             raise ConfigError(f"checkpoint tensor {name!r} has no slot in "
                               f"the configured model")
-        shape = T.read_array_header(fh)
-        slot = slots[name]
-        if slot.shape != shape:
-            raise ConfigError(f"checkpoint tensor {name!r} shaped "
-                              f"{shape}, model expects {slot.shape}")
-        if slot.flags.c_contiguous:
-            T.read_payload(fh, slot)
-        else:
-            slot[...] = T.read_payload(fh, np.empty(shape))
+        T.read_array_into(fh, slots[name], f"checkpoint tensor {name!r}")
         seen.add(name)
     missing = sorted(set(slots) - seen)
     if missing:

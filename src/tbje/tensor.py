@@ -30,9 +30,9 @@ import numpy as np
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 __all__ = [
-    "Tensor", "Tape", "backward", "add", "sub", "mul", "scale", "matmul",
-    "transpose", "reshape", "tsum", "tmean", "softmax", "log_softmax", "log",
-    "sigmoid", "log_sigmoid", "relu", "layer_norm", "residual_norm", "dropout",
+    "Tensor", "Tape", "add", "sub", "mul", "scale", "matmul", "transpose",
+    "reshape", "tsum", "tmean", "softmax", "log_softmax", "log", "sigmoid",
+    "log_sigmoid", "relu", "layer_norm", "residual_norm", "dropout",
     "masked_fill",
 ]
 
@@ -96,13 +96,6 @@ class Tape:
         """Drop all records (and with them the intermediate buffers)."""
         self._records.clear()
         self._consumed = False
-
-
-def backward(loss: "Tensor") -> None:
-    """Replay the currently active tape backward from ``loss``."""
-    if _active_tape is None:
-        raise ContractError("backward() called with no active tape")
-    _active_tape.backward(loss)
 
 
 class Tensor:
@@ -180,8 +173,9 @@ def _from_op(data, inputs, make_vjp):
 
 
 def _accumulate(t: Tensor, g):
+    # no vjp writes into a .grad, so a first gradient is stored uncopied
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = g
     else:
         t.grad = t.grad + g
 
@@ -660,6 +654,18 @@ def read_payload(fh, out: np.ndarray) -> np.ndarray:
         filled += got
     if sys.byteorder != "little":
         out.byteswap(inplace=True)
+    return out
+
+
+def read_array_into(fh, out: np.ndarray, what: str) -> np.ndarray:
+    """Read one array into ``out``, whose shape it must have; ``what`` names
+    the array in the error a wrong extent raises."""
+    shape = read_array_header(fh)
+    if shape != out.shape:
+        raise ConfigError(f"{what} shaped {shape}, model expects {out.shape}")
+    if out.flags.c_contiguous:
+        return read_payload(fh, out)
+    out[...] = read_payload(fh, np.empty(shape))
     return out
 
 

@@ -14,7 +14,6 @@ trajectory of an uninterrupted one.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -26,6 +25,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ContractError, NumericError
 from .metrics import accuracy, emotion_predictions, sentiment_bins
+# model_bytes is not called here: it is imported so that the benchmark's
+# tracer can wrap tbje.training.model_bytes
 from .model import (TASK_CLASSES, TbjeModel, forward_logits, model_bytes,
                     read_model, write_model)
 from .rng import derive_seed, make_rng
@@ -36,7 +37,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 STATE_MAGIC = b"TBJS"
-STATE_VERSION = 2
+STATE_VERSION = 3
+# the TrainState fields a state file keeps in its JSON header
+_STATE_HEADER = ("step", "epoch", "lr", "best_accuracy", "stagnant",
+                 "decays_used", "stopped", "log")
 
 
 @dataclass
@@ -95,7 +99,7 @@ class TrainState:
     decays_used: int = 0
     stopped: bool = False
     log: list = field(default_factory=list)
-    best_blob: Optional[bytes] = None
+    best: dict = field(default_factory=dict)   # name -> best-validation array
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +308,6 @@ def evaluate_accuracy(model: TbjeModel, split, chunk: int = 64) -> float:
 # fit
 # ---------------------------------------------------------------------------
 
-def _restore_blob(model: TbjeModel, blob: bytes) -> None:
-    loaded = read_model(io.BytesIO(blob))
-    src = loaded.parameter_dict()
-    for name, p in model.named_parameters():
-        p.data = src[name].data
-
-
 def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
         state: Optional[TrainState] = None, log_fh=None,
         state_path=None) -> TrainState:
@@ -327,7 +324,6 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
     params = model.parameter_dict()
     if state is None:
         state = init_state(params, cfg.lr)
-        state.best_blob = model_bytes(model)
     task = model.config.task
     labels = gold_labels(train, task, model.config.sentiment_boundary)
     if task == "emotions-6":
@@ -364,7 +360,11 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
         val_accuracy = evaluate_accuracy(model, valid)
         outcome = observe_validation(state, val_accuracy, cfg)
         if outcome == "improved":
-            state.best_blob = model_bytes(model)
+            if not state.best:
+                state.best = {n: np.empty_like(p.data)
+                              for n, p in params.items()}
+            for name, p in params.items():
+                np.copyto(state.best[name], p.data)
         record = {
             "epoch": state.epoch,
             "lr": lr_used,
@@ -381,7 +381,10 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
             # up exactly where this epoch left off.
             save_train_state(state_path, model, state)
 
-    _restore_blob(model, state.best_blob)
+    # copied into the live buffers: a model that aliased the snapshot would
+    # overwrite it with its next in-place Adam step
+    for name, best in state.best.items():
+        np.copyto(params[name].data, best)
     return state
 
 
@@ -427,14 +430,10 @@ def train_ensemble(make_model, train, valid, cfg: TrainConfig, log_dir=None,
 # ---------------------------------------------------------------------------
 
 def save_train_state(path, model: TbjeModel, state: TrainState) -> None:
-    """One file holding the live parameters, Adam moments, schedule counters,
-    log so far, and the best checkpoint bytes."""
-    header = {
-        "step": state.step, "epoch": state.epoch, "lr": state.lr,
-        "best_accuracy": state.best_accuracy, "stagnant": state.stagnant,
-        "decays_used": state.decays_used, "stopped": state.stopped,
-        "log": state.log,
-    }
+    """One file holding the schedule counters and log so far (a JSON
+    header), the live parameters (an embedded checkpoint), and then, per
+    parameter name, its two Adam moments and its best-validation array."""
+    header = {key: getattr(state, key) for key in _STATE_HEADER}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(STATE_MAGIC)
@@ -450,8 +449,7 @@ def save_train_state(path, model: TbjeModel, state: TrainState) -> None:
             fh.write(encoded)
             T.write_array(fh, state.first_moment[name])
             T.write_array(fh, state.second_moment[name])
-        fh.write(struct.pack("<Q", len(state.best_blob)))
-        fh.write(state.best_blob)
+            T.write_array(fh, state.best[name])
 
 
 def load_train_state(path) -> tuple[TbjeModel, TrainState]:
@@ -465,31 +463,27 @@ def load_train_state(path) -> tuple[TbjeModel, TrainState]:
             raise ConfigError(f"unsupported train-state version {version}")
         (blob_len,) = struct.unpack("<I", T.read_exact(fh, 4))
         header = T.read_json(T.read_exact(fh, blob_len), "train-state header",
-                             required=("step", "epoch", "lr", "best_accuracy",
-                                       "stagnant", "decays_used", "stopped",
-                                       "log"))
+                             required=_STATE_HEADER)
         model = read_model(fh)
-        state = TrainState(lr=header["lr"])
-        state.step = header["step"]
-        state.epoch = header["epoch"]
-        state.best_accuracy = header["best_accuracy"]
-        state.stagnant = header["stagnant"]
-        state.decays_used = header["decays_used"]
-        state.stopped = header["stopped"]
-        state.log = header["log"]
+        state = TrainState(**{key: header[key] for key in _STATE_HEADER})
+        params = model.parameter_dict()
+        mismatch = ("train state moments do not match the model's "
+                    "parameter names")
         (count,) = struct.unpack("<I", T.read_exact(fh, 4))
         for _ in range(count):
             (name_len,) = struct.unpack("<I", T.read_exact(fh, 4))
             name = T.read_exact(fh, name_len).decode("utf-8", errors="replace")
-            state.first_moment[name] = T.read_array(fh)
-            state.second_moment[name] = T.read_array(fh)
-        (best_len,) = struct.unpack("<Q", T.read_exact(fh, 8))
-        state.best_blob = T.read_exact(fh, best_len)
+            if name not in params:
+                raise ConfigError(mismatch)
+            for kind, arrays in (("first moment", state.first_moment),
+                                 ("second moment", state.second_moment),
+                                 ("best array", state.best)):
+                arrays[name] = T.read_array_into(
+                    fh, np.empty(params[name].data.shape),
+                    f"train-state {kind} {name!r}")
         if fh.read(1):
             raise ConfigError(f"train state {path} has trailing bytes after "
-                              f"its best checkpoint")
-    expected = set(dict(model.named_parameters()))
-    if set(state.first_moment) != expected:
-        raise ConfigError("train state moments do not match the model's "
-                          "parameter names")
+                              f"its last array")
+    if set(state.first_moment) != set(params):
+        raise ConfigError(mismatch)
     return model, state

@@ -43,9 +43,12 @@ def affine_ref(params, x):
 
 
 def head_affine_ref(params, x, cols):
-    """The columns ``cols`` of an affine map: one head's projection."""
-    return (np.asarray(x, dtype=np.float64) @ params.weight.data[:, cols]
-            + params.bias.data[cols])
+    """The columns ``cols`` of an affine map: one head's projection. A
+    bias-free map adds nothing."""
+    out = np.asarray(x, dtype=np.float64) @ params.weight.data[:, cols]
+    if params.bias is not None:
+        out = out + params.bias.data[cols]
+    return out
 
 
 def mha_ref(params, q, k, c, keep=None):

@@ -21,7 +21,8 @@ from tbje.features import DataWarning, MelConfig
 from tbje.metrics import evaluation_report
 from tbje.model import load_model, save_model
 from tbje.training import (TrainConfig, ensemble_predict, gold_labels,
-                           predictions_from_probabilities)
+                           load_train_state, predictions_from_probabilities,
+                           save_train_state)
 
 from toy_corpus import build_toy_corpus, toy_run_config
 
@@ -291,6 +292,40 @@ class TestTrain:
                      "--resume"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == "error: unsupported train-state version 1\n"
+
+    def test_resume_from_v2_state_rejected(self, corpus, tmp_path, capsys):
+        config = variant_config(corpus, tmp_path / "one.json",
+                                training={"max_epochs": 1})
+        out = tmp_path / "old"
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        state = out / "state-member0.tbjs"
+        blob = state.read_bytes()
+        state.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--out", str(out),
+                     "--resume"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: unsupported train-state version 2\n"
+
+    def test_resume_from_misshaped_moment_rejected(self, corpus, tmp_path,
+                                                   capsys):
+        config = variant_config(corpus, tmp_path / "one.json",
+                                training={"max_epochs": 1})
+        out = tmp_path / "old"
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        path = out / "state-member0.tbjs"
+        model, state = load_train_state(path)
+        state.first_moment["head.out.bias"] = np.zeros(1)
+        save_train_state(path, model, state)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--out", str(out),
+                     "--resume"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: train-state first moment "
+                              "'head.out.bias' shaped (1,)")
+        assert err.count("\n") == 1
 
     def test_bundle_mismatch_rejected(self, corpus, tmp_path, capsys):
         bad = variant_config(corpus, tmp_path / "bad.json",

@@ -132,8 +132,29 @@ def test_mha_init_concatenates_per_head_draws():
     for got, want in zip((params.query, params.key, params.content,
                           params.out), maps):
         assert np.array_equal(got.weight.data, want)
-        assert np.array_equal(got.bias.data, np.zeros(width))
+        if got is params.key:
+            assert got.bias is None
+        else:
+            assert np.array_equal(got.bias.data, np.zeros(width))
     assert rng.random() == expect.random()
+
+
+def test_key_bias_cancels_in_the_softmax():
+    """The oracle with a random key bias added agrees with the bias-free
+    MHA: the bias shifts every score of a query row by the same q·b."""
+    rng = make_rng(38, "mha-key-bias")
+    for heads, keep in ((2, None),
+                        (4, np.array([True, False, True, True, False, True]))):
+        params = MhaParams.init(rng, 8, heads)
+        biased = MhaParams(
+            query=params.query,
+            key=AffineParams(params.key.weight,
+                             Tensor(rng.uniform(-2.0, 2.0, size=8))),
+            content=params.content, out=params.out, heads=heads)
+        q, k, c = tens(rng, 3, 8), tens(rng, 6, 8), tens(rng, 6, 8)
+        got = multi_head_attention(params, q, k, c, key_mask=keep)
+        want = oracles.mha_ref(biased, q.data, k.data, c.data, keep)
+        assert np.abs(got.data - want).max() < ORACLE_TOL
 
 
 def test_mha_rejects_indivisible_width():

@@ -487,15 +487,17 @@ def test_sentiment_boundary_only_with_sentiment_2(task):
             toy_config(task=task, sentiment_boundary=1.0)
 
 
-def test_default_model_has_252_parameter_tensors():
+def test_default_model_has_240_parameter_tensors():
     names = [name for name, _ in init_model(default_encoder()).named_parameters()]
-    assert len(names) == 252
-    # one query, key, content and output map per block: 2 modalities x 6 blocks
-    assert sum(".mha." in name for name in names) == 2 * 6 * 8
+    assert len(names) == 240
+    # one query, key, content and output map per block: 2 modalities x 6
+    # blocks, each with a weight and, except the key map, a bias
+    assert sum(".mha." in name for name in names) == 2 * 6 * 7
     assert [n for n in names if n.startswith("enc.A.5.mha.")] == [
         f"enc.A.5.mha.{proj}.{kind}"
         for proj in ("query", "key", "content", "out")
-        for kind in ("weight", "bias")]
+        for kind in ("weight", "bias")
+        if (proj, kind) != ("key", "bias")]
 
 
 def test_config_roundtrip_and_unknown_keys():
@@ -555,35 +557,105 @@ def test_v1_header_with_null_glimpses_and_no_boundary_loads():
     assert model_bytes(loaded) == blob
 
 
-def v1_checkpoint(model, edit=None) -> bytes:
-    """``model`` in checkpoint format 1: a v1 header (null glimpses, no
-    boundary) and every attention head's query/key/content block as its own
-    tensor, ``….mha.{q,k,c}{i}.{weight,bias}``. ``edit`` may rewrite the
-    (name, array) list before it is written."""
+def with_key_bias(model, rng=None) -> list:
+    """``model``'s (name, array) list as checkpoint versions 1 and 2 hold
+    it: each attention map's key weight is followed by a key bias, zero or,
+    given ``rng``, random."""
     tensors = []
     for name, p in model.named_parameters():
-        head, _, kind = name.rpartition(".")
-        mha, _, proj = head.rpartition(".")
-        if mha.endswith(".mha") and proj in ("query", "key", "content"):
-            blocks = np.split(p.data, model.config.heads, axis=-1)
-            tensors += [(f"{mha}.{proj[0]}{i}.{kind}", block)
-                        for i, block in enumerate(blocks)]
-        else:
-            tensors.append((name, p.data))
+        tensors.append((name, p.data))
+        if name.endswith(".mha.key.weight"):
+            bias = (np.zeros(model.config.width) if rng is None
+                    else rng.uniform(-2.0, 2.0, size=model.config.width))
+            tensors.append((name[:-len("weight")] + "bias", bias))
+    return tensors
+
+
+def legacy_checkpoint(version, config, model, tensors, edit=None) -> bytes:
     if edit is not None:
         tensors = edit(tensors)
-    config = model.config.to_dict()
-    del config["sentiment_boundary"]
-    config["glimpses"] = None
     header = json.dumps({"config": config,
                          "vocab_hash": model.vocab_hash}).encode("utf-8")
     buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header)
+    buf.write(CHECKPOINT_MAGIC + struct.pack("<II", version, len(header))
+              + header)
     buf.write(struct.pack("<I", len(tensors)))
     for name, data in tensors:
         buf.write(struct.pack("<I", len(name)) + name.encode("utf-8"))
         T.write_array(buf, data)
     return buf.getvalue()
+
+
+def v2_checkpoint(model, rng=None, edit=None) -> bytes:
+    """``model`` in checkpoint format 2: the format 3 header and tensors
+    plus a key bias per attention map (see ``with_key_bias``). ``edit``
+    may rewrite the (name, array) list before it is written."""
+    return legacy_checkpoint(2, model.config.to_dict(), model,
+                             with_key_bias(model, rng), edit)
+
+
+def v1_checkpoint(model, edit=None, rng=None) -> bytes:
+    """``model`` in checkpoint format 1: a v1 header (null glimpses, no
+    boundary), a key bias per attention map (see ``with_key_bias``), and
+    every attention head's query/key/content block as its own tensor,
+    ``….mha.{q,k,c}{i}.{weight,bias}``. ``edit`` may rewrite the
+    (name, array) list before it is written."""
+    tensors = []
+    for name, data in with_key_bias(model, rng):
+        head, _, kind = name.rpartition(".")
+        mha, _, proj = head.rpartition(".")
+        if mha.endswith(".mha") and proj in ("query", "key", "content"):
+            blocks = np.split(data, model.config.heads, axis=-1)
+            tensors += [(f"{mha}.{proj[0]}{i}.{kind}", block)
+                        for i, block in enumerate(blocks)]
+        else:
+            tensors.append((name, data))
+    config = model.config.to_dict()
+    del config["sentiment_boundary"]
+    config["glimpses"] = None
+    return legacy_checkpoint(1, config, model, tensors, edit)
+
+
+@pytest.mark.parametrize("write", [v1_checkpoint, v2_checkpoint])
+def test_legacy_key_bias_is_read_and_dropped(write):
+    cfg = toy_config(heads=4)
+    model = init_model(cfg, seed=19, vocab_hash="abc123")
+    loaded = read_model(io.BytesIO(write(model, rng=make_rng(89, "key-bias"))))
+    want = model.parameter_dict()
+    got = loaded.parameter_dict()
+    assert list(got) == list(want)
+    assert not [n for n in got if n.endswith("mha.key.bias")]
+    for name in want:
+        assert np.array_equal(got[name].data, want[name].data), name
+    batches = toy_batches(make_rng(90, "key-bias"), cfg, 2)
+    assert np.array_equal(forward_logits(model, batches).data,
+                          forward_logits(loaded, batches).data)
+    assert model_bytes(loaded) == model_bytes(model)
+
+
+@pytest.mark.parametrize("write, edit, message", [
+    (v2_checkpoint,
+     lambda ts: [(n, d[:3] if n == "enc.A.0.mha.key.bias" else d)
+                 for n, d in ts], "'enc.A.0.mha.key.bias' shaped"),
+    (v1_checkpoint,
+     lambda ts: [(n, d[:1] if n == "enc.L.0.mha.k1.bias" else d)
+                 for n, d in ts], "'enc.L.0.mha.k1.bias' shaped"),
+    (v2_checkpoint,
+     lambda ts: [t for t in ts if t[0] != "enc.L.0.mha.key.bias"],
+     r"missing tensors \['enc.L.0.mha.key.bias'\]"),
+])
+def test_legacy_key_bias_is_checked_like_any_tensor(write, edit, message):
+    model = init_model(toy_config(), seed=19)
+    with pytest.raises(ConfigError, match=message):
+        read_model(io.BytesIO(write(model, edit=edit)))
+
+
+def test_key_bias_has_no_slot_in_a_version_3_checkpoint():
+    model = init_model(toy_config(), seed=19)
+    blob = v2_checkpoint(model)
+    blob = blob[:4] + struct.pack("<I", CHECKPOINT_VERSION) + blob[8:]
+    with pytest.raises(ConfigError, match="'enc.L.0.mha.key.bias' has no slot"):
+        read_model(io.BytesIO(blob))
 
 
 def test_v1_checkpoint_heads_fill_column_blocks():

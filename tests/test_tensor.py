@@ -284,6 +284,19 @@ def test_no_tape_means_no_recording():
     assert len(tape) == 0
 
 
+def test_first_gradient_is_stored_without_a_copy():
+    w = T.Tensor([1.0, 2.0], requires_grad=True)
+    g = np.array([3.0, 4.0])
+    T._accumulate(w, g)
+    assert w.grad is g
+    # a later gradient makes a new sum: the stored array, which a vjp may
+    # also have handed to another input, is never written
+    T._accumulate(w, np.array([1.0, 1.0]))
+    assert w.grad is not g
+    assert np.array_equal(w.grad, [4.0, 5.0])
+    assert np.array_equal(g, [3.0, 4.0])
+
+
 def test_grad_accumulates_over_reuse():
     w = T.Tensor([3.0], requires_grad=True)
     with T.Tape() as tape:

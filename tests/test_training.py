@@ -366,11 +366,20 @@ class TestFit:
         model = init_model(tiny_encoder(), seed=7)
         state = fit(model, bundle.splits["train"], bundle.splits["valid"],
                     quick_cfg(max_epochs=6))
-        best = read_model(io.BytesIO(state.best_blob))
-        for (name, p), (name2, q) in zip(model.named_parameters(),
-                                         best.named_parameters()):
+        best = state.best
+        for (name, p), name2 in zip(model.named_parameters(), best):
             assert name == name2
-            assert np.array_equal(p.data, q.data)
+            assert np.array_equal(p.data, best[name2])
+
+    def test_best_snapshot_does_not_alias_the_model(self, bundle):
+        model = init_model(tiny_encoder(), seed=7)
+        state = fit(model, bundle.splits["train"], bundle.splits["valid"],
+                    quick_cfg(max_epochs=2))
+        before = {n: b.copy() for n, b in state.best.items()}
+        for p in model.parameter_dict().values():
+            p.data += 1.0
+        for name, b in state.best.items():
+            assert np.array_equal(b, before[name]), name
 
     def test_resume_replays_identical_trajectory(self, bundle, tmp_path):
         cfg_full = quick_cfg(max_epochs=6)
@@ -626,7 +635,9 @@ class TestTrainState:
                                   state.first_moment[name])
             assert np.array_equal(loaded.second_moment[name],
                                   state.second_moment[name])
-        assert loaded.best_blob == state.best_blob
+        assert list(loaded.best) == sorted(state.best)
+        for name in state.best:
+            assert np.array_equal(loaded.best[name], state.best[name])
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.tbjs"
@@ -655,13 +666,11 @@ class TestTrainState:
         blob = path.read_bytes()
         model_start = blob.index(CHECKPOINT_MAGIC)
         model_end = model_start + len(model_bytes(model))
-        best_start = len(blob) - len(state.best_blob)
         # the embedded checkpoint is cut at every header byte by the
-        # checkpoint test, and the best-checkpoint bytes are opaque here
+        # checkpoint test; moments and best arrays are cut here
         cuts = (list(range(model_start))
                 + list(range(model_start, model_end, 211))
-                + truncation_cuts(blob[:best_start], 211, start=model_end)
-                + list(range(best_start, len(blob), 211)))
+                + truncation_cuts(blob, 211, start=model_end))
         for cut in cuts:
             path.write_bytes(blob[:cut])
             with pytest.raises(ConfigError, match="truncated"):
@@ -675,6 +684,21 @@ class TestTrainState:
         save_train_state(path, model, state)
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ConfigError, match="trailing bytes"):
+            load_train_state(path)
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_misshaped_array_is_config_error(self, bundle, tmp_path, slot):
+        """A first moment, second moment or best array with a wrong extent
+        is caught on load, not by the first Adam step."""
+        model = init_model(tiny_encoder(("L",)), seed=7)
+        state = fit(model, bundle.splits["train"], bundle.splits["valid"],
+                    quick_cfg(max_epochs=1))
+        name = "head.out.bias"
+        arrays = (state.first_moment, state.second_moment, state.best)
+        arrays[slot][name] = arrays[slot][name][:-1]
+        path = tmp_path / "state.tbjs"
+        save_train_state(path, model, state)
+        with pytest.raises(ConfigError, match=f"'{name}' shaped"):
             load_train_state(path)
 
     def test_moment_name_mismatch_rejected(self, bundle, tmp_path):
