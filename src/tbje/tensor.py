@@ -1,12 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A ``Tape`` is a Wengert list: every primitive executed while a tape is
-active appends a record holding the output and a closure that propagates
-the output gradient to the inputs. ``Tape.backward`` walks the
-records in exact reverse execution order, so no graph search is needed.
+active appends a record holding the output's gradient slot and a closure
+that propagates the output gradient to the inputs. ``Tape.backward`` walks
+the records in exact reverse execution order, so no graph search is needed.
 It consumes the records as it goes: each record is dropped once its vjp has
-run, so the closure and the activations it captured are freed while the
-tape unwinds, and each op output's ``.grad`` is cleared once propagated.
+run, so the closure and the arrays it captured are freed while the tape
+unwinds, and each op output's gradient is cleared once propagated.
+
+A record keeps only what backward reads. Each tensor's gradient lives in
+a small slot object apart from its data, and a vjp closes over its inputs'
+slots, the shapes and flags it needs, and the arrays its formula reads,
+never over a ``Tensor``. So an op output lives as long as forward code
+holds it or some vjp reads its array: a sublayer's output projection, the
+pre-ReLU activation or the attention scores before the softmax are freed
+during forward. Dropout masks are kept as ``bool``, one byte per entry.
 
 Everything is float64. Gradients accumulate into ``Tensor.grad`` (a numpy
 array of the same shape as ``Tensor.data``); after ``backward`` only leaf
@@ -66,14 +74,14 @@ class Tape:
     def __len__(self):
         return len(self._records)
 
-    def record(self, out, vjp):
-        self._records.append((out, vjp))
+    def record(self, slot, vjp):
+        self._records.append((slot, vjp))
 
     def backward(self, loss: "Tensor") -> None:
         """Propagate d(loss)/d(x) into ``x.grad`` for every recorded ancestor.
 
         The tape is consumed: each record is popped once its vjp has run,
-        and the ``.grad`` of every op output is set back to ``None`` once
+        and the gradient of every op output is set back to ``None`` once
         propagated, so only leaf tensors keep a gradient afterwards.
         """
         if self._consumed:
@@ -87,10 +95,10 @@ class Tape:
         loss.grad = np.ones_like(loss.data)
         records = self._records
         while records:
-            out, vjp = records.pop()
-            if out.grad is not None:
-                vjp(out.grad)
-                out.grad = None
+            slot, vjp = records.pop()
+            if slot.grad is not None:
+                vjp(slot.grad)
+                slot.grad = None
 
     def clear(self):
         """Drop all records (and with them the intermediate buffers)."""
@@ -98,10 +106,21 @@ class Tape:
         self._consumed = False
 
 
+class _GradSlot:
+    """Where one tensor's gradient accumulates, shared by the tensor, its
+    tape record and the vjps of the ops that read it, so none of those
+    keeps the tensor's data alive."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+
 class Tensor:
     """A dense float64 array, optionally participating in gradient taping."""
 
-    __slots__ = ("data", "requires_grad", "grad", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_slot", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         # contiguity matters: gradcheck and serialization treat a leaf's
@@ -109,7 +128,15 @@ class Tensor:
         # Op outputs skip this (see _from_op): a transpose stays a view.
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self._slot = _GradSlot()
+
+    @property
+    def grad(self):
+        return self._slot.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._slot.grad = value
 
     @property
     def shape(self):
@@ -166,18 +193,25 @@ def _from_op(data, inputs, make_vjp):
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64)
     out.requires_grad = any(t.requires_grad for t in inputs)
-    out.grad = None
+    out._slot = _GradSlot()
     if out.requires_grad and _active_tape is not None:
-        _active_tape.record(out, make_vjp())
+        _active_tape.record(out._slot, make_vjp())
     return out
 
 
-def _accumulate(t: Tensor, g):
+def _grad_slot(t: Tensor) -> _GradSlot | None:
+    """The slot a vjp sends ``t``'s gradient to, or ``None`` when ``t``
+    takes no gradient."""
+    return t._slot if t.requires_grad else None
+
+
+def _accumulate(target, g):
+    """Add ``g`` to the gradient of ``target``, a grad slot or a tensor."""
     # no vjp writes into a .grad, so a first gradient is stored uncopied
-    if t.grad is None:
-        t.grad = g
+    if target.grad is None:
+        target.grad = g
     else:
-        t.grad = t.grad + g
+        target.grad = target.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -193,17 +227,24 @@ def _unbroadcast(g, shape):
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
+#
+# Each ``make_vjp`` runs only when the op is recorded. It binds what the
+# vjp needs (input slots, shapes, and the arrays the backward formula
+# reads) to locals, so the vjp's closure holds no ``Tensor``.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data + b.data
 
     def make_vjp():
+        sa, sb = _grad_slot(a), _grad_slot(b)
+        shape_a, shape_b = a.data.shape, b.data.shape
+
         def vjp(g):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(g, b.data.shape))
+            if sa is not None:
+                _accumulate(sa, _unbroadcast(g, shape_a))
+            if sb is not None:
+                _accumulate(sb, _unbroadcast(g, shape_b))
         return vjp
 
     return _from_op(data, (a, b), make_vjp)
@@ -214,11 +255,14 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def make_vjp():
+        sa, sb = _grad_slot(a), _grad_slot(b)
+        shape_a, shape_b = a.data.shape, b.data.shape
+
         def vjp(g):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(-g, b.data.shape))
+            if sa is not None:
+                _accumulate(sa, _unbroadcast(g, shape_a))
+            if sb is not None:
+                _accumulate(sb, _unbroadcast(-g, shape_b))
         return vjp
 
     return _from_op(data, (a, b), make_vjp)
@@ -230,13 +274,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def make_vjp():
-        ad, bd = a.data, b.data
+        sa, sb, ad, bd = _grad_slot(a), _grad_slot(b), a.data, b.data
 
         def vjp(g):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g * bd, ad.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(g * ad, bd.shape))
+            if sa is not None:
+                _accumulate(sa, _unbroadcast(g * bd, ad.shape))
+            if sb is not None:
+                _accumulate(sb, _unbroadcast(g * ad, bd.shape))
         return vjp
 
     return _from_op(data, (a, b), make_vjp)
@@ -248,8 +292,10 @@ def scale(a: Tensor, c: float) -> Tensor:
     data = a.data * c
 
     def make_vjp():
+        sa = _grad_slot(a)
+
         def vjp(g):
-            _accumulate(a, g * c)
+            _accumulate(sa, g * c)
         return vjp
 
     return _from_op(data, (a,), make_vjp)
@@ -277,13 +323,13 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     data = a.data @ b.data
 
     def make_vjp():
-        ad, bd = a.data, b.data
+        sa, sb, ad, bd = _grad_slot(a), _grad_slot(b), a.data, b.data
 
         def vjp(g):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
+            if sa is not None:
+                _accumulate(sa, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+            if sb is not None:
+                _accumulate(sb, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
         return vjp
 
     return _from_op(data, (a, b), make_vjp)
@@ -306,16 +352,17 @@ def _matmul_weight(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     data = data.reshape(shape[:-1] + b.data.shape[1:])
 
     def make_vjp():
-        bd = b.data
+        sa, sb, bd = _grad_slot(a), _grad_slot(b), b.data
+        sbias = None if bias is None else _grad_slot(bias)
 
         def vjp(g):
             g2d = g.reshape(rows, bd.shape[1])
-            if a.requires_grad:
-                _accumulate(a, (g2d @ bd.T).reshape(shape))
-            if b.requires_grad:
-                _accumulate(b, a2d.T @ g2d)
-            if bias is not None and bias.requires_grad:
-                _accumulate(bias, g2d.sum(0))
+            if sa is not None:
+                _accumulate(sa, (g2d @ bd.T).reshape(shape))
+            if sb is not None:
+                _accumulate(sb, a2d.T @ g2d)
+            if sbias is not None:
+                _accumulate(sbias, g2d.sum(0))
         return vjp
 
     return _from_op(data, inputs, make_vjp)
@@ -325,8 +372,10 @@ def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
     data = np.swapaxes(a.data, axis0, axis1)
 
     def make_vjp():
+        sa = _grad_slot(a)
+
         def vjp(g):
-            _accumulate(a, np.swapaxes(g, axis0, axis1))
+            _accumulate(sa, np.swapaxes(g, axis0, axis1))
         return vjp
 
     return _from_op(data, (a,), make_vjp)
@@ -336,8 +385,10 @@ def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
 
     def make_vjp():
+        sa, shape_a = _grad_slot(a), a.data.shape
+
         def vjp(g):
-            _accumulate(a, g.reshape(a.data.shape))
+            _accumulate(sa, g.reshape(shape_a))
         return vjp
 
     return _from_op(data, (a,), make_vjp)
@@ -347,10 +398,12 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def make_vjp():
+        sa, shape_a = _grad_slot(a), a.data.shape
+
         def vjp(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(g, a.data.shape))
+            _accumulate(sa, np.broadcast_to(g, shape_a))
         return vjp
 
     return _from_op(data, (a,), make_vjp)
@@ -361,10 +414,12 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.data.size / data.size
 
     def make_vjp():
+        sa, shape_a = _grad_slot(a), a.data.shape
+
         def vjp(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(g, a.data.shape) / count)
+            _accumulate(sa, np.broadcast_to(g, shape_a) / count)
         return vjp
 
     return _from_op(data, (a,), make_vjp)
@@ -385,11 +440,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     data = e / e.sum(axis=axis, keepdims=True)
 
     def make_vjp():
-        y = data
+        sa, y = _grad_slot(a), data
 
         def vjp(g):
             inner = (g * y).sum(axis=axis, keepdims=True)
-            _accumulate(a, (g - inner) * y)
+            _accumulate(sa, (g - inner) * y)
         return vjp
 
     return _from_op(data, (a,), make_vjp)
@@ -403,10 +458,10 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     data = centered - lse
 
     def make_vjp():
-        probs = np.exp(data)
+        sa, probs = _grad_slot(a), np.exp(data)
 
         def vjp(g):
-            _accumulate(a, g - probs * g.sum(axis=axis, keepdims=True))
+            _accumulate(sa, g - probs * g.sum(axis=axis, keepdims=True))
         return vjp
 
     return _from_op(data, (a,), make_vjp)
@@ -416,8 +471,10 @@ def log(a: Tensor) -> Tensor:
     data = np.log(a.data)
 
     def make_vjp():
+        sa, x = _grad_slot(a), a.data
+
         def vjp(g):
-            _accumulate(a, g / a.data)
+            _accumulate(sa, g / x)
         return vjp
 
     return _from_op(data, (a,), make_vjp)
@@ -433,10 +490,10 @@ def sigmoid(a: Tensor) -> Tensor:
     data = _stable_sigmoid(a.data)
 
     def make_vjp():
-        y = data
+        sa, y = _grad_slot(a), data
 
         def vjp(g):
-            _accumulate(a, g * y * (1.0 - y))
+            _accumulate(sa, g * y * (1.0 - y))
         return vjp
 
     return _from_op(data, (a,), make_vjp)
@@ -449,9 +506,11 @@ def log_sigmoid(a: Tensor) -> Tensor:
     data = np.where(x >= 0, -softplus, x - softplus)
 
     def make_vjp():
+        sa = _grad_slot(a)
+
         def vjp(g):
             # d/dx log(sigmoid(x)) = sigmoid(-x)
-            _accumulate(a, g * _stable_sigmoid(-a.data))
+            _accumulate(sa, g * _stable_sigmoid(-x))
         return vjp
 
     return _from_op(data, (a,), make_vjp)
@@ -461,10 +520,10 @@ def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def make_vjp():
-        active = a.data > 0
+        sa, active = _grad_slot(a), a.data > 0
 
         def vjp(g):
-            _accumulate(a, g * active)
+            _accumulate(sa, g * active)
         return vjp
 
     return _from_op(data, (a,), make_vjp)
@@ -487,9 +546,9 @@ def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
     one record; ``fx=None`` is ``layer_norm(x, gain, bias, eps)``.
 
     Values, gradients and the dropout draw are bit-identical to that chain
-    of three ops, but the record keeps only the dropout mask, the
-    standardized sum and its per-row scale, not the masked branch and the
-    sum as well.
+    of three ops, but the record keeps only the bool dropout mask, the
+    standardized sum and its per-row scale, not ``fx``, the masked branch
+    or the sum.
     """
     width = x.data.shape[-1]
     if gain.data.shape != (width,) or bias.data.shape != (width,):
@@ -499,7 +558,7 @@ def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
     keep, s = None, x.data
     if fx is not None:
         keep = _dropout_keep(fx.data.shape, p, rng, training)
-        s = s + (fx.data if keep is None else fx.data * keep)
+        s = s + (fx.data if keep is None else _drop(fx.data, keep, p))
     mu = s.mean(axis=-1, keepdims=True)
     centered = s - mu
     del s
@@ -511,27 +570,28 @@ def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
     inputs = (x, gain, bias) if fx is None else (x, fx, gain, bias)
 
     def make_vjp():
+        sx, sgain, sbias = _grad_slot(x), _grad_slot(gain), _grad_slot(bias)
+        sfx = None if fx is None else _grad_slot(fx)
+        gain_data = gain.data if sx is not None or sfx is not None else None
         floored = var <= eps
 
         def vjp(g):
-            if gain.requires_grad:
-                _accumulate(gain, (g * xhat).reshape(-1, width).sum(axis=0))
-            if bias.requires_grad:
-                _accumulate(bias, g.reshape(-1, width).sum(axis=0))
-            x_grad = x.requires_grad
-            fx_grad = fx is not None and fx.requires_grad
-            if not (x_grad or fx_grad):
+            if sgain is not None:
+                _accumulate(sgain, (g * xhat).reshape(-1, width).sum(axis=0))
+            if sbias is not None:
+                _accumulate(sbias, g.reshape(-1, width).sum(axis=0))
+            if gain_data is None:
                 return
-            gx = g * gain.data
+            gx = g * gain_data
             mean_gx = gx.mean(axis=-1, keepdims=True)
             mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
             # the variance term vanishes where the eps floor is active
             correction = np.where(floored, 0.0, xhat * mean_gx_xhat)
             gs = (gx - mean_gx - correction) / denom
-            if x_grad:
-                _accumulate(x, gs)
-            if fx_grad:
-                _accumulate(fx, gs if keep is None else gs * keep)
+            if sx is not None:
+                _accumulate(sx, gs)
+            if sfx is not None:
+                _accumulate(sfx, gs if keep is None else _drop(gs, keep, p))
         return vjp
 
     return _from_op(data, inputs, make_vjp)
@@ -539,15 +599,25 @@ def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
 
 def _dropout_keep(shape, p: float, rng: np.random.Generator | None,
                   training: bool) -> np.ndarray | None:
-    """The inverted-dropout mask, 0 or 1/(1-p) per entry, or ``None`` where
-    dropout is the identity (eval mode or p == 0)."""
+    """The inverted-dropout keep mask as ``bool``, or ``None`` where dropout
+    is the identity (eval mode or p == 0)."""
     if not training or p == 0.0:
         return None
     if not 0.0 < p < 1.0:
         raise ContractError(f"dropout rate must lie in [0, 1), got {p}")
     if rng is None:
         raise ContractError("dropout in training mode needs an RNG")
-    return (rng.random(shape) >= p) / (1.0 - p)
+    return rng.random(shape) >= p
+
+
+def _drop(a: np.ndarray, keep: np.ndarray, p: float) -> np.ndarray:
+    """``a`` through the bool mask ``keep`` with the 1/(1-p) rescale. Every
+    entry, signed zeros included, is bit-identical to the float-mask
+    product ``a * (keep / (1 - p))``: a kept entry is ``(a * 1.0) * s``, a
+    dropped one ``(a * 0.0) * s``, and the positive ``s`` keeps its sign."""
+    out = np.multiply(a, keep)
+    out *= 1.0 / (1.0 - p)
+    return out
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
@@ -560,11 +630,13 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
     keep = _dropout_keep(x.data.shape, p, rng, training)
     if keep is None:
         return x
-    data = x.data * keep
+    data = _drop(x.data, keep, p)
 
     def make_vjp():
+        sx = _grad_slot(x)
+
         def vjp(g):
-            _accumulate(x, g * keep)
+            _accumulate(sx, _drop(g, keep, p))
         return vjp
 
     return _from_op(data, (x,), make_vjp)
@@ -579,8 +651,10 @@ def masked_fill(x: Tensor, keep_mask, fill_value: float) -> Tensor:
     data = np.where(keep, x.data, fill_value)
 
     def make_vjp():
+        sx, shape_x = _grad_slot(x), x.data.shape
+
         def vjp(g):
-            _accumulate(x, _unbroadcast(np.where(keep, g, 0.0), x.data.shape))
+            _accumulate(sx, _unbroadcast(np.where(keep, g, 0.0), shape_x))
         return vjp
 
     return _from_op(data, (x,), make_vjp)
@@ -594,14 +668,17 @@ TENSOR_MAGIC = b"TBJT"
 
 
 def write_array(fh, arr: np.ndarray) -> None:
-    """Write one array: magic, u8 rank, u32 extents, raw f64 payload."""
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    """Write one array: magic, u8 rank, u32 extents, raw f64 payload. A
+    C-contiguous little-endian float64 array is written from its own
+    buffer, with no copy; a 0-d array is written as shape (1,)."""
+    arr = np.ascontiguousarray(arr, dtype="<f8")
     if arr.ndim > 255:
         raise ShapeError(f"rank {arr.ndim} exceeds the u8 rank field")
     fh.write(TENSOR_MAGIC)
     fh.write(bytes([arr.ndim]))
     fh.write(np.asarray(arr.shape, dtype="<u4").tobytes())
-    fh.write(arr.astype("<f8", copy=False).tobytes(order="C"))
+    # a uint8 view, since memoryview.cast("B") rejects an empty array
+    fh.write(arr.reshape(-1).view(np.uint8))
 
 
 def read_exact(fh, size: int) -> bytes:

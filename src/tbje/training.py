@@ -35,6 +35,9 @@ from .tensor import Tape, Tensor
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# entries per Adam block: the block's gradient, moments, parameter and two
+# buffers (1.5 MB) stay in cache through the formula's 14 passes
+_ADAM_BLOCK = 1 << 15
 
 STATE_MAGIC = b"TBJS"
 STATE_VERSION = 3
@@ -157,9 +160,12 @@ def adam_step(params, state: TrainState, lr: float,
         p = p - lr m̂ / (sqrt(v̂) + eps)
 
     Each operation and its order are those of the formula as written, so
-    the result is bit for bit the same; only the buffers are reused."""
-    state.step += 1
-    t = state.step
+    the result is bit for bit the same; the formula runs over blocks of
+    ``_ADAM_BLOCK`` entries that stay in cache, through two reused
+    buffers. Every gradient is checked before anything moves, so a missing
+    or non-finite one leaves parameters, moments and ``state.step`` as
+    they were."""
+    t = state.step + 1
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -168,21 +174,37 @@ def adam_step(params, state: TrainState, lr: float,
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter {name!r} "
                                f"at step {t}")
-        m, v = state.first_moment[name], state.second_moment[name]
-        scratch = np.multiply(g, 1.0 - beta1)
-        np.multiply(m, beta1, out=m)
-        np.add(m, scratch, out=m)
-        np.multiply(g, 1.0 - beta2, out=scratch)
-        np.multiply(scratch, g, out=scratch)
-        np.multiply(v, beta2, out=v)
-        np.add(v, scratch, out=v)
-        step = np.divide(m, 1.0 - beta1 ** t)
-        np.multiply(step, lr, out=step)
-        np.divide(v, 1.0 - beta2 ** t, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        np.add(scratch, eps, out=scratch)
-        np.divide(step, scratch, out=step)
-        np.subtract(p.data, step, out=p.data)
+        if not all(a.flags.c_contiguous for a in (
+                p.data, state.first_moment[name], state.second_moment[name])):
+            raise ContractError(f"parameter {name!r} or its moments are not "
+                                f"C-contiguous; Adam updates them in place")
+    state.step = t
+    scratch, step = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
+    for name, p in params.items():
+        # 1-d views of the parameter and its moments, written in place;
+        # the gradient, which may be strided, is only read
+        g = p.grad.reshape(-1)
+        m = state.first_moment[name].reshape(-1)
+        v = state.second_moment[name].reshape(-1)
+        w = p.data.reshape(-1)
+        for lo in range(0, w.size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, w.size)
+            gb, mb, vb, wb = g[lo:hi], m[lo:hi], v[lo:hi], w[lo:hi]
+            sb, stb = scratch[:hi - lo], step[:hi - lo]
+            np.multiply(gb, 1.0 - beta1, out=sb)
+            np.multiply(mb, beta1, out=mb)
+            np.add(mb, sb, out=mb)
+            np.multiply(gb, 1.0 - beta2, out=sb)
+            np.multiply(sb, gb, out=sb)
+            np.multiply(vb, beta2, out=vb)
+            np.add(vb, sb, out=vb)
+            np.divide(mb, 1.0 - beta1 ** t, out=stb)
+            np.multiply(stb, lr, out=stb)
+            np.divide(vb, 1.0 - beta2 ** t, out=sb)
+            np.sqrt(sb, out=sb)
+            np.add(sb, eps, out=sb)
+            np.divide(stb, sb, out=stb)
+            np.subtract(wb, stb, out=wb)
 
 
 def init_state(params, lr: float) -> TrainState:

@@ -1,8 +1,11 @@
 """Encoder variants, glimpse pooling, classification head, checkpoints."""
 
+import gc
 import io
 import json
 import struct
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from tbje.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, EncoderConfig,
                         load_model, model_bytes, read_model, save_model)
 from tbje.rng import make_rng
 from tbje.tensor import Tensor
+from tbje.training import loss
 
 import oracles
 from toy_corpus import truncation_cuts
@@ -791,3 +795,104 @@ def test_each_residual_sublayer_and_affine_map_is_one_record(monkeypatch):
     # projection per modality and the classifier head
     assert sublayer_adds == [1] * 3 * 2 * cfg.blocks
     assert affine_adds == [1] * (6 * 2 * cfg.blocks + 2 + 1)
+
+
+# ---------------------------------------------------------------------------
+# what the tape keeps
+# ---------------------------------------------------------------------------
+
+def toy_training_forward(seed=59):
+    cfg = toy_config(blocks=2, dropout_block=0.2, dropout_classifier=0.5)
+    model = init_model(cfg, seed=6)
+    rng = make_rng(seed, "tape-keeps")
+    batches = toy_batches(rng, cfg, 3)
+    labels = rng.integers(0, cfg.num_classes(), size=3)
+    tape = T.Tape()
+    with tape:
+        value = loss(forward_logits(model, batches, rng_seed=1, training=True),
+                     labels, cfg.task)
+    return tape, value
+
+
+def test_no_record_or_vjp_closure_holds_a_tensor():
+    tape, _ = toy_training_forward()
+    assert len(tape) > 0
+    for slot, vjp in tape._records:
+        assert not isinstance(slot, Tensor)
+        for cell in vjp.__closure__ or ():
+            held = cell.cell_contents
+            items = held if isinstance(held, (tuple, list)) else (held,)
+            assert not any(isinstance(item, Tensor) for item in items), \
+                vjp.__qualname__
+
+
+def _root(arr):
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def test_unread_activations_are_freed_before_backward(monkeypatch):
+    """The MLP's pre-ReLU array and each sublayer's ``fx`` are read by no
+    vjp, so they are gone while the tape is still unreplayed."""
+    pre_relu, branches = [], []
+    real_relu, real_residual_norm = T.relu, T.residual_norm
+
+    def relu(a):
+        pre_relu.append(weakref.ref(_root(a.data)))
+        return real_relu(a)
+
+    def residual_norm(x, fx, *args, **kwargs):
+        if fx is not None:
+            branches.append(weakref.ref(_root(fx.data)))
+        return real_residual_norm(x, fx, *args, **kwargs)
+
+    monkeypatch.setattr(T, "relu", relu)
+    monkeypatch.setattr(T, "residual_norm", residual_norm)
+    tape, value = toy_training_forward()
+    gc.collect()
+    assert len(pre_relu) == 4 and len(branches) == 12
+    assert all(ref() is None for ref in pre_relu + branches)
+    tape.backward(value)
+
+
+FLOAT_MASK_REFERENCE = Path(__file__).parent / "data" / "float_mask_dropout_reference.npz"
+
+FLOAT_MASK_CONFIGS = {
+    "L": dict(modalities=("L",), primary="L", lengths={"L": 3},
+              input_widths={"L": 5}, positional={"L": True}),
+    "A": dict(modalities=("A",), primary="A", lengths={"A": 4},
+              input_widths={"A": 6}),
+    "LA": dict(),
+}
+
+
+def float_mask_step(name):
+    """Loss and parameter gradients of one training-mode step of a toy
+    model with dropout in every sublayer and the classifier."""
+    cfg = toy_config(blocks=2, dropout_block=0.3, dropout_classifier=0.5,
+                     **FLOAT_MASK_CONFIGS[name])
+    model = init_model(cfg, seed=8)
+    rng = make_rng(90, "float-mask", name)
+    batches = toy_batches(rng, cfg, 4)
+    labels = rng.integers(0, 7, size=4)
+    with T.Tape() as tape:
+        value = loss(forward_logits(model, batches, rng_seed=3, training=True),
+                     labels, cfg.task)
+        tape.backward(value)
+    out = {f"{name}/loss": value.data}
+    out.update((f"{name}/{p}", t.grad) for p, t in model.named_parameters())
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_MASK_CONFIGS))
+def test_bool_dropout_masks_match_the_float_mask_reference(name):
+    """The stored arrays were recorded with float dropout masks (0 or
+    1/(1-p) per entry, applied as ``x * mask``); the bool masks give the
+    same loss and every parameter gradient bit for bit."""
+    got = float_mask_step(name)
+    with np.load(FLOAT_MASK_REFERENCE) as ref:
+        want = {k: ref[k] for k in ref.files if k.startswith(name + "/")}
+    assert sorted(got) == sorted(want)
+    for key, arr in want.items():
+        assert np.array_equal(got[key], arr), key

@@ -264,7 +264,9 @@ def test_backward_frees_intermediates_as_it_unwinds():
     w = T.Tensor(rand(rng, 3, 5), requires_grad=True)
     with T.Tape() as tape:
         hidden, loss = sigmoid_square_loss(x, w)
-    ref = weakref.ref(hidden)
+    # the vjps of the sigmoid and the product read the hidden array, not
+    # the Tensor around it
+    ref = weakref.ref(hidden.data)
     del hidden
     gc.collect()
     assert ref() is not None  # the unreplayed tape still holds it
@@ -560,6 +562,70 @@ def test_residual_norm_keeps_dropout_errors():
         T.residual_norm(x, x, ones, zeros, 0.1, None, True)
 
 
+def float_mask(shape, p, seed):
+    """The float inverted-dropout mask, 0 or 1/(1-p) per entry, drawn as
+    ``T.dropout`` draws its bool mask."""
+    return (make_rng(seed, "res").random(shape) >= p) / (1.0 - p)
+
+
+def signed_inputs(rng, *shape):
+    """Random values with signed zeros, so a dropped entry of either sign
+    shows whether it comes out as +0.0 or -0.0."""
+    a = rand(rng, *shape)
+    a.reshape(-1)[::5] = 0.0
+    a.reshape(-1)[1::5] = -0.0
+    return a
+
+
+def bit_identical(got, want):
+    return (np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def test_dropout_bool_mask_matches_float_mask_formula():
+    rng = make_rng(18, "drop-float")
+    x = T.Tensor(signed_inputs(rng, 5, 7), requires_grad=True)
+    g = signed_inputs(rng, 5, 7)
+    mask = float_mask(x.shape, 0.3, 6)
+    with T.Tape() as tape:
+        out = T.dropout(x, 0.3, make_rng(6, "res"), True)
+        tape.backward(T.tsum(T.mul(out, T.Tensor(g))))
+    assert bit_identical(out.data, x.data * mask)
+    assert bit_identical(x.grad, g * mask)
+    assert np.signbit(out.data[mask == 0]).any()
+
+
+def test_residual_norm_bool_mask_matches_float_mask_formula():
+    rng = make_rng(19, "res-float")
+    x, fx, gain, bias = (T.Tensor(signed_inputs(rng, *shape),
+                                  requires_grad=True)
+                         for shape in ((3, 4, 8), (3, 4, 8), (8,), (8,)))
+    g = T.Tensor(signed_inputs(rng, 3, 4, 8))
+    mask = T.Tensor(float_mask(fx.shape, 0.2, 7))
+    results = []
+    for build in (lambda: residual_fused(x, fx, gain, bias, 0.2, 7, True),
+                  lambda: T.layer_norm(T.add(x, T.mul(fx, mask)), gain, bias)):
+        for t in (x, fx, gain, bias):
+            t.grad = None
+        with T.Tape() as tape:
+            out = build()
+            tape.backward(T.tsum(T.mul(out, g)))
+        results.append([out.data] + [t.grad for t in (x, fx, gain, bias)])
+    for got, want in zip(*results):
+        assert bit_identical(got, want)
+    assert np.signbit(results[0][2][mask.data == 0]).any()
+
+
+def test_dropout_mask_is_kept_as_bool():
+    x = T.Tensor(np.ones((4, 4)), requires_grad=True)
+    with T.Tape() as tape:
+        T.dropout(x, 0.5, make_rng(1, "d"), True)
+    _, vjp = tape._records[0]
+    arrays = [c.cell_contents for c in vjp.__closure__
+              if isinstance(c.cell_contents, np.ndarray)]
+    assert [a.dtype for a in arrays] == [np.dtype(bool)]
+
+
 def test_grad_masked_fill_softmax_chain():
     rng = make_rng(8, "mf")
     a = T.Tensor(rand(rng, 3, 5), requires_grad=True)
@@ -625,6 +691,27 @@ def test_tensor_wire_layout():
     assert raw[4] == 2                      # rank
     assert raw[5:13] == (2).to_bytes(4, "little") * 2
     assert np.frombuffer(raw[13:], dtype="<f8").tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def copying_encoding(arr):
+    """``write_array``'s bytes as the copying encoder produced them."""
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    return (T.TENSOR_MAGIC + bytes([arr.ndim])
+            + np.asarray(arr.shape, dtype="<u4").tobytes()
+            + arr.astype("<f8", copy=False).tobytes(order="C"))
+
+
+@pytest.mark.parametrize("arr", [
+    np.array(2.5), np.zeros((0, 3)), np.arange(12.0).reshape(3, 4).T,
+    np.arange(6.0, dtype=">f8").reshape(2, 3), np.arange(5, dtype=np.int64),
+    np.array([-0.0, np.inf, -np.nan])],
+    ids=["0-d", "empty", "transposed", "big-endian", "int", "special"])
+def test_write_array_bytes_equal_the_copying_encoding(arr, tmp_path):
+    fh = io.BytesIO()
+    T.write_array(fh, arr)
+    assert fh.getvalue() == copying_encoding(arr)
+    T.save_array(tmp_path / "a.tbjt", arr)
+    assert (tmp_path / "a.tbjt").read_bytes() == copying_encoding(arr)
 
 
 def test_tensor_bad_magic_rejected():

@@ -243,6 +243,56 @@ class TestAdam:
             assert np.array_equal(state.first_moment[name], m)
             assert np.array_equal(state.second_moment[name], v)
 
+    def test_blocks_equal_the_whole_array_formula(self):
+        beta1, beta2, eps = TR.ADAM_BETA1, TR.ADAM_BETA2, TR.ADAM_EPS
+        rng = np.random.default_rng(4)
+        size = 2 * TR._ADAM_BLOCK + 123          # a ragged last block
+        p = Tensor(rng.standard_normal((size // 3, 3)), requires_grad=True)
+        params = {"w": p}
+        state = init_state(params, lr=1e-3)
+        w, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+        for t in range(1, 4):
+            g = rng.standard_normal(p.data.shape)
+            p.grad = g.copy()
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g * g
+            w = w - 1e-3 * (m / (1.0 - beta1 ** t)) / (
+                np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+            adam_step(params, state, lr=1e-3)
+            assert np.array_equal(p.data, w)
+            assert np.array_equal(state.first_moment["w"], m)
+            assert np.array_equal(state.second_moment["w"], v)
+
+    @pytest.mark.parametrize("bad", ["nan", "missing", "strided"])
+    def test_a_bad_last_parameter_moves_nothing(self, bad):
+        rng = np.random.default_rng(5)
+        params = {n: Tensor(rng.standard_normal((40, 50)), requires_grad=True)
+                  for n in ("a", "b", "c")}
+        state = init_state(params, lr=1e-3)
+        for p in params.values():
+            p.grad = rng.standard_normal(p.data.shape)
+        adam_step(params, state, lr=1e-3)
+        for p in params.values():
+            p.grad = rng.standard_normal(p.data.shape)
+        if bad == "nan":
+            params["c"].grad[-1, -1] = np.nan
+        elif bad == "missing":
+            params["c"].grad = None
+        else:
+            params["c"].data = np.asfortranarray(params["c"].data)
+        before = {n: (p.data.copy(), state.first_moment[n].copy(),
+                      state.second_moment[n].copy())
+                  for n, p in params.items()}
+        error = NumericError if bad == "nan" else ContractError
+        with pytest.raises(error, match="'c'"):
+            adam_step(params, state, lr=1e-3)
+        assert state.step == 1
+        for n, p in params.items():
+            w, m, v = before[n]
+            assert np.array_equal(p.data, w)
+            assert np.array_equal(state.first_moment[n], m)
+            assert np.array_equal(state.second_moment[n], v)
+
     def test_missing_gradient_raises(self):
         _, params, state = one_param([1.0])
         with pytest.raises(ContractError, match="'w'"):
