@@ -75,7 +75,7 @@ target = rng.normal(size=(5, 3))
 w = Tensor(np.zeros((5, 3)), requires_grad=True)
 for step in range(60):
     with Tape() as tape:
-        diff = T.sub(w, Tensor(target))
+        diff = T.add(w, Tensor(-target))
         loss = T.tsum(T.mul(diff, diff))
         tape.backward(loss)
     w.data -= 0.05 * w.grad

@@ -61,24 +61,26 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _check_bundle_compatibility(cfg: RunConfig, bundle: DatasetBundle) -> None:
+def _check_bundle_compatibility(encoder: EncoderConfig, bundle: DatasetBundle,
+                                source: str) -> None:
+    """``encoder``, from ``source`` (the config or a checkpoint), must find
+    each of its modalities in the bundle at its input width and length."""
     problems = []
-    for m in cfg.encoder.modalities:
+    for m in encoder.modalities:
         if m not in bundle.modalities:
             problems.append(f"modality {m} missing from the bundle")
             continue
         entry = bundle.modalities[m]
-        if cfg.encoder.input_widths[m] != entry["width"]:
-            problems.append(
-                f"modality {m}: configured input width "
-                f"{cfg.encoder.input_widths[m]} vs bundle width {entry['width']}")
-        if cfg.encoder.lengths[m] != entry["length"]:
-            problems.append(
-                f"modality {m}: configured length {cfg.encoder.lengths[m]} "
-                f"vs bundle length {entry['length']}")
+        if encoder.input_widths[m] != entry["width"]:
+            problems.append(f"modality {m} input width "
+                            f"{encoder.input_widths[m]} vs bundle width "
+                            f"{entry['width']}")
+        if encoder.lengths[m] != entry["length"]:
+            problems.append(f"modality {m} length {encoder.lengths[m]} vs "
+                            f"bundle length {entry['length']}")
     if problems:
-        raise ConfigError("config/bundle mismatch:\n  " +
-                          "\n  ".join(problems))
+        raise ConfigError(f"{source} does not match the bundle: "
+                          + "; ".join(problems))
 
 
 def _require_splits(bundle: DatasetBundle, names) -> None:
@@ -264,7 +266,7 @@ def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     bundle = read_bundle(cfg.require_path("bundle"))
     _require_splits(bundle, ("train", "valid"))
-    _check_bundle_compatibility(cfg, bundle)
+    _check_bundle_compatibility(cfg.encoder, bundle, "config")
     out = cfg.require_path("out")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -341,17 +343,8 @@ def cmd_evaluate(args) -> int:
                 raise ConfigError(
                     f"checkpoint {p} was trained against a different "
                     f"vocabulary than this bundle")
-            for m in model.config.modalities:
-                if m not in bundle.modalities:
-                    raise ConfigError(f"checkpoint {p} needs modality {m} "
-                                      f"which the bundle lacks")
-                entry = bundle.modalities[m]
-                want = (model.config.lengths[m], model.config.input_widths[m])
-                got = (entry["length"], entry["width"])
-                if want != got:
-                    raise ConfigError(
-                        f"checkpoint {p}: modality {m} expects (length, "
-                        f"width) {want}, bundle has {got}")
+            _check_bundle_compatibility(model.config, bundle,
+                                        f"checkpoint {p}")
             configs.append(model.config)
             yield model
             del model
@@ -450,7 +443,7 @@ def cmd_sweep_blocks(args) -> int:
 
     bundle = read_bundle(cfg.require_path("bundle"))
     _require_splits(bundle, ("train", "valid", "test"))
-    _check_bundle_compatibility(cfg, bundle)
+    _check_bundle_compatibility(cfg.encoder, bundle, "config")
 
     rows = []
     for b in block_counts:

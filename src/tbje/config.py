@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, check_section
 from .features import MelConfig
 from .model import EncoderConfig
 from .tensor import read_json
@@ -33,11 +33,7 @@ def mel_to_dict(cfg: MelConfig) -> dict:
 
 
 def mel_from_dict(raw: dict) -> MelConfig:
-    known = {f.name for f in dataclasses.fields(MelConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown mel config keys {sorted(unknown)}")
-    return MelConfig(**raw)
+    return MelConfig(**check_section(raw, mel_to_dict(MelConfig()), "mel"))
 
 
 @dataclass
@@ -74,10 +70,8 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        known = {"encoder", "training", "mel", "paths"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        check_section(raw, {"encoder": {}, "training": {}, "mel": {},
+                            "paths": {}})
         kwargs = {}
         if "encoder" in raw:
             kwargs["encoder"] = EncoderConfig.from_dict(raw["encoder"])
@@ -86,7 +80,8 @@ class RunConfig:
         if "mel" in raw:
             kwargs["mel"] = mel_from_dict(raw["mel"])
         if "paths" in raw:
-            kwargs["paths"] = dict(raw["paths"])
+            kwargs["paths"] = dict(check_section(
+                raw["paths"], dict.fromkeys(PATH_KEYS, ""), "paths"))
         return RunConfig(**kwargs)
 
 

@@ -70,14 +70,6 @@ class Split:
     def size(self) -> int:
         return len(self.ids)
 
-    def take(self, indices) -> "Split":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Split(name=self.name,
-                     ids=[self.ids[int(i)] for i in idx],
-                     batches={m: b.take(idx) for m, b in self.batches.items()},
-                     sentiment=self.sentiment[idx],
-                     emotions=self.emotions[idx])
-
 
 @dataclass
 class DatasetBundle:

@@ -1,4 +1,5 @@
-"""Exception classes shared across the library.
+"""Exception classes shared across the library, and the type check that
+turns a malformed config section into a ``ConfigError``.
 
 The CLI maps these onto distinct exit codes (see ``tbje.cli``).
 """
@@ -28,3 +29,45 @@ class ConfigError(TbjeError):
 class DataWarning(UserWarning):
     """Recoverable data-quality issue (empty utterance, too-short waveform,
     embedding fallbacks). Extraction continues with a documented substitute."""
+
+
+_KINDS = ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
+          (str, "a string"), ((list, tuple), "an array"), (dict, "an object"))
+
+
+def _kind(value) -> str:
+    """The JSON type of ``value``; a bool is never counted as a number."""
+    return next((name for types, name in _KINDS if isinstance(value, types)),
+                "null")
+
+
+def _check_value(value, like, name: str) -> None:
+    """``value`` must have the JSON type of the default ``like`` (an integer
+    may stand for a number); the entries of an array or object default
+    must have the type of its first entry."""
+    want, got = _kind(like), _kind(value)
+    if got != want and (want, got) != ("a number", "an integer"):
+        raise ConfigError(f"config key {name!r} must be {want}, got {got}")
+    if isinstance(like, dict) and like:
+        entry = next(iter(like.values()))
+        for key, item in value.items():
+            _check_value(item, entry, f"{name}.{key}")
+    elif isinstance(like, (list, tuple)) and like:
+        for i, item in enumerate(value):
+            _check_value(item, like[0], f"{name}[{i}]")
+
+
+def check_section(raw, defaults: dict, section: str = "") -> dict:
+    """Return the config section ``raw``, read from JSON, once it is known
+    to be an object whose keys all appear in ``defaults`` with values of
+    their defaults' types. ``section`` prefixes the key names in errors."""
+    prefix = section + "." if section else ""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section {section or 'root'!r} must be an "
+                          f"object, got {_kind(raw)}")
+    unknown = sorted(prefix + key for key in set(raw) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
+    for key, value in raw.items():
+        _check_value(value, defaults[key], prefix + key)
+    return raw

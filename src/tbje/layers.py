@@ -89,11 +89,10 @@ class MhaParams:
 
 @dataclass
 class MlpParams:
-    """Two affine maps k -> d_ff -> k with a pointwise activation between."""
+    """Two affine maps k -> d_ff -> k with a ReLU between."""
 
     hidden: AffineParams
     out: AffineParams
-    activation: str = "relu"
 
     @staticmethod
     def init(rng: np.random.Generator, width: int, inner: int) -> "MlpParams":

@@ -21,11 +21,11 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_section
 from .features import ModalityBatch
 from .layers import (AffineParams, MhaParams, MlpParams, NamedTensors,
-                     SublayerParams, multi_head_attention, positional_encoding,
-                     sublayer, xavier_uniform)
+                     SublayerParams, _key_keep, multi_head_attention,
+                     positional_encoding, sublayer, xavier_uniform)
 from .rng import make_rng
 from .tensor import Tensor
 
@@ -138,11 +138,8 @@ class EncoderConfig:
         # v1 checkpoint headers carry "glimpses": null and no boundary
         if "glimpses" in raw and raw["glimpses"] is None:
             raw = {k: v for k, v in raw.items() if k != "glimpses"}
-        known = set(EncoderConfig().to_dict())
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        merged = {**EncoderConfig().to_dict(), **raw}
+        defaults = EncoderConfig().to_dict()
+        merged = {**defaults, **check_section(raw, defaults, "encoder")}
         merged["modalities"] = tuple(merged["modalities"])
         return EncoderConfig(**merged)
 
@@ -270,14 +267,10 @@ def glimpse(m: Tensor, params: GlimpseParams, mask=None) -> Tensor:
     are ``m @ (embed @ scoresᵀ)``: rows go through the k×G product, not the
     2k-wide embedding, and the tape differentiates the product back into
     both parameters."""
-    if mask is not None and not np.asarray(mask, dtype=bool).any(axis=-1).all():
-        raise ContractError("glimpse is undefined when every row is masked")
+    keep = _key_keep(mask, m.data.ndim)     # the rows are the keys
     score_map = T.matmul(params.embed, T.transpose(params.scores))  # (k, G)
     scores = T.transpose(T.matmul(m, score_map))                 # (…, G, N)
-    if mask is not None:
-        keep = np.asarray(mask, dtype=bool)
-        while keep.ndim < scores.data.ndim:
-            keep = keep[..., None, :]
+    if keep is not None:
         scores = T.masked_fill(scores, keep, -np.inf)
     return T.matmul(T.softmax(scores, axis=-1), m)
 

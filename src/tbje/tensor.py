@@ -1,20 +1,23 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A ``Tape`` is a Wengert list: every primitive executed while a tape is
-active appends a record holding the output's gradient slot and a closure
-that propagates the output gradient to the inputs. ``Tape.backward`` walks
-the records in exact reverse execution order, so no graph search is needed.
-It consumes the records as it goes: each record is dropped once its vjp has
-run, so the closure and the arrays it captured are freed while the tape
-unwinds, and each op output's gradient is cleared once propagated.
+active appends a record ``(output slot, input slots, vjp)``. The vjp maps
+the output gradient to one gradient per input, and ``Tape.backward`` adds
+each to its input's slot, so the routing lives in one place. Backward
+walks the records in exact reverse execution order, so no graph search is
+needed. It consumes the records as it goes: each record is dropped once
+its vjp has run, so the closure and the arrays it captured are freed while
+the tape unwinds, and each op output's gradient is cleared once propagated.
 
 A record keeps only what backward reads. Each tensor's gradient lives in
-a small slot object apart from its data, and a vjp closes over its inputs'
-slots, the shapes and flags it needs, and the arrays its formula reads,
-never over a ``Tensor``. So an op output lives as long as forward code
-holds it or some vjp reads its array: a sublayer's output projection, the
-pre-ReLU activation or the attention scores before the softmax are freed
-during forward. Dropout masks are kept as ``bool``, one byte per entry.
+a small slot object apart from its data; an input that takes no gradient
+has no slot in the record, and the vjp returns ``None`` for it instead of
+computing it. A vjp closes over the shapes and flags it needs and the
+arrays its formula reads, never over a ``Tensor``. So an op output lives
+as long as forward code holds it or some vjp reads its array: a
+sublayer's output projection, the pre-ReLU activation or the attention
+scores before the softmax are freed during forward. Dropout masks are kept
+as ``bool``, one byte per entry.
 
 Everything is float64. Gradients accumulate into ``Tensor.grad`` (a numpy
 array of the same shape as ``Tensor.data``); after ``backward`` only leaf
@@ -38,8 +41,8 @@ import numpy as np
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 __all__ = [
-    "Tensor", "Tape", "add", "sub", "mul", "scale", "matmul", "transpose",
-    "reshape", "tsum", "tmean", "softmax", "log_softmax", "log", "sigmoid",
+    "Tensor", "Tape", "add", "mul", "scale", "matmul", "transpose",
+    "reshape", "tsum", "tmean", "softmax", "log_softmax", "sigmoid",
     "log_sigmoid", "relu", "layer_norm", "residual_norm", "dropout",
     "masked_fill",
 ]
@@ -74,15 +77,13 @@ class Tape:
     def __len__(self):
         return len(self._records)
 
-    def record(self, slot, vjp):
-        self._records.append((slot, vjp))
-
     def backward(self, loss: "Tensor") -> None:
         """Propagate d(loss)/d(x) into ``x.grad`` for every recorded ancestor.
 
         The tape is consumed: each record is popped once its vjp has run,
         and the gradient of every op output is set back to ``None`` once
-        propagated, so only leaf tensors keep a gradient afterwards.
+        propagated, so only leaf tensors keep a gradient afterwards. Input
+        gradients are added in input order.
         """
         if self._consumed:
             raise ContractError(
@@ -95,21 +96,19 @@ class Tape:
         loss.grad = np.ones_like(loss.data)
         records = self._records
         while records:
-            slot, vjp = records.pop()
-            if slot.grad is not None:
-                vjp(slot.grad)
-                slot.grad = None
-
-    def clear(self):
-        """Drop all records (and with them the intermediate buffers)."""
-        self._records.clear()
-        self._consumed = False
+            slot, inputs, vjp = records.pop()
+            if slot.grad is None:
+                continue
+            for target, g in zip(inputs, vjp(slot.grad)):
+                if target is not None:
+                    _accumulate(target, g)
+            slot.grad = None
 
 
 class _GradSlot:
-    """Where one tensor's gradient accumulates, shared by the tensor, its
-    tape record and the vjps of the ops that read it, so none of those
-    keeps the tensor's data alive."""
+    """Where one tensor's gradient accumulates, shared by the tensor and the
+    tape records that produce or read it, so no record keeps the tensor's
+    data alive."""
 
     __slots__ = ("grad",)
 
@@ -147,62 +146,26 @@ class Tensor:
             raise ShapeError(f"item() needs a one-element tensor, got {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    # Operators resolve the module-level functions at call time, so the
-    # primitives stay patchable for negative-control tests.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _from_op(data, inputs, make_vjp):
-    """Build the op output and, when grads are wanted, record its vjp. The
+    """Build the op output and, when grads are wanted, record its vjp.
+
+    ``inputs`` lists the op's tensor arguments in the order its vjp returns
+    their gradients; an optional one that was not given is ``None``. The
     output keeps the layout of ``data``, so a strided view is not copied."""
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64)
-    out.requires_grad = any(t.requires_grad for t in inputs)
+    slots = tuple(t._slot if t is not None and t.requires_grad else None
+                  for t in inputs)
+    out.requires_grad = any(s is not None for s in slots)
     out._slot = _GradSlot()
     if out.requires_grad and _active_tape is not None:
-        _active_tape.record(out._slot, make_vjp())
+        _active_tape._records.append((out._slot, slots, make_vjp()))
     return out
-
-
-def _grad_slot(t: Tensor) -> _GradSlot | None:
-    """The slot a vjp sends ``t``'s gradient to, or ``None`` when ``t``
-    takes no gradient."""
-    return t._slot if t.requires_grad else None
 
 
 def _accumulate(target, g):
@@ -229,59 +192,31 @@ def _unbroadcast(g, shape):
 # ---------------------------------------------------------------------------
 #
 # Each ``make_vjp`` runs only when the op is recorded. It binds what the
-# vjp needs (input slots, shapes, and the arrays the backward formula
-# reads) to locals, so the vjp's closure holds no ``Tensor``.
+# vjp needs (shapes, flags such as ``wa``/``wb`` for the inputs that take a
+# gradient, and the arrays the backward formula reads) to locals, so the
+# vjp's closure holds no ``Tensor``. The vjp returns a tuple with one
+# gradient per input, ``None`` for an input that takes none.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     data = a.data + b.data
 
     def make_vjp():
-        sa, sb = _grad_slot(a), _grad_slot(b)
+        wa, wb = a.requires_grad, b.requires_grad
         shape_a, shape_b = a.data.shape, b.data.shape
-
-        def vjp(g):
-            if sa is not None:
-                _accumulate(sa, _unbroadcast(g, shape_a))
-            if sb is not None:
-                _accumulate(sb, _unbroadcast(g, shape_b))
-        return vjp
-
-    return _from_op(data, (a, b), make_vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data - b.data
-
-    def make_vjp():
-        sa, sb = _grad_slot(a), _grad_slot(b)
-        shape_a, shape_b = a.data.shape, b.data.shape
-
-        def vjp(g):
-            if sa is not None:
-                _accumulate(sa, _unbroadcast(g, shape_a))
-            if sb is not None:
-                _accumulate(sb, _unbroadcast(-g, shape_b))
-        return vjp
+        return lambda g: (_unbroadcast(g, shape_a) if wa else None,
+                          _unbroadcast(g, shape_b) if wb else None)
 
     return _from_op(data, (a, b), make_vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (broadcasting) product."""
-    a, b = _as_tensor(a), _as_tensor(b)
     data = a.data * b.data
 
     def make_vjp():
-        sa, sb, ad, bd = _grad_slot(a), _grad_slot(b), a.data, b.data
-
-        def vjp(g):
-            if sa is not None:
-                _accumulate(sa, _unbroadcast(g * bd, ad.shape))
-            if sb is not None:
-                _accumulate(sb, _unbroadcast(g * ad, bd.shape))
-        return vjp
+        wa, wb, ad, bd = a.requires_grad, b.requires_grad, a.data, b.data
+        return lambda g: (_unbroadcast(g * bd, ad.shape) if wa else None,
+                          _unbroadcast(g * ad, bd.shape) if wb else None)
 
     return _from_op(data, (a, b), make_vjp)
 
@@ -289,16 +224,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
     c = float(c)
-    data = a.data * c
 
     def make_vjp():
-        sa = _grad_slot(a)
+        return lambda g: (g * c,)
 
-        def vjp(g):
-            _accumulate(sa, g * c)
-        return vjp
-
-    return _from_op(data, (a,), make_vjp)
+    return _from_op(a.data * c, (a,), make_vjp)
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -323,106 +253,82 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     data = a.data @ b.data
 
     def make_vjp():
-        sa, sb, ad, bd = _grad_slot(a), _grad_slot(b), a.data, b.data
-
-        def vjp(g):
-            if sa is not None:
-                _accumulate(sa, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
-            if sb is not None:
-                _accumulate(sb, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
-        return vjp
+        wa, wb, ad, bd = a.requires_grad, b.requires_grad, a.data, b.data
+        return lambda g: (
+            _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if wa else None,
+            _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if wb else None)
 
     return _from_op(data, (a, b), make_vjp)
 
 
 def _matmul_weight(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """``a @ b (+ bias)`` for a 2-D ``b``, as GEMMs over the rows of ``a``.
-    The bias is added in place to the fresh product."""
+    The bias is added in place to the fresh product. When ``a`` takes no
+    gradient (an input projection), its ``g2d @ bᵀ`` GEMM is skipped."""
     shape = a.data.shape
     rows = math.prod(shape[:-1])
     a2d = a.data.reshape(rows, shape[-1])
     data = a2d @ b.data
-    inputs = (a, b)
     if bias is not None:
         if bias.data.shape != b.data.shape[1:]:
             raise ShapeError(f"matmul bias shaped {bias.data.shape}, want "
                              f"{b.data.shape[1:]}")
         data += bias.data
-        inputs = (a, b, bias)
     data = data.reshape(shape[:-1] + b.data.shape[1:])
 
     def make_vjp():
-        sa, sb, bd = _grad_slot(a), _grad_slot(b), b.data
-        sbias = None if bias is None else _grad_slot(bias)
+        wa, wb, bd = a.requires_grad, b.requires_grad, b.data
+        wbias = bias is not None and bias.requires_grad
 
         def vjp(g):
             g2d = g.reshape(rows, bd.shape[1])
-            if sa is not None:
-                _accumulate(sa, (g2d @ bd.T).reshape(shape))
-            if sb is not None:
-                _accumulate(sb, a2d.T @ g2d)
-            if sbias is not None:
-                _accumulate(sbias, g2d.sum(0))
+            return ((g2d @ bd.T).reshape(shape) if wa else None,
+                    a2d.T @ g2d if wb else None,
+                    g2d.sum(0) if wbias else None)
         return vjp
 
-    return _from_op(data, inputs, make_vjp)
+    return _from_op(data, (a, b, bias), make_vjp)
 
 
 def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
-    data = np.swapaxes(a.data, axis0, axis1)
-
     def make_vjp():
-        sa = _grad_slot(a)
+        return lambda g: (np.swapaxes(g, axis0, axis1),)
 
-        def vjp(g):
-            _accumulate(sa, np.swapaxes(g, axis0, axis1))
-        return vjp
-
-    return _from_op(data, (a,), make_vjp)
+    return _from_op(np.swapaxes(a.data, axis0, axis1), (a,), make_vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    data = a.data.reshape(shape)
-
     def make_vjp():
-        sa, shape_a = _grad_slot(a), a.data.shape
+        shape_a = a.data.shape
+        return lambda g: (g.reshape(shape_a),)
+
+    return _from_op(a.data.reshape(shape), (a,), make_vjp)
+
+
+def _reduction(a: Tensor, data, axis, keepdims: bool, count=None) -> Tensor:
+    """The record of a sum (``count=None``) or mean of ``a`` over ``axis``:
+    the gradient spreads back over the reduced entries."""
+    def make_vjp():
+        shape_a = a.data.shape
 
         def vjp(g):
-            _accumulate(sa, g.reshape(shape_a))
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            g = np.broadcast_to(g, shape_a)
+            return (g if count is None else g / count,)
         return vjp
 
     return _from_op(data, (a,), make_vjp)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def make_vjp():
-        sa, shape_a = _grad_slot(a), a.data.shape
-
-        def vjp(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accumulate(sa, np.broadcast_to(g, shape_a))
-        return vjp
-
-    return _from_op(data, (a,), make_vjp)
+    return _reduction(a, a.data.sum(axis=axis, keepdims=keepdims), axis,
+                      keepdims)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size / data.size
-
-    def make_vjp():
-        sa, shape_a = _grad_slot(a), a.data.shape
-
-        def vjp(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accumulate(sa, np.broadcast_to(g, shape_a) / count)
-        return vjp
-
-    return _from_op(data, (a,), make_vjp)
+    return _reduction(a, data, axis, keepdims, a.data.size / data.size)
 
 
 def _check_softmax_input(x, axis):
@@ -440,12 +346,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     data = e / e.sum(axis=axis, keepdims=True)
 
     def make_vjp():
-        sa, y = _grad_slot(a), data
-
-        def vjp(g):
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            _accumulate(sa, (g - inner) * y)
-        return vjp
+        return lambda g: ((g - (g * data).sum(axis=axis, keepdims=True))
+                          * data,)
 
     return _from_op(data, (a,), make_vjp)
 
@@ -458,24 +360,8 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     data = centered - lse
 
     def make_vjp():
-        sa, probs = _grad_slot(a), np.exp(data)
-
-        def vjp(g):
-            _accumulate(sa, g - probs * g.sum(axis=axis, keepdims=True))
-        return vjp
-
-    return _from_op(data, (a,), make_vjp)
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def make_vjp():
-        sa, x = _grad_slot(a), a.data
-
-        def vjp(g):
-            _accumulate(sa, g / x)
-        return vjp
+        probs = np.exp(data)
+        return lambda g: (g - probs * g.sum(axis=axis, keepdims=True),)
 
     return _from_op(data, (a,), make_vjp)
 
@@ -490,11 +376,7 @@ def sigmoid(a: Tensor) -> Tensor:
     data = _stable_sigmoid(a.data)
 
     def make_vjp():
-        sa, y = _grad_slot(a), data
-
-        def vjp(g):
-            _accumulate(sa, g * y * (1.0 - y))
-        return vjp
+        return lambda g: (g * data * (1.0 - data),)
 
     return _from_op(data, (a,), make_vjp)
 
@@ -506,12 +388,8 @@ def log_sigmoid(a: Tensor) -> Tensor:
     data = np.where(x >= 0, -softplus, x - softplus)
 
     def make_vjp():
-        sa = _grad_slot(a)
-
-        def vjp(g):
-            # d/dx log(sigmoid(x)) = sigmoid(-x)
-            _accumulate(sa, g * _stable_sigmoid(-x))
-        return vjp
+        # d/dx log(sigmoid(x)) = sigmoid(-x)
+        return lambda g: (g * _stable_sigmoid(-x),)
 
     return _from_op(data, (a,), make_vjp)
 
@@ -520,11 +398,8 @@ def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def make_vjp():
-        sa, active = _grad_slot(a), a.data > 0
-
-        def vjp(g):
-            _accumulate(sa, g * active)
-        return vjp
+        active = a.data > 0
+        return lambda g: (g * active,)
 
     return _from_op(data, (a,), make_vjp)
 
@@ -567,34 +442,31 @@ def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
     xhat = centered / denom
     del centered
     data = xhat * gain.data + bias.data
-    inputs = (x, gain, bias) if fx is None else (x, fx, gain, bias)
 
     def make_vjp():
-        sx, sgain, sbias = _grad_slot(x), _grad_slot(gain), _grad_slot(bias)
-        sfx = None if fx is None else _grad_slot(fx)
-        gain_data = gain.data if sx is not None or sfx is not None else None
+        wx, wfx, wgain, wbias = (t is not None and t.requires_grad
+                                 for t in (x, fx, gain, bias))
+        gain_data = gain.data if wx or wfx else None
         floored = var <= eps
 
         def vjp(g):
-            if sgain is not None:
-                _accumulate(sgain, (g * xhat).reshape(-1, width).sum(axis=0))
-            if sbias is not None:
-                _accumulate(sbias, g.reshape(-1, width).sum(axis=0))
+            ggain = (g * xhat).reshape(-1, width).sum(axis=0) if wgain else None
+            gbias = g.reshape(-1, width).sum(axis=0) if wbias else None
             if gain_data is None:
-                return
+                return None, None, ggain, gbias
             gx = g * gain_data
             mean_gx = gx.mean(axis=-1, keepdims=True)
             mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
             # the variance term vanishes where the eps floor is active
             correction = np.where(floored, 0.0, xhat * mean_gx_xhat)
             gs = (gx - mean_gx - correction) / denom
-            if sx is not None:
-                _accumulate(sx, gs)
-            if sfx is not None:
-                _accumulate(sfx, gs if keep is None else _drop(gs, keep, p))
+            gfx = None
+            if wfx:
+                gfx = gs if keep is None else _drop(gs, keep, p)
+            return gs if wx else None, gfx, ggain, gbias
         return vjp
 
-    return _from_op(data, inputs, make_vjp)
+    return _from_op(data, (x, fx, gain, bias), make_vjp)
 
 
 def _dropout_keep(shape, p: float, rng: np.random.Generator | None,
@@ -630,16 +502,11 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
     keep = _dropout_keep(x.data.shape, p, rng, training)
     if keep is None:
         return x
-    data = _drop(x.data, keep, p)
 
     def make_vjp():
-        sx = _grad_slot(x)
+        return lambda g: (_drop(g, keep, p),)
 
-        def vjp(g):
-            _accumulate(sx, _drop(g, keep, p))
-        return vjp
-
-    return _from_op(data, (x,), make_vjp)
+    return _from_op(_drop(x.data, keep, p), (x,), make_vjp)
 
 
 def masked_fill(x: Tensor, keep_mask, fill_value: float) -> Tensor:
@@ -648,16 +515,12 @@ def masked_fill(x: Tensor, keep_mask, fill_value: float) -> Tensor:
     The mask broadcasts against ``x``; gradient flows only through kept slots.
     """
     keep = np.asarray(keep_mask, dtype=bool)
-    data = np.where(keep, x.data, fill_value)
 
     def make_vjp():
-        sx, shape_x = _grad_slot(x), x.data.shape
+        shape_x = x.data.shape
+        return lambda g: (_unbroadcast(np.where(keep, g, 0.0), shape_x),)
 
-        def vjp(g):
-            _accumulate(sx, _unbroadcast(np.where(keep, g, 0.0), shape_x))
-        return vjp
-
-    return _from_op(data, (x,), make_vjp)
+    return _from_op(np.where(keep, x.data, fill_value), (x,), make_vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +533,8 @@ TENSOR_MAGIC = b"TBJT"
 def write_array(fh, arr: np.ndarray) -> None:
     """Write one array: magic, u8 rank, u32 extents, raw f64 payload. A
     C-contiguous little-endian float64 array is written from its own
-    buffer, with no copy; a 0-d array is written as shape (1,)."""
-    arr = np.ascontiguousarray(arr, dtype="<f8")
+    buffer, with no copy; a 0-d array keeps rank 0."""
+    arr = np.require(arr, "<f8", "C")
     if arr.ndim > 255:
         raise ShapeError(f"rank {arr.ndim} exceeds the u8 rank field")
     fh.write(TENSOR_MAGIC)

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, NumericError, check_section
 from .metrics import accuracy, emotion_predictions, sentiment_bins
 # model_bytes is not called here: it is imported so that the benchmark's
 # tracer can wrap tbje.training.model_bytes
@@ -83,11 +83,9 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "TrainConfig":
-        known = set(TrainConfig().to_dict())
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown training config keys {sorted(unknown)}")
-        return TrainConfig(**{**TrainConfig().to_dict(), **raw})
+        defaults = TrainConfig().to_dict()
+        return TrainConfig(**{**defaults,
+                              **check_section(raw, defaults, "training")})
 
 
 @dataclass

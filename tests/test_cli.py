@@ -124,6 +124,37 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="preemphasis"):
             mel_from_dict({"preemphasis": 0.97})
 
+    @pytest.mark.parametrize("raw, key", [
+        ({"encoder": {"blocks": "6"}}, "encoder.blocks"),
+        ({"training": {"lr": "0.1"}}, "training.lr"),
+        ({"encoder": {"lengths": {"L": "50"}}}, "encoder.lengths.L"),
+        ({"training": []}, "training"),
+        ({"training": {"batch_size": 2.5}}, "training.batch_size"),
+        ({"encoder": {"input_widths": {"A": 80.0}}}, "encoder.input_widths.A"),
+        ({"encoder": {"positional": {"L": 1}}}, "encoder.positional.L"),
+        ({"encoder": {"dropout_block": True}}, "encoder.dropout_block"),
+        ({"encoder": {"modalities": ["L", 2]}}, "encoder.modalities[1]"),
+        ({"mel": {"bands": None}}, "mel.bands"),
+        ({"paths": {"bundle": 5}}, "paths.bundle"),
+    ], ids=["blocks-str", "lr-str", "length-str", "training-list",
+            "batch-float", "width-float", "positional-int", "dropout-bool",
+            "modality-int", "bands-null", "path-int"])
+    def test_wrong_typed_value_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                      raw, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(key) in err
+
+    def test_integer_stands_for_a_float(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"training": {"lr": 1},
+                                    "encoder": {"dropout_block": 0}}))
+        cfg = load_run_config(path)
+        assert cfg.training.lr == 1 and cfg.encoder.dropout_block == 0
+
     def test_default_encoder_is_bimodal_joint(self):
         assert default_encoder().resolved_variant() == "joint"
 
@@ -332,7 +363,8 @@ class TestTrain:
                              encoder={"lengths": {"L": 7, "A": 4, "V": 3}})
         assert main(["train", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "length" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "length" in err and err.count("\n") == 1
 
     def test_missing_bundle_is_io_error(self, corpus, tmp_path):
         assert main(["train", "--config", str(corpus / "config.json"),
@@ -436,7 +468,8 @@ class TestEvaluate:
             == EXIT_OK
         assert main(["evaluate", "--config", str(config),
                      str(trained / "model-member0.tbjm")]) == EXIT_CONFIG
-        assert "modality" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "modality" in err and err.count("\n") == 1
 
     def test_truncated_checkpoint_is_config_error(self, corpus, trained,
                                                   tmp_path, capsys):
@@ -621,10 +654,7 @@ class TestGradcheck:
 
             def make_vjp():
                 active = a.data > 0
-
-                def vjp(g):
-                    TT._accumulate(a, g * active * 1.5)  # wrong on purpose
-                return vjp
+                return lambda g: (g * active * 1.5,)  # wrong on purpose
 
             return TT._from_op(data, (a,), make_vjp)
 

