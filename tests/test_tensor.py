@@ -388,6 +388,7 @@ def test_batched_matmul_keeps_broadcast_path(monkeypatch):
 
 @pytest.mark.parametrize("op", [
     lambda a, b: T.add(a, b),
+    lambda a, b: T.add(a, T.scale(b, -1.0)),
     lambda a, b: T.mul(a, b),
 ])
 def test_grad_binary_broadcasting(op):
