@@ -335,9 +335,11 @@ def cmd_evaluate(args) -> int:
     configs = []
 
     def members():
-        # one member at a time: load, check, hand over to be scored, drop
+        # one member at a time, each read into the first one's arrays: load,
+        # check, hand over to be scored
+        model = None
         for p in paths:
-            model = load_model(p)
+            model = load_model(p, into=model)
             if model.vocab_hash is not None and bundle.vocab_hash is not None \
                     and model.vocab_hash != bundle.vocab_hash:
                 raise ConfigError(
@@ -347,7 +349,6 @@ def cmd_evaluate(args) -> int:
                                         f"checkpoint {p}")
             configs.append(model.config)
             yield model
-            del model
 
     probs = ensemble_predict(members(), split.batches)
     task = configs[0].task

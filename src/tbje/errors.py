@@ -60,7 +60,8 @@ def _check_value(value, like, name: str) -> None:
 def check_section(raw, defaults: dict, section: str = "") -> dict:
     """Return the config section ``raw``, read from JSON, once it is known
     to be an object whose keys all appear in ``defaults`` with values of
-    their defaults' types. ``section`` prefixes the key names in errors."""
+    their defaults' types; an integer given for a float default is returned
+    as a float. ``section`` prefixes the key names in errors."""
     prefix = section + "." if section else ""
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {section or 'root'!r} must be an "
@@ -70,4 +71,5 @@ def check_section(raw, defaults: dict, section: str = "") -> dict:
         raise ConfigError(f"unknown config keys {unknown}")
     for key, value in raw.items():
         _check_value(value, defaults[key], prefix + key)
-    return raw
+    return {key: float(value) if isinstance(defaults[key], float) else value
+            for key, value in raw.items()}

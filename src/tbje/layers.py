@@ -22,7 +22,12 @@ from .tensor import Tensor
 NamedTensors = Iterator[tuple[str, Tensor]]
 
 
-def xavier_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
+def xavier_uniform(rng: Optional[np.random.Generator], n_in: int,
+                   n_out: int) -> np.ndarray:
+    """An (n_in, n_out) Xavier-uniform draw; with no ``rng``, an
+    uninitialised array of that shape for a checkpoint reader to fill."""
+    if rng is None:
+        return np.empty((n_in, n_out))
     limit = math.sqrt(6.0 / (n_in + n_out))
     return rng.uniform(-limit, limit, size=(n_in, n_out))
 
@@ -35,7 +40,8 @@ class AffineParams:
     bias: Optional[Tensor]
 
     @staticmethod
-    def init(rng: np.random.Generator, n_in: int, n_out: int) -> "AffineParams":
+    def init(rng: Optional[np.random.Generator], n_in: int,
+             n_out: int) -> "AffineParams":
         return AffineParams(
             weight=Tensor(xavier_uniform(rng, n_in, n_out), requires_grad=True),
             bias=Tensor(np.zeros(n_out), requires_grad=True))
@@ -63,7 +69,8 @@ class MhaParams:
     heads: int
 
     @staticmethod
-    def init(rng: np.random.Generator, width: int, heads: int) -> "MhaParams":
+    def init(rng: Optional[np.random.Generator], width: int,
+             heads: int) -> "MhaParams":
         if heads < 1 or width % heads != 0:
             raise ConfigError(
                 f"hidden width {width} must be a positive multiple of the "
@@ -71,10 +78,13 @@ class MhaParams:
         sub = width // heads
 
         def by_head(bias: bool = True) -> AffineParams:
-            # one Xavier draw per head, each limited by its own (k, k/h) shape
-            blocks = [xavier_uniform(rng, width, sub) for _ in range(heads)]
+            # one Xavier draw per head, each limited by its own (k, k/h)
+            # shape; with no rng the (k, k) map is allocated once, unfilled
+            weight = (xavier_uniform(None, width, width) if rng is None else
+                      np.hstack([xavier_uniform(rng, width, sub)
+                                 for _ in range(heads)]))
             return AffineParams(
-                weight=Tensor(np.hstack(blocks), requires_grad=True),
+                weight=Tensor(weight, requires_grad=True),
                 bias=(Tensor(np.zeros(width), requires_grad=True) if bias
                       else None))
 
@@ -95,7 +105,8 @@ class MlpParams:
     out: AffineParams
 
     @staticmethod
-    def init(rng: np.random.Generator, width: int, inner: int) -> "MlpParams":
+    def init(rng: Optional[np.random.Generator], width: int,
+             inner: int) -> "MlpParams":
         if inner < 1:
             raise ConfigError(f"MLP inner width must be positive, got {inner}")
         return MlpParams(hidden=AffineParams.init(rng, width, inner),

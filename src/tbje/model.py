@@ -155,7 +155,7 @@ class GlimpseParams:
     norm: Optional[SublayerParams] = None
 
     @staticmethod
-    def init(rng: np.random.Generator, width: int, count: int,
+    def init(rng: Optional[np.random.Generator], width: int, count: int,
              with_norm: bool) -> "GlimpseParams":
         return GlimpseParams(
             embed=Tensor(xavier_uniform(rng, width, 2 * width),
@@ -220,17 +220,10 @@ def init_model(config: EncoderConfig, seed: int = 0,
     return _build_model(config, make_rng(seed, "model-init"), vocab_hash)
 
 
-class _Slots:
-    """Stands in for the init RNG when only names and shapes are needed:
-    every draw is an uninitialised array for the loader to fill."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.empty(size)
-
-
-def _build_model(config: EncoderConfig, rng,
+def _build_model(config: EncoderConfig, rng: Optional[np.random.Generator],
                  vocab_hash: Optional[str]) -> TbjeModel:
+    """The model ``config`` describes, drawn from ``rng``; with no ``rng``,
+    every weight is an uninitialised array for a checkpoint reader to fill."""
     joint = config.resolved_variant() == "joint"
     proj, blocks, finals = {}, {}, {}
     for m in config.modalities:
@@ -433,12 +426,17 @@ def save_model(path, model: TbjeModel) -> None:
         write_model(fh, model)
 
 
-def read_model(fh) -> TbjeModel:
+def read_model(fh, into: Optional[TbjeModel] = None) -> TbjeModel:
     """Parse one checkpoint. The model is built from the header's config as
     uninitialised slots, and each tensor payload is read straight into the
     slot whose name and shape it matches. A version-1 checkpoint's per-head
     payloads fill the column blocks of the fused attention maps. Versions 1
-    and 2 store a key bias per attention map, read into a dropped slot."""
+    and 2 store a key bias per attention map, read into a dropped slot.
+
+    Given ``into``, a model whose config must equal the header's, the
+    payloads overwrite ``into``'s own arrays and ``into`` is returned; a
+    config mismatch raises before any payload is read, a later error leaves
+    ``into`` partly overwritten."""
     magic = T.read_exact(fh, 4)
     if magic != CHECKPOINT_MAGIC:
         raise ConfigError(f"bad checkpoint magic {magic!r}; "
@@ -451,7 +449,17 @@ def read_model(fh) -> TbjeModel:
     header = T.read_json(T.read_exact(fh, blob_len), "checkpoint header",
                          required=("config",))
     config = EncoderConfig.from_dict(header["config"])
-    model = _build_model(config, _Slots(), header.get("vocab_hash"))
+    if into is None:
+        model = _build_model(config, None, header.get("vocab_hash"))
+    else:
+        got, want = config.to_dict(), into.config.to_dict()
+        differ = [f"{k}: checkpoint {got[k]!r}, model {want[k]!r}"
+                  for k in sorted(want) if got[k] != want[k]]
+        if differ:
+            raise ConfigError("checkpoint config does not match the model it "
+                              "is read into (" + "; ".join(differ) + ")")
+        model = into
+        model.vocab_hash = header.get("vocab_hash")
     slots = {name: p.data for name, p in model.named_parameters()}
     if version < 3:
         for name in [n for n in slots if n.endswith(".mha.key.weight")]:
@@ -481,20 +489,14 @@ def read_model(fh) -> TbjeModel:
     return model
 
 
-def load_model(path, expect: Optional[EncoderConfig] = None) -> TbjeModel:
+def load_model(path, into: Optional[TbjeModel] = None) -> TbjeModel:
+    """Read the checkpoint at ``path``; given ``into``, its arrays are
+    overwritten as ``read_model`` describes."""
     with open(path, "rb") as fh:
-        model = read_model(fh)
+        model = read_model(fh, into)
         if fh.read(1):
             raise ConfigError(f"checkpoint {path} has trailing bytes after "
                               f"its last tensor")
-    if expect is not None:
-        got, want = model.config.to_dict(), expect.to_dict()
-        differ = [f"{k}: checkpoint {got[k]!r}, requested {want[k]!r}"
-                  for k in sorted(want) if got[k] != want[k]]
-        if differ:
-            raise ConfigError("checkpoint config does not match the "
-                              "requested configuration (" + "; ".join(differ)
-                              + ")")
     return model
 
 

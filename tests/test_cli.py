@@ -1,6 +1,7 @@
 """End-to-end command-line tests: extraction, training, evaluation,
 gradient checking, and the block sweep, plus exit-code discipline."""
 
+import dataclasses
 import json
 import shutil
 import struct
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tbje.model
 import tbje.tensor as TT
 from tbje.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                       format_report, main)
@@ -506,6 +508,58 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint") and "vocabulary" in err
         assert err.count("\n") == 1
+
+    def test_members_read_into_one_model_equal_fresh_loads(
+            self, corpus, trained, tmp_path, capsys):
+        paths = [trained / f"model-member{i}.tbjm" for i in (0, 1, 0)]
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--out", str(tmp_path)] + [str(p) for p in paths]) \
+            == EXIT_OK
+        printed = capsys.readouterr().out
+
+        split = read_bundle(corpus / "bundle").splits["test"]
+        probs = ensemble_predict([load_model(p) for p in paths],
+                                 split.batches)
+        report = format_report(evaluation_report(
+            "sentiment-2",
+            predictions_from_probabilities(probs, "sentiment-2"),
+            gold_labels(split, "sentiment-2")))
+        text = f"split test\nexamples {split.size}\nensemble 3\n" + report
+        assert (tmp_path / "report-test.txt").read_text() == text
+        assert printed.startswith(text)
+
+    def test_one_model_is_built_per_invocation(self, corpus, trained,
+                                               tmp_path, monkeypatch, capsys):
+        built = []
+        real = tbje.model._build_model
+
+        def counted(*args, **kwargs):
+            built.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tbje.model, "_build_model", counted)
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--out", str(tmp_path),
+                     str(trained / "model-member0.tbjm"),
+                     str(trained / "model-member1.tbjm"),
+                     str(trained / "model-member0.tbjm")]) == EXIT_OK
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_second_member_of_another_config_rejected(
+            self, corpus, trained, tmp_path, capsys):
+        other = load_model(trained / "model-member1.tbjm")
+        other.config = dataclasses.replace(
+            other.config, dropout_block=other.config.dropout_block + 0.125)
+        save_model(tmp_path / "other.tbjm", other)
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--out", str(tmp_path),
+                     str(trained / "model-member0.tbjm"),
+                     str(tmp_path / "other.tbjm")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint config")
+        assert "dropout_block" in err and err.count("\n") == 1
+        assert not (tmp_path / "report-test.txt").exists()
 
     def test_manifest_cut_mid_string_is_config_error(self, corpus, trained,
                                                      tmp_path, capsys):

@@ -139,6 +139,17 @@ def test_mha_init_concatenates_per_head_draws():
     assert rng.random() == expect.random()
 
 
+def test_mha_slots_without_rng_are_allocated_once(monkeypatch):
+    def no_hstack(*args, **kwargs):
+        raise AssertionError("a slot-only init joined per-head blocks")
+
+    monkeypatch.setattr(np, "hstack", no_hstack)
+    params = MhaParams.init(None, 8, 2)
+    for tag in ("query", "key", "content", "out"):
+        assert getattr(params, tag).weight.data.shape == (8, 8)
+    assert params.key.bias is None
+
+
 def test_key_bias_cancels_in_the_softmax():
     """The oracle with a random key bias added agrees with the bias-free
     MHA: the bias shifts every score of a query row by the same q·b."""

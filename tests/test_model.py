@@ -731,7 +731,50 @@ def test_checkpoint_wrong_width_names_both_values(tmp_path):
     path = tmp_path / "m.tbjm"
     save_model(path, model)
     with pytest.raises(ConfigError, match=r"8.*16"):
-        load_model(path, expect=toy_config(width=16, mlp_width=16))
+        load_model(path, into=init_model(toy_config(width=16, mlp_width=16)))
+
+
+@pytest.mark.parametrize("write", [v1_checkpoint, v2_checkpoint, model_bytes])
+def test_read_into_a_model_equals_a_fresh_read(write):
+    cfg = toy_config(heads=4)
+    blob = write(init_model(cfg, seed=21, vocab_hash="abc123"))
+    fresh = read_model(io.BytesIO(blob))
+    into = init_model(cfg, seed=22)
+    arrays = [p.data for _, p in into.named_parameters()]
+    assert read_model(io.BytesIO(blob), into=into) is into
+    assert into.vocab_hash == "abc123"
+    got, want = into.parameter_dict(), fresh.parameter_dict()
+    assert list(got) == list(want)
+    for name in want:
+        assert np.array_equal(got[name].data, want[name].data), name
+    assert all(p.data is a for (_, p), a in zip(into.named_parameters(),
+                                                arrays))
+    batches = toy_batches(make_rng(91, "read-into"), cfg, 2)
+    assert np.array_equal(forward_logits(into, batches).data,
+                          forward_logits(fresh, batches).data)
+
+
+def test_read_into_a_model_of_another_config_reads_no_payload():
+    blob = model_bytes(init_model(toy_config(dropout_block=0.2), seed=23))
+    into = init_model(toy_config(), seed=24, vocab_hash="abc123")
+    before = model_bytes(into)
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    # cut just past the header: reading any payload would report truncation
+    for cut in (len(blob), 12 + header_len):
+        with pytest.raises(ConfigError) as err:
+            read_model(io.BytesIO(blob[:cut]), into=into)
+        assert str(err.value) == (
+            "checkpoint config does not match the model it is read into "
+            "(dropout_block: checkpoint 0.2, model 0.1)")
+    assert model_bytes(into) == before
+
+
+def test_integer_for_a_float_field_writes_the_float_checkpoint():
+    raw = toy_config().to_dict()
+    as_int = EncoderConfig.from_dict({**raw, "dropout_block": 0})
+    as_float = EncoderConfig.from_dict({**raw, "dropout_block": 0.0})
+    assert isinstance(as_int.dropout_block, float)
+    assert model_bytes(init_model(as_int)) == model_bytes(init_model(as_float))
 
 
 def test_checkpoint_bad_magic(tmp_path):
