@@ -57,7 +57,7 @@ scores = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]), requires_grad=True)
 keep = np.array([[True, True, False, True]])
 
 with Tape() as tape:
-    weights = T.softmax(T.masked_fill(scores, keep, -np.inf), axis=-1)
+    weights = T.softmax(scores, axis=-1, keep=keep)
     tape.backward(T.tsum(T.mul(weights, weights)))
 print("weights       ", np.round(weights.data, 4))
 print("masked column gets exactly zero weight:", weights.data[0, 2] == 0.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -30,9 +31,9 @@ from .model import (EncoderConfig, TbjeModel, forward_logits, init_model,
                     load_model, save_model)
 from .rng import make_rng
 from .tensor import load_array
-from .training import (TrainConfig, cross_entropy, ensemble_predict,
-                       evaluate_accuracy, fit, gold_labels,
-                       predictions_from_probabilities, train_ensemble)
+from .training import (cross_entropy, ensemble_predict, evaluate_accuracy,
+                       fit, gold_labels, predictions_from_probabilities,
+                       train_ensemble)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,8 +53,7 @@ def _resolve_config(args) -> RunConfig:
     cfg = (load_run_config(args.config) if getattr(args, "config", None)
            else RunConfig())
     if getattr(args, "seed", None) is not None:
-        cfg.training = TrainConfig(
-            **{**cfg.training.to_dict(), "seed": args.seed})
+        cfg.training = dataclasses.replace(cfg.training, seed=args.seed)
     for key in ("manifest", "embeddings", "bundle", "out"):
         value = getattr(args, key, None)
         if value is not None:
@@ -448,7 +448,7 @@ def cmd_sweep_blocks(args) -> int:
 
     rows = []
     for b in block_counts:
-        encoder = EncoderConfig(**{**cfg.encoder.to_dict(), "blocks": b})
+        encoder = dataclasses.replace(cfg.encoder, blocks=b)
         model = init_model(encoder, seed=cfg.training.seed,
                            vocab_hash=bundle.vocab_hash)
         started = time.perf_counter()

@@ -5,12 +5,11 @@ whatever bundle the paths point at."""
 
 from __future__ import annotations
 
-import dataclasses
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, check_section
+from .data import _canonical_text
+from .errors import ConfigError, check_section, read_section
 from .features import MelConfig
 from .model import EncoderConfig
 from .tensor import read_json
@@ -26,14 +25,6 @@ def default_encoder() -> EncoderConfig:
         mlp_width=1024, lengths={"L": 50, "A": 40},
         input_widths={"L": 300, "A": 80}, task="sentiment-2",
         positional={"L": True})
-
-
-def mel_to_dict(cfg: MelConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
-def mel_from_dict(raw: dict) -> MelConfig:
-    return MelConfig(**check_section(raw, mel_to_dict(MelConfig()), "mel"))
 
 
 @dataclass
@@ -61,34 +52,27 @@ class RunConfig:
         return value
 
     def to_dict(self) -> dict:
-        return {
-            "encoder": self.encoder.to_dict(),
-            "training": self.training.to_dict(),
-            "mel": mel_to_dict(self.mel),
-            "paths": dict(self.paths),
-        }
+        return {**asdict(self), "encoder": self.encoder.to_dict()}
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        check_section(raw, {"encoder": {}, "training": {}, "mel": {},
-                            "paths": {}})
-        kwargs = {}
-        if "encoder" in raw:
-            kwargs["encoder"] = EncoderConfig.from_dict(raw["encoder"])
-        if "training" in raw:
-            kwargs["training"] = TrainConfig.from_dict(raw["training"])
-        if "mel" in raw:
-            kwargs["mel"] = mel_from_dict(raw["mel"])
-        if "paths" in raw:
-            kwargs["paths"] = dict(check_section(
-                raw["paths"], dict.fromkeys(PATH_KEYS, ""), "paths"))
-        return RunConfig(**kwargs)
+        raw = check_section(raw, dict.fromkeys(_SECTIONS, {}))
+        return RunConfig(**{key: read(raw[key])
+                            for key, read in _SECTIONS.items() if key in raw})
+
+
+# the reader of each RunConfig section, in the order their errors are raised
+_SECTIONS = {
+    "encoder": EncoderConfig.from_dict,
+    "training": TrainConfig.from_dict,
+    "mel": lambda raw: read_section(MelConfig, raw, "mel"),
+    "paths": lambda raw: check_section(raw, dict.fromkeys(PATH_KEYS, ""),
+                                       "paths"),
+}
 
 
 def save_run_config(path, cfg: RunConfig) -> None:
-    text = json.dumps(cfg.to_dict(), sort_keys=True, indent=1,
-                      ensure_ascii=False) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(_canonical_text(cfg.to_dict()), encoding="utf-8")
 
 
 def load_run_config(path) -> RunConfig:

@@ -1,8 +1,11 @@
-"""Exception classes shared across the library, and the type check that
-turns a malformed config section into a ``ConfigError``.
+"""Exception classes shared across the library, the type check that turns
+a malformed config section into a ``ConfigError``, and the one reader of
+a config section.
 
 The CLI maps these onto distinct exit codes (see ``tbje.cli``).
 """
+
+import dataclasses
 
 
 class TbjeError(Exception):
@@ -73,3 +76,11 @@ def check_section(raw, defaults: dict, section: str = "") -> dict:
         _check_value(value, defaults[key], prefix + key)
     return {key: float(value) if isinstance(defaults[key], float) else value
             for key, value in raw.items()}
+
+
+def read_section(cls, raw, section: str):
+    """A ``cls`` whose fields are those the config section ``raw`` gives,
+    checked by ``check_section`` against the defaults of ``cls()``, and
+    those defaults for the rest."""
+    defaults = dataclasses.asdict(cls())
+    return cls(**{**defaults, **check_section(raw, defaults, section)})

@@ -159,9 +159,7 @@ def attention(query: Tensor, key: Tensor, content: Tensor,
     scores = T.scale(T.matmul(query, T.transpose(key)),
                      1.0 / math.sqrt(query.data.shape[-1]))
     keep = _key_keep(key_mask, scores.data.ndim)
-    if keep is not None:
-        scores = T.masked_fill(scores, keep, -np.inf)
-    return T.matmul(T.softmax(scores, axis=-1), content)
+    return T.matmul(T.softmax(scores, axis=-1, keep=keep), content)
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import io
 import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, check_section
+from .errors import ConfigError, ContractError, read_section
 from .features import ModalityBatch
 from .layers import (AffineParams, MhaParams, MlpParams, NamedTensors,
                      SublayerParams, _key_keep, multi_head_attention,
@@ -115,33 +114,15 @@ class EncoderConfig:
         return bool(self.positional.get(modality, False))
 
     def to_dict(self) -> dict:
-        return {
-            "modalities": list(self.modalities),
-            "primary": self.primary,
-            "blocks": self.blocks,
-            "width": self.width,
-            "heads": self.heads,
-            "mlp_width": self.mlp_width,
-            "dropout_block": self.dropout_block,
-            "dropout_classifier": self.dropout_classifier,
-            "lengths": dict(self.lengths),
-            "input_widths": dict(self.input_widths),
-            "task": self.task,
-            "variant": self.variant,
-            "positional": dict(self.positional),
-            "dropout_per_sublayer": self.dropout_per_sublayer,
-            "sentiment_boundary": self.sentiment_boundary,
-        }
+        return {**asdict(self), "modalities": list(self.modalities)}
 
     @staticmethod
     def from_dict(raw: dict) -> "EncoderConfig":
         # v1 checkpoint headers carry "glimpses": null and no boundary
-        if "glimpses" in raw and raw["glimpses"] is None:
+        if isinstance(raw, dict) and "glimpses" in raw \
+                and raw["glimpses"] is None:
             raw = {k: v for k, v in raw.items() if k != "glimpses"}
-        defaults = EncoderConfig().to_dict()
-        merged = {**defaults, **check_section(raw, defaults, "encoder")}
-        merged["modalities"] = tuple(merged["modalities"])
-        return EncoderConfig(**merged)
+        return read_section(EncoderConfig, raw, "encoder")
 
 
 @dataclass
@@ -160,7 +141,9 @@ class GlimpseParams:
         return GlimpseParams(
             embed=Tensor(xavier_uniform(rng, width, 2 * width),
                          requires_grad=True),
-            scores=Tensor(xavier_uniform(rng, 2 * width, count).T,
+            # with no rng, a C-ordered slot: Tensor() would copy a .T view
+            scores=Tensor(np.empty((count, 2 * width)) if rng is None else
+                          xavier_uniform(rng, 2 * width, count).T,
                           requires_grad=True),
             norm=SublayerParams.init(width) if with_norm else None)
 
@@ -263,9 +246,7 @@ def glimpse(m: Tensor, params: GlimpseParams, mask=None) -> Tensor:
     keep = _key_keep(mask, m.data.ndim)     # the rows are the keys
     score_map = T.matmul(params.embed, T.transpose(params.scores))  # (k, G)
     scores = T.transpose(T.matmul(m, score_map))                 # (…, G, N)
-    if keep is not None:
-        scores = T.masked_fill(scores, keep, -np.inf)
-    return T.matmul(T.softmax(scores, axis=-1), m)
+    return T.matmul(T.softmax(scores, axis=-1, keep=keep), m)
 
 
 def _check_batch(batch: ModalityBatch, config: EncoderConfig):
@@ -401,24 +382,12 @@ def forward_logits(model: TbjeModel, batches: dict[str, ModalityBatch],
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def write_model(fh, model: TbjeModel) -> None:
     header = {"config": model.config.to_dict(), "vocab_hash": model.vocab_hash}
-    blob = _canonical_json(header)
-    fh.write(CHECKPOINT_MAGIC)
-    fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-    fh.write(struct.pack("<I", len(blob)))
-    fh.write(blob)
-    named = list(model.named_parameters())
-    fh.write(struct.pack("<I", len(named)))
-    for name, tensor in named:
-        encoded = name.encode("utf-8")
-        fh.write(struct.pack("<I", len(encoded)))
-        fh.write(encoded)
-        T.write_array(fh, tensor.data)
+    T.write_head(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, json.dumps(
+        header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    T.write_named(fh, ((name, (t.data,))
+                       for name, t in model.named_parameters()))
 
 
 def save_model(path, model: TbjeModel) -> None:
@@ -437,17 +406,9 @@ def read_model(fh, into: Optional[TbjeModel] = None) -> TbjeModel:
     payloads overwrite ``into``'s own arrays and ``into`` is returned; a
     config mismatch raises before any payload is read, a later error leaves
     ``into`` partly overwritten."""
-    magic = T.read_exact(fh, 4)
-    if magic != CHECKPOINT_MAGIC:
-        raise ConfigError(f"bad checkpoint magic {magic!r}; "
-                          f"expected {CHECKPOINT_MAGIC!r}")
-    (version,) = struct.unpack("<I", T.read_exact(fh, 4))
-    if version not in range(1, CHECKPOINT_VERSION + 1):
-        raise ConfigError(f"unsupported checkpoint version {version}; "
-                          f"this build reads 1 to {CHECKPOINT_VERSION}")
-    (blob_len,) = struct.unpack("<I", T.read_exact(fh, 4))
-    header = T.read_json(T.read_exact(fh, blob_len), "checkpoint header",
-                         required=("config",))
+    version, header = T.read_head(fh, CHECKPOINT_MAGIC, "checkpoint",
+                                  range(1, CHECKPOINT_VERSION + 1),
+                                  required=("config",))
     config = EncoderConfig.from_dict(header["config"])
     if into is None:
         model = _build_model(config, None, header.get("vocab_hash"))
@@ -472,11 +433,8 @@ def read_model(fh, into: Optional[TbjeModel] = None) -> TbjeModel:
             heads = np.split(slots.pop(name), config.heads, axis=-1)
             slots.update((f"{block}.{proj[0]}{i}.{kind}", head)
                          for i, head in enumerate(heads))
-    (count,) = struct.unpack("<I", T.read_exact(fh, 4))
     seen = set()
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", T.read_exact(fh, 4))
-        name = T.read_exact(fh, name_len).decode("utf-8", errors="replace")
+    for name in T.read_named(fh):
         if name not in slots:
             raise ConfigError(f"checkpoint tensor {name!r} has no slot in "
                               f"the configured model")
@@ -491,12 +449,16 @@ def read_model(fh, into: Optional[TbjeModel] = None) -> TbjeModel:
 
 def load_model(path, into: Optional[TbjeModel] = None) -> TbjeModel:
     """Read the checkpoint at ``path``; given ``into``, its arrays are
-    overwritten as ``read_model`` describes."""
-    with open(path, "rb") as fh:
-        model = read_model(fh, into)
-        if fh.read(1):
-            raise ConfigError(f"checkpoint {path} has trailing bytes after "
-                              f"its last tensor")
+    overwritten as ``read_model`` describes. Every ``ConfigError`` names
+    ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            model = read_model(fh, into)
+            if fh.read(1):
+                raise ConfigError("checkpoint has trailing bytes after its "
+                                  "last tensor")
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} (in {path})") from None
     return model
 
 

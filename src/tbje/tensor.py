@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 import sys
 
 import numpy as np
@@ -44,7 +45,6 @@ __all__ = [
     "Tensor", "Tape", "add", "mul", "scale", "matmul", "transpose",
     "reshape", "tsum", "tmean", "softmax", "log_softmax", "sigmoid",
     "log_sigmoid", "relu", "layer_norm", "residual_norm", "dropout",
-    "masked_fill",
 ]
 
 _active_tape = None
@@ -338,16 +338,21 @@ def _check_softmax_input(x, axis):
         raise NumericError("softmax over a fully -inf slice is undefined")
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along ``axis``. -inf entries get exactly zero weight."""
-    _check_softmax_input(a.data, axis)
-    shift = np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(a.data - shift)
+def softmax(a: Tensor, axis: int = -1, keep=None) -> Tensor:
+    """Max-shifted softmax along ``axis``. -inf entries get exactly zero
+    weight, and so do the entries where the bool mask ``keep``, broadcast
+    against ``a``, is false; no gradient flows back through those."""
+    x = a.data if keep is None else np.where(keep, a.data, -np.inf)
+    _check_softmax_input(x, axis)
+    shift = np.max(x, axis=axis, keepdims=True)
+    e = np.exp(x - shift)
     data = e / e.sum(axis=axis, keepdims=True)
 
     def make_vjp():
-        return lambda g: ((g - (g * data).sum(axis=axis, keepdims=True))
-                          * data,)
+        def vjp(g):
+            gs = (g - (g * data).sum(axis=axis, keepdims=True)) * data
+            return (gs if keep is None else np.where(keep, gs, 0.0),)
+        return vjp
 
     return _from_op(data, (a,), make_vjp)
 
@@ -509,20 +514,6 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
     return _from_op(_drop(x.data, keep, p), (x,), make_vjp)
 
 
-def masked_fill(x: Tensor, keep_mask, fill_value: float) -> Tensor:
-    """Keep entries where ``keep_mask`` is true, replace the rest by a constant.
-
-    The mask broadcasts against ``x``; gradient flows only through kept slots.
-    """
-    keep = np.asarray(keep_mask, dtype=bool)
-
-    def make_vjp():
-        shape_x = x.data.shape
-        return lambda g: (_unbroadcast(np.where(keep, g, 0.0), shape_x),)
-
-    return _from_op(np.where(keep, x.data, fill_value), (x,), make_vjp)
-
-
 # ---------------------------------------------------------------------------
 # serialization: "TBJT" little-endian tensor format
 # ---------------------------------------------------------------------------
@@ -566,6 +557,54 @@ def read_json(raw: bytes, what: str, required=()) -> dict:
     if missing:
         raise ConfigError(f"{what} lacks keys {missing}")
     return obj
+
+
+def write_head(fh, magic: bytes, version: int, header: bytes) -> None:
+    """Open an artifact: ``magic``, u32 version, u32 header length, then the
+    JSON ``header`` as its writer encoded it."""
+    fh.write(magic)
+    fh.write(struct.pack("<II", version, len(header)))
+    fh.write(header)
+
+
+def read_head(fh, magic: bytes, what: str, versions: range,
+              required=()) -> tuple[int, dict]:
+    """Read the head ``write_head`` wrote; returns the version, which must
+    lie in ``versions`` and is checked before the header is parsed, and the
+    header, which must hold the ``required`` keys. ``what`` names the
+    artifact in errors."""
+    got = read_exact(fh, 4)
+    if got != magic:
+        raise ConfigError(f"bad {what} magic {got!r}; expected {magic!r}")
+    (version,) = struct.unpack("<I", read_exact(fh, 4))
+    if version not in versions:
+        reads = (f"; this build reads {versions[0]} to {versions[-1]}"
+                 if len(versions) > 1 else "")
+        raise ConfigError(f"unsupported {what} version {version}{reads}")
+    (size,) = struct.unpack("<I", read_exact(fh, 4))
+    return version, read_json(read_exact(fh, size), f"{what} header",
+                              required)
+
+
+def write_named(fh, entries) -> None:
+    """Write a named section: a u32 entry count, then per ``(name, arrays)``
+    entry a u32-length-prefixed UTF-8 name followed by each array."""
+    entries = list(entries)
+    fh.write(struct.pack("<I", len(entries)))
+    for name, arrays in entries:
+        encoded = name.encode("utf-8")
+        fh.write(struct.pack("<I", len(encoded)) + encoded)
+        for arr in arrays:
+            write_array(fh, arr)
+
+
+def read_named(fh):
+    """Yield the names of a section ``write_named`` wrote; the caller reads
+    each entry's arrays before it asks for the next name."""
+    (count,) = struct.unpack("<I", read_exact(fh, 4))
+    for _ in range(count):
+        (size,) = struct.unpack("<I", read_exact(fh, 4))
+        yield read_exact(fh, size).decode("utf-8", errors="replace")
 
 
 def read_array_header(fh) -> tuple[int, ...]:

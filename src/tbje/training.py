@@ -15,15 +15,14 @@ trajectory of an uninterrupted one.
 from __future__ import annotations
 
 import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, NumericError, check_section
+from .errors import ConfigError, ContractError, NumericError, read_section
 from .metrics import accuracy, emotion_predictions, sentiment_bins
 # model_bytes is not called here: it is imported so that the benchmark's
 # tracer can wrap tbje.training.model_bytes
@@ -74,18 +73,11 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr, "batch_size": self.batch_size,
-            "decay_factor": self.decay_factor, "max_decays": self.max_decays,
-            "patience": self.patience, "ensemble_size": self.ensemble_size,
-            "seed": self.seed, "max_epochs": self.max_epochs,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(raw: dict) -> "TrainConfig":
-        defaults = TrainConfig().to_dict()
-        return TrainConfig(**{**defaults,
-                              **check_section(raw, defaults, "training")})
+        return read_section(TrainConfig, raw, "training")
 
 
 @dataclass
@@ -419,7 +411,7 @@ def train_ensemble(make_model, train, valid, cfg: TrainConfig, log_dir=None,
     """
     members = []
     for i in range(cfg.ensemble_size):
-        member_cfg = TrainConfig(**{**cfg.to_dict(), "seed": cfg.seed + i})
+        member_cfg = replace(cfg, seed=cfg.seed + i)
         state_path = (None if state_dir is None
                       else Path(state_dir) / f"state-member{i}.tbjs")
         state = None
@@ -454,45 +446,27 @@ def save_train_state(path, model: TbjeModel, state: TrainState) -> None:
     header), the live parameters (an embedded checkpoint), and then, per
     parameter name, its two Adam moments and its best-validation array."""
     header = {key: getattr(state, key) for key in _STATE_HEADER}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(STATE_MAGIC)
-        fh.write(struct.pack("<I", STATE_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+        T.write_head(fh, STATE_MAGIC, STATE_VERSION,
+                     json.dumps(header, sort_keys=True).encode("utf-8"))
         write_model(fh, model)
-        names = sorted(state.first_moment)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            T.write_array(fh, state.first_moment[name])
-            T.write_array(fh, state.second_moment[name])
-            T.write_array(fh, state.best[name])
+        T.write_named(fh, ((name, (state.first_moment[name],
+                                   state.second_moment[name],
+                                   state.best[name]))
+                           for name in sorted(state.first_moment)))
 
 
 def load_train_state(path) -> tuple[TbjeModel, TrainState]:
     with open(path, "rb") as fh:
-        magic = T.read_exact(fh, 4)
-        if magic != STATE_MAGIC:
-            raise ConfigError(f"bad train-state magic {magic!r}; expected "
-                              f"{STATE_MAGIC!r}")
-        (version,) = struct.unpack("<I", T.read_exact(fh, 4))
-        if version != STATE_VERSION:
-            raise ConfigError(f"unsupported train-state version {version}")
-        (blob_len,) = struct.unpack("<I", T.read_exact(fh, 4))
-        header = T.read_json(T.read_exact(fh, blob_len), "train-state header",
-                             required=_STATE_HEADER)
+        _, header = T.read_head(fh, STATE_MAGIC, "train-state",
+                                range(STATE_VERSION, STATE_VERSION + 1),
+                                required=_STATE_HEADER)
         model = read_model(fh)
         state = TrainState(**{key: header[key] for key in _STATE_HEADER})
         params = model.parameter_dict()
         mismatch = ("train state moments do not match the model's "
                     "parameter names")
-        (count,) = struct.unpack("<I", T.read_exact(fh, 4))
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", T.read_exact(fh, 4))
-            name = T.read_exact(fh, name_len).decode("utf-8", errors="replace")
+        for name in T.read_named(fh):
             if name not in params:
                 raise ConfigError(mismatch)
             for kind, arrays in (("first moment", state.first_moment),

@@ -1,32 +1,93 @@
 """End-to-end command-line tests: extraction, training, evaluation,
 gradient checking, and the block sweep, plus exit-code discipline."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import shutil
 import struct
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tbje.model
 import tbje.tensor as TT
 from tbje.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                       format_report, main)
-from tbje.config import (RunConfig, load_run_config, mel_from_dict,
-                         default_encoder, save_run_config)
+from tbje.config import (PATH_KEYS, RunConfig, default_encoder,
+                         load_run_config, save_run_config)
 from tbje.data import load_vocabulary, read_bundle
 from tbje.errors import ConfigError
 from tbje.features import DataWarning, MelConfig
 from tbje.metrics import evaluation_report
-from tbje.model import load_model, save_model
+from tbje.model import EncoderConfig, load_model, save_model
 from tbje.training import (TrainConfig, ensemble_predict, gold_labels,
                            load_train_state, predictions_from_probabilities,
                            save_train_state)
 
 from toy_corpus import build_toy_corpus, toy_run_config
+
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=50,
+                    database=None)
+SIZES = st.dictionaries(st.sampled_from("LAV"), st.integers(1, 64))
+
+
+@st.composite
+def encoder_configs(draw):
+    modalities = draw(st.lists(st.sampled_from("LAV"), min_size=1,
+                               unique=True))
+    heads = draw(st.integers(1, 4))
+    task = draw(st.sampled_from(["sentiment-2", "sentiment-7",
+                                 "emotions-6"]))
+    variants = ["auto", "joint"] + ["monomodal"] * (len(modalities) == 1)
+    rate = st.floats(0.0, 1.0, exclude_max=True)
+    return EncoderConfig(
+        modalities=modalities, primary=draw(st.sampled_from(modalities)),
+        blocks=draw(st.integers(0, 8)), heads=heads,
+        width=heads * draw(st.integers(1, 128)),
+        mlp_width=draw(st.integers(1, 2048)), dropout_block=draw(rate),
+        dropout_classifier=draw(rate),
+        lengths={**draw(SIZES), **{m: draw(st.integers(1, 64))
+                                   for m in modalities}},
+        input_widths={**draw(SIZES), **{m: draw(st.integers(1, 512))
+                                        for m in modalities}},
+        task=task, variant=draw(st.sampled_from(variants)),
+        positional=draw(st.dictionaries(st.sampled_from("LAV"),
+                                        st.booleans())),
+        dropout_per_sublayer=draw(st.booleans()),
+        sentiment_boundary=(draw(st.floats(-3.0, 3.0))
+                            if task == "sentiment-2" else 0.0))
+
+
+@st.composite
+def mel_configs(draw):
+    window = draw(st.integers(1, 4096))
+    return MelConfig(sample_rate=draw(st.integers(1, 96000)),
+                     n_fft=window + draw(st.integers(0, 4096)),
+                     hop=draw(st.integers(1, 4096)), window=window,
+                     bands=draw(st.integers(1, 256)),
+                     stride=draw(st.integers(1, 64)),
+                     floor=draw(st.floats(1e-12, 1.0)))
+
+
+def run_configs():
+    training = st.builds(
+        TrainConfig, lr=st.floats(0.0, 1.0), batch_size=st.integers(1, 512),
+        decay_factor=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        max_decays=st.integers(0, 5), patience=st.integers(1, 10),
+        ensemble_size=st.integers(1, 10), seed=st.integers(0, 2 ** 63),
+        max_epochs=st.integers(1, 1000))
+    paths = st.dictionaries(st.sampled_from(PATH_KEYS),
+                            st.text(st.characters(codec="utf-8")))
+    return st.builds(RunConfig, encoder=encoder_configs(), training=training,
+                     mel=mel_configs(), paths=paths)
 
 
 def run_quiet(argv) -> int:
@@ -124,7 +185,7 @@ class TestRunConfig:
 
     def test_mel_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="preemphasis"):
-            mel_from_dict({"preemphasis": 0.97})
+            RunConfig.from_dict({"mel": {"preemphasis": 0.97}})
 
     @pytest.mark.parametrize("raw, key", [
         ({"encoder": {"blocks": "6"}}, "encoder.blocks"),
@@ -159,6 +220,42 @@ class TestRunConfig:
 
     def test_default_encoder_is_bimodal_joint(self):
         assert default_encoder().resolved_variant() == "joint"
+
+    @SETTINGS
+    @given(run_configs())
+    def test_any_config_round_trips_through_its_file(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            save_run_config(path, cfg)
+            assert load_run_config(path) == cfg
+
+    @SETTINGS
+    @given(run_configs())
+    def test_every_section_reads_back_its_dict(self, cfg):
+        assert EncoderConfig.from_dict(cfg.encoder.to_dict()) == cfg.encoder
+        assert TrainConfig.from_dict(cfg.training.to_dict()) == cfg.training
+        assert RunConfig.from_dict(
+            {"mel": dataclasses.asdict(cfg.mel)}).mel == cfg.mel
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+    @SETTINGS
+    @given(run_configs(),
+           st.sampled_from(["", "encoder", "training", "mel", "paths"]),
+           st.text(st.characters(codec="utf-8"), max_size=12))
+    def test_unknown_key_in_any_section_exits_2(self, cfg, section, key):
+        raw = cfg.to_dict()
+        target = raw[section] if section else raw
+        assume(key not in set(target) | set(PATH_KEYS))
+        target[key] = 1
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stderr(err):
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(raw), encoding="utf-8")
+            assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+        name = f"{section}.{key}" if section else key
+        assert err.getvalue().startswith(f"error: unknown config keys "
+                                         f"[{name!r}]")
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +656,7 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint config")
         assert "dropout_block" in err and err.count("\n") == 1
+        assert str(tmp_path / "other.tbjm") in err
         assert not (tmp_path / "report-test.txt").exists()
 
     def test_manifest_cut_mid_string_is_config_error(self, corpus, trained,

@@ -92,8 +92,7 @@ def glimpse_embed_first(m, params, keep):
     """The glimpse scored in the other association, (m @ embed) @ scoresᵀ."""
     embedded = T.matmul(m, params.embed)
     scores = T.transpose(T.matmul(embedded, T.transpose(params.scores)))
-    scores = T.masked_fill(scores, keep[..., None, :], -np.inf)
-    return T.matmul(T.softmax(scores, axis=-1), m)
+    return T.matmul(T.softmax(scores, axis=-1, keep=keep[..., None, :]), m)
 
 
 def test_glimpse_matches_embed_first_order_with_gradients():
@@ -153,6 +152,22 @@ def test_glimpse_invariant_to_row_permutation_when_uniform():
     a = glimpse(Tensor(m), params).data
     b = glimpse(Tensor(m[perm]), params).data
     assert np.allclose(a, b, atol=1e-12)
+
+
+def test_glimpse_slots_without_rng_are_allocated_once(monkeypatch):
+    """With no RNG each glimpse array is the one ``np.empty`` allocated,
+    not a C-ordered copy of a transposed one."""
+    allocated, real_empty = [], np.empty
+
+    def empty(*args, **kwargs):
+        allocated.append(real_empty(*args, **kwargs))
+        return allocated[-1]
+
+    monkeypatch.setattr(np, "empty", empty)
+    params = GlimpseParams.init(None, 4, 3, with_norm=False)
+    assert params.scores.data.shape == (3, 8)
+    for t in (params.embed, params.scores):
+        assert any(np.shares_memory(a, t.data) for a in allocated)
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +738,14 @@ def test_checkpoint_corrupt_header_is_config_error(header):
     blob = (CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION,
                                            len(header)) + header)
     with pytest.raises(ConfigError, match="checkpoint header"):
+        read_model(io.BytesIO(blob))
+
+
+def test_checkpoint_header_config_not_an_object_is_config_error():
+    header = b'{"config": 5}'
+    blob = (CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION,
+                                           len(header)) + header)
+    with pytest.raises(ConfigError, match="'encoder' must be an object"):
         read_model(io.BytesIO(blob))
 
 

@@ -15,7 +15,7 @@ from tbje.data import Split
 from tbje.errors import ConfigError, ContractError, NumericError
 from tbje.metrics import accuracy, sentiment_bins
 from tbje.model import (CHECKPOINT_MAGIC, EncoderConfig, init_model,
-                        model_bytes, read_model)
+                        model_bytes, read_model, save_model)
 from tbje.synthetic import make_synthetic_bundle
 from tbje.tensor import Tape, Tensor
 from tbje.training import (TrainConfig, TrainState, adam_step,
@@ -673,6 +673,51 @@ class TestEvaluation:
 # ---------------------------------------------------------------------------
 
 class TestTrainState:
+    def test_artifact_bytes_follow_the_documented_layout(self, tmp_path):
+        """A checkpoint and a train state, byte for byte as README's
+        "On-disk formats" lays them out."""
+        def tbjt(arr):
+            return (b"TBJT" + bytes([arr.ndim])
+                    + struct.pack(f"<{arr.ndim}I", *arr.shape)
+                    + arr.astype("<f8").tobytes())
+
+        def section(entries):
+            out = struct.pack("<I", len(entries))
+            for name, arrays in entries:
+                out += struct.pack("<I", len(name.encode())) + name.encode()
+                out += b"".join(tbjt(a) for a in arrays)
+            return out
+
+        model = init_model(tiny_encoder(), seed=4, vocab_hash="v1")
+        params = model.parameter_dict()
+        rng = np.random.default_rng(4)
+        state = init_state(params, 0.01)
+        for arrays in (state.first_moment, state.second_moment):
+            for name in arrays:
+                arrays[name] = rng.normal(size=arrays[name].shape)
+        state.best = {n: rng.normal(size=p.data.shape)
+                      for n, p in params.items()}
+        state.step, state.epoch, state.best_accuracy = 3, 1, 0.5
+        state.log = [{"epoch": 1, "lr": 0.01}]
+
+        config = json.dumps({"config": model.config.to_dict(),
+                             "vocab_hash": "v1"}, sort_keys=True,
+                            separators=(",", ":")).encode()
+        checkpoint = (b"TBJM" + struct.pack("<II", 3, len(config)) + config
+                      + section([(n, [p.data]) for n, p in params.items()]))
+        counters = json.dumps({
+            "best_accuracy": 0.5, "decays_used": 0, "epoch": 1,
+            "log": state.log, "lr": 0.01, "stagnant": 0, "step": 3,
+            "stopped": False}, sort_keys=True).encode()
+        moments = section([(n, [state.first_moment[n], state.second_moment[n],
+                                state.best[n]]) for n in sorted(params)])
+        save_model(tmp_path / "m.tbjm", model)
+        save_train_state(tmp_path / "s.tbjs", model, state)
+        assert (tmp_path / "m.tbjm").read_bytes() == checkpoint
+        assert (tmp_path / "s.tbjs").read_bytes() == (
+            b"TBJS" + struct.pack("<II", 3, len(counters)) + counters
+            + checkpoint + moments)
+
     def test_round_trip_preserves_everything(self, bundle, tmp_path):
         model = init_model(tiny_encoder(), seed=7)
         state = fit(model, bundle.splits["train"], bundle.splits["valid"],
