@@ -174,6 +174,7 @@ def cmd_extract_features(args) -> int:
     if missing:
         raise FileNotFoundError("missing input files:\n  "
                                 + "\n  ".join(missing))
+    labels = {row["id"]: _parse_labels(row, manifest_path) for row in rows}
 
     by_split = {}
     for row in rows:
@@ -231,7 +232,7 @@ def cmd_extract_features(args) -> int:
                 sequences["A"].append(mel_frames[row["id"]])
             if "V" in modalities:
                 sequences["V"].append(visual[row["id"]])
-            s, flags = _parse_labels(row, manifest_path)
+            s, flags = labels[row["id"]]
             sentiment.append(s)
             emotions.append(flags)
         splits[name] = Split(

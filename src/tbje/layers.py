@@ -183,15 +183,15 @@ def multi_head_attention(params: MhaParams, query: Tensor, key: Tensor,
 
 
 def sublayer(x: Tensor, f: Callable[[Tensor], Tensor], params: SublayerParams,
-             dropout_p: float = 0.0, rng: Optional[np.random.Generator] = None,
-             training: bool = False) -> Tensor:
-    """Residual wrapper layer_norm(x + dropout(f(x))), one tape record."""
+             dropout_p: float = 0.0,
+             rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Residual wrapper layer_norm(x + dropout(f(x))), one tape record; it
+    drops only when handed an ``rng``."""
     fx = f(x)
     if fx.data.shape != x.data.shape:
         raise ContractError(
             f"sublayer function changed shape {x.data.shape} -> {fx.data.shape}")
-    return T.residual_norm(x, fx, params.gain, params.bias, dropout_p, rng,
-                           training)
+    return T.residual_norm(x, fx, params.gain, params.bias, dropout_p, rng)
 
 
 def positional_encoding(n: int, width: int) -> Tensor:

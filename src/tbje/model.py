@@ -270,43 +270,44 @@ def _project(batch: ModalityBatch, model: TbjeModel) -> Tensor:
 
 
 class _DropoutPlan:
-    """Resolves the per-sublayer dropout rate and hands each sublayer its own
-    derived RNG stream so the draw order is independent of evaluation order."""
+    """The one place that decides dropout. Each site asks for its (rate,
+    RNG); a training-mode site with a rate above 0 gets an RNG of its own
+    derived stream, so the draws do not depend on the evaluation order,
+    and every other site gets no RNG and so drops nothing."""
 
-    def __init__(self, model: TbjeModel, rng_seed, training: bool):
-        self.p = model.config.dropout_block
-        self.per_sublayer = model.config.dropout_per_sublayer
-        self.training = training and self.p > 0.0
+    def __init__(self, config: EncoderConfig, rng_seed, training: bool):
+        self.config = config
         self.seed = rng_seed
-        if self.training and rng_seed is None:
+        self.training = training
+
+    def site(self, *stream) -> tuple[float, Optional[np.random.Generator]]:
+        cfg = self.config
+        if stream == ("classifier",):
+            p = cfg.dropout_classifier
+        elif cfg.dropout_per_sublayer or stream[-1] == "mha":
+            p = cfg.dropout_block
+        else:
+            p = 0.0
+        if not self.training or p == 0.0:
+            return p, None
+        if self.seed is None:
             raise ContractError("training-mode forward needs an RNG seed")
-
-    def rate(self, slot: str) -> float:
-        if self.per_sublayer or slot == "mha":
-            return self.p
-        return 0.0
-
-    def rng(self, *stream):
-        if not self.training:
-            return None
-        return make_rng(self.seed, "dropout", *stream)
+        return p, make_rng(self.seed, "dropout", *stream)
 
 
 def _run_block(x: Tensor, block: BlockParams, plan: _DropoutPlan,
                own_mask: np.ndarray, key: Tensor, key_mask: np.ndarray,
-               tag: str, index: int, training: bool) -> Tensor:
+               tag: str, index: int) -> Tensor:
     """One encoder block: attention sublayer (self or cross, depending on
     `key`), MLP sublayer, optional glimpse sublayer."""
     x = sublayer(x,
                  lambda t: multi_head_attention(block.mha, t, key, key, key_mask),
-                 block.mha_norm, plan.rate("mha"),
-                 plan.rng(tag, index, "mha"), training)
-    x = sublayer(x, block.mlp.apply, block.mlp_norm, plan.rate("mlp"),
-                 plan.rng(tag, index, "mlp"), training)
+                 block.mha_norm, *plan.site(tag, index, "mha"))
+    x = sublayer(x, block.mlp.apply, block.mlp_norm,
+                 *plan.site(tag, index, "mlp"))
     if block.glimpse is not None:
         x = sublayer(x, lambda t: glimpse(t, block.glimpse, own_mask),
-                     block.glimpse.norm, plan.rate("glimpse"),
-                     plan.rng(tag, index, "glimpse"), training)
+                     block.glimpse.norm, *plan.site(tag, index, "glimpse"))
     return x
 
 
@@ -325,24 +326,20 @@ def encode_joint(batches: dict[str, ModalityBatch], model: TbjeModel,
     missing = [m for m in cfg.modalities if m not in batches]
     if missing:
         raise ConfigError(f"batches missing for modalities {missing}")
-    plan = _DropoutPlan(model, rng_seed, training)
+    plan = _DropoutPlan(cfg, rng_seed, training)
 
     states = {m: _project(batches[m], model) for m in cfg.modalities}
     trace = []
     primary = cfg.primary
-    primary_mask = batches[primary].mask
+    order = (primary, *(m for m in cfg.modalities if m != primary))
     for b in range(cfg.blocks):
-        states[primary] = _run_block(
-            states[primary], model.blocks[primary][b], plan,
-            own_mask=primary_mask, key=states[primary], key_mask=primary_mask,
-            tag=primary, index=b, training=training)
-        for m in cfg.modalities:
-            if m == primary:
-                continue
+        for m in order:
+            # the primary's keys are read before its state is replaced:
+            # itself for the primary, its block output for the others
             states[m] = _run_block(
-                states[m], model.blocks[m][b], plan,
-                own_mask=batches[m].mask, key=states[primary],
-                key_mask=primary_mask, tag=m, index=b, training=training)
+                states[m], model.blocks[m][b], plan, batches[m].mask,
+                key=states[primary], key_mask=batches[primary].mask,
+                tag=m, index=b)
         if return_blocks:
             trace.append({m: states[m].data.copy() for m in cfg.modalities})
     if return_blocks:
@@ -353,17 +350,14 @@ def encode_joint(batches: dict[str, ModalityBatch], model: TbjeModel,
 def classify(encoded: dict[str, Tensor], masks: dict[str, np.ndarray],
              model: TbjeModel, rng_seed=None, training: bool = False) -> Tensor:
     """Pool each modality with its final single-glimpse, sum element-wise,
-    layer-norm, project to logits. Returns (batch, classes)."""
+    dropout, layer-norm, project to logits. Returns (batch, classes)."""
     cfg = model.config
     pooled = None
     for m in cfg.modalities:
         vec = glimpse(encoded[m], model.final_glimpse[m], masks.get(m))
         pooled = vec if pooled is None else T.add(pooled, vec)
-    if training and cfg.dropout_classifier > 0.0:
-        if rng_seed is None:
-            raise ContractError("training-mode forward needs an RNG seed")
-        pooled = T.dropout(pooled, cfg.dropout_classifier,
-                           make_rng(rng_seed, "dropout", "classifier"), True)
+    pooled = T.dropout(pooled, *_DropoutPlan(cfg, rng_seed, training)
+                       .site("classifier"))
     normed = T.layer_norm(pooled, model.head_norm.gain, model.head_norm.bias)
     logits = model.head.apply(normed)
     batch = logits.data.shape[0]
@@ -449,17 +443,8 @@ def read_model(fh, into: Optional[TbjeModel] = None) -> TbjeModel:
 
 def load_model(path, into: Optional[TbjeModel] = None) -> TbjeModel:
     """Read the checkpoint at ``path``; given ``into``, its arrays are
-    overwritten as ``read_model`` describes. Every ``ConfigError`` names
-    ``path``."""
-    try:
-        with open(path, "rb") as fh:
-            model = read_model(fh, into)
-            if fh.read(1):
-                raise ConfigError("checkpoint has trailing bytes after its "
-                                  "last tensor")
-    except ConfigError as exc:
-        raise ConfigError(f"{exc} (in {path})") from None
-    return model
+    overwritten as ``read_model`` describes. Every error names ``path``."""
+    return T.read_file(path, lambda fh: read_model(fh, into))
 
 
 def model_bytes(model: TbjeModel) -> bytes:

@@ -421,9 +421,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
                   p: float = 0.0, rng: np.random.Generator | None = None,
-                  training: bool = False, eps: float = 1e-5) -> Tensor:
-    """``layer_norm(x + dropout(fx, p, rng, training), gain, bias, eps)`` as
-    one record; ``fx=None`` is ``layer_norm(x, gain, bias, eps)``.
+                  eps: float = 1e-5) -> Tensor:
+    """``layer_norm(x + dropout(fx, p, rng), gain, bias, eps)`` as one
+    record; ``fx=None`` is ``layer_norm(x, gain, bias, eps)``.
 
     Values, gradients and the dropout draw are bit-identical to that chain
     of three ops, but the record keeps only the bool dropout mask, the
@@ -437,7 +437,7 @@ def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
             f"{gain.data.shape} and {bias.data.shape}")
     keep, s = None, x.data
     if fx is not None:
-        keep = _dropout_keep(fx.data.shape, p, rng, training)
+        keep = _dropout_keep(fx.data.shape, p, rng)
         s = s + (fx.data if keep is None else _drop(fx.data, keep, p))
     mu = s.mean(axis=-1, keepdims=True)
     centered = s - mu
@@ -474,16 +474,14 @@ def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
     return _from_op(data, (x, fx, gain, bias), make_vjp)
 
 
-def _dropout_keep(shape, p: float, rng: np.random.Generator | None,
-                  training: bool) -> np.ndarray | None:
+def _dropout_keep(shape, p: float,
+                  rng: np.random.Generator | None) -> np.ndarray | None:
     """The inverted-dropout keep mask as ``bool``, or ``None`` where dropout
-    is the identity (eval mode or p == 0)."""
-    if not training or p == 0.0:
+    is the identity (no ``rng``, or p == 0)."""
+    if rng is None or p == 0.0:
         return None
     if not 0.0 < p < 1.0:
         raise ContractError(f"dropout rate must lie in [0, 1), got {p}")
-    if rng is None:
-        raise ContractError("dropout in training mode needs an RNG")
     return rng.random(shape) >= p
 
 
@@ -497,14 +495,12 @@ def _drop(a: np.ndarray, keep: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
-            training: bool) -> Tensor:
-    """Inverted dropout: train-time Bernoulli mask with 1/(1-p) rescale.
-
-    In eval mode (or with p == 0) the input tensor is returned unchanged,
-    so eval is the identity bit for bit.
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: a Bernoulli mask drawn from ``rng`` with 1/(1-p)
+    rescale. With no ``rng`` (or with p == 0) the input tensor is returned
+    unchanged, so eval is the identity bit for bit.
     """
-    keep = _dropout_keep(x.data.shape, p, rng, training)
+    keep = _dropout_keep(x.data.shape, p, rng)
     if keep is None:
         return x
 
@@ -668,9 +664,18 @@ def save_array(path, arr: np.ndarray) -> None:
         write_array(fh, arr)
 
 
+def read_file(path, parse):
+    """``parse(fh)`` over the file at ``path``, which it must read to the
+    end; each artifact error it raises ends with ``(in PATH)``."""
+    try:
+        with open(path, "rb") as fh:
+            result = parse(fh)
+            if fh.read(1):
+                raise ConfigError("trailing bytes after the last array")
+    except (ConfigError, ContractError) as exc:
+        raise type(exc)(f"{exc} (in {path})") from None
+    return result
+
+
 def load_array(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        arr = read_array(fh)
-        if fh.read(1):
-            raise ConfigError(f"{path} has trailing bytes after its array")
-    return arr
+    return read_file(path, read_array)

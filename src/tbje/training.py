@@ -338,8 +338,6 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
         state = init_state(params, cfg.lr)
     task = model.config.task
     labels = gold_labels(train, task, model.config.sentiment_boundary)
-    if task == "emotions-6":
-        labels = labels.astype(np.float64)
     n = train.size
 
     while not state.stopped and state.epoch < cfg.max_epochs:
@@ -456,28 +454,28 @@ def save_train_state(path, model: TbjeModel, state: TrainState) -> None:
                            for name in sorted(state.first_moment)))
 
 
-def load_train_state(path) -> tuple[TbjeModel, TrainState]:
-    with open(path, "rb") as fh:
-        _, header = T.read_head(fh, STATE_MAGIC, "train-state",
-                                range(STATE_VERSION, STATE_VERSION + 1),
-                                required=_STATE_HEADER)
-        model = read_model(fh)
-        state = TrainState(**{key: header[key] for key in _STATE_HEADER})
-        params = model.parameter_dict()
-        mismatch = ("train state moments do not match the model's "
-                    "parameter names")
-        for name in T.read_named(fh):
-            if name not in params:
-                raise ConfigError(mismatch)
-            for kind, arrays in (("first moment", state.first_moment),
-                                 ("second moment", state.second_moment),
-                                 ("best array", state.best)):
-                arrays[name] = T.read_array_into(
-                    fh, np.empty(params[name].data.shape),
-                    f"train-state {kind} {name!r}")
-        if fh.read(1):
-            raise ConfigError(f"train state {path} has trailing bytes after "
-                              f"its last array")
+def _read_train_state(fh) -> tuple[TbjeModel, TrainState]:
+    _, header = T.read_head(fh, STATE_MAGIC, "train-state",
+                            range(STATE_VERSION, STATE_VERSION + 1),
+                            required=_STATE_HEADER)
+    model = read_model(fh)
+    state = TrainState(**{key: header[key] for key in _STATE_HEADER})
+    params = model.parameter_dict()
+    mismatch = "train state moments do not match the model's parameter names"
+    for name in T.read_named(fh):
+        if name not in params:
+            raise ConfigError(mismatch)
+        for kind, arrays in (("first moment", state.first_moment),
+                             ("second moment", state.second_moment),
+                             ("best array", state.best)):
+            arrays[name] = T.read_array_into(
+                fh, np.empty(params[name].data.shape),
+                f"train-state {kind} {name!r}")
     if set(state.first_moment) != set(params):
         raise ConfigError(mismatch)
     return model, state
+
+
+def load_train_state(path) -> tuple[TbjeModel, TrainState]:
+    """Read the state at ``path``; every error names ``path``."""
+    return T.read_file(path, _read_train_state)

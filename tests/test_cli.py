@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tbje.cli
 import tbje.model
 import tbje.tensor as TT
 from tbje.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
@@ -317,6 +318,22 @@ class TestExtract:
         assert run_quiet(["extract-features", "--config", str(config)]) \
             == EXIT_CONFIG
 
+    def test_bad_sentiment_rejected_before_any_clip_is_read(
+            self, tmp_path, monkeypatch, capsys):
+        build_toy_corpus(tmp_path)
+        config = toy_run_config(tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        # the last row's sentiment
+        manifest.write_text(manifest.read_text().replace(",2.9,", ",oops,"))
+        loads = []
+        monkeypatch.setattr(tbje.cli, "load_waveform",
+                            lambda *args: loads.append(args))
+        assert run_quiet(["extract-features", "--config", str(config)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad sentiment 'oops'" in err and err.count("\n") == 1
+        assert loads == []
+
     def test_unknown_column_rejected(self, tmp_path, capsys):
         build_toy_corpus(tmp_path)
         config = toy_run_config(tmp_path)
@@ -421,7 +438,8 @@ class TestTrain:
         assert main(["train", "--config", str(config), "--out", str(out),
                      "--resume"]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == "error: unsupported train-state version 1\n"
+        assert err == (f"error: unsupported train-state version 1 "
+                       f"(in {state})\n")
 
     def test_resume_from_v2_state_rejected(self, corpus, tmp_path, capsys):
         config = variant_config(corpus, tmp_path / "one.json",
@@ -436,7 +454,25 @@ class TestTrain:
         assert main(["train", "--config", str(config), "--out", str(out),
                      "--resume"]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == "error: unsupported train-state version 2\n"
+        assert err == (f"error: unsupported train-state version 2 "
+                       f"(in {state})\n")
+
+    def test_resume_from_truncated_state_names_the_file(self, corpus,
+                                                        tmp_path, capsys):
+        config = variant_config(corpus, tmp_path / "one.json",
+                                training={"max_epochs": 1})
+        out = tmp_path / "old"
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        state = out / "state-member0.tbjs"
+        blob = state.read_bytes()
+        state.write_bytes(blob[: len(blob) // 2])
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--out", str(out),
+                     "--resume"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated file")
+        assert err.endswith(f" (in {state})\n") and err.count("\n") == 1
 
     def test_resume_from_misshaped_moment_rejected(self, corpus, tmp_path,
                                                    capsys):
@@ -673,6 +709,19 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: bundle manifest")
         assert err.count("\n") == 1
+
+    def test_truncated_bundle_array_names_the_file(self, corpus, trained,
+                                                   tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(corpus / "bundle", bundle)
+        cut = bundle / "train" / "L.features.tbjt"
+        blob = cut.read_bytes()
+        cut.write_bytes(blob[: len(blob) // 2])
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--bundle", str(bundle)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated file")
+        assert err.endswith(f" (in {cut})\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("section,entry,key", [
         ("splits", "test", "count"), ("splits", "test", "ids"),

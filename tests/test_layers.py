@@ -273,7 +273,7 @@ def test_sublayer_training_dropout_differs_from_eval():
     params = SublayerParams.init(8)
     evaled = sublayer(x, lambda t: T.relu(t), params, dropout_p=0.5)
     trained = sublayer(x, lambda t: T.relu(t), params, dropout_p=0.5,
-                       rng=make_rng(1, "drop"), training=True)
+                       rng=make_rng(1, "drop"))
     assert not np.array_equal(evaled.data, trained.data)
 
 

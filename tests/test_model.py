@@ -453,6 +453,45 @@ def test_per_block_dropout_mode_only_touches_attention_sublayer():
                           forward_logits(m_sub, batches).data)
 
 
+@pytest.mark.parametrize("rates", [
+    dict(dropout_block=0.2, dropout_classifier=0.0),
+    dict(dropout_block=0.0, dropout_classifier=0.5)], ids=["block", "classifier"])
+def test_training_forward_without_seed_is_rejected(rates):
+    cfg = toy_config(**rates)
+    batches = toy_batches(make_rng(88, "no-seed"), cfg, 2)
+    with pytest.raises(ContractError,
+                       match="training-mode forward needs an RNG seed"):
+        forward_logits(init_model(cfg, seed=18), batches, training=True)
+
+
+def test_training_forward_without_dropout_needs_no_seed():
+    cfg = toy_config(dropout_block=0.0, dropout_classifier=0.0)
+    model = init_model(cfg, seed=19)
+    batches = toy_batches(make_rng(89, "no-drop"), cfg, 2)
+    assert np.array_equal(forward_logits(model, batches, training=True).data,
+                          forward_logits(model, batches).data)
+
+
+def test_zero_rate_sites_draw_no_rng(monkeypatch):
+    # per-block mode: one RNG per attention sublayer and one for the
+    # classifier; the MLP and glimpse sublayers drop nothing and get none
+    cfg = toy_config(modalities=("L", "A", "V"), blocks=2,
+                     lengths={"L": 3, "A": 4, "V": 2},
+                     input_widths={"L": 5, "A": 6, "V": 3},
+                     dropout_block=0.3, dropout_per_sublayer=False)
+    model = init_model(cfg, seed=20)
+    batches = toy_batches(make_rng(90, "rng-count"), cfg, 2)
+    streams = []
+
+    def counted(*args):
+        streams.append(args)
+        return make_rng(*args)
+
+    monkeypatch.setattr(tbje.model, "make_rng", counted)
+    forward_logits(model, batches, rng_seed=4, training=True)
+    assert len(streams) == cfg.blocks * len(cfg.modalities) + 1
+
+
 # ---------------------------------------------------------------------------
 # end-to-end gradient check (toy config)
 # ---------------------------------------------------------------------------

@@ -130,13 +130,13 @@ def test_layer_norm_shape_check():
 
 def test_dropout_eval_is_identity_object():
     x = T.Tensor([[1.0, 2.0]])
-    assert T.dropout(x, 0.5, None, training=False) is x
+    assert T.dropout(x, 0.5, None) is x
 
 
 def test_dropout_train_masks_and_rescales():
     rng = make_rng(11, "dropout")
     x = T.Tensor(np.ones((200, 50)))
-    out = T.dropout(x, 0.3, rng, training=True)
+    out = T.dropout(x, 0.3, rng)
     vals = np.unique(out.data)
     assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.7, 12)}
     # keep fraction concentrates near 1-p
@@ -145,8 +145,8 @@ def test_dropout_train_masks_and_rescales():
 
 def test_dropout_seed_reproducible():
     x = T.Tensor(np.ones((10, 10)))
-    a = T.dropout(x, 0.4, make_rng(5, "d"), training=True)
-    b = T.dropout(x, 0.4, make_rng(5, "d"), training=True)
+    a = T.dropout(x, 0.4, make_rng(5, "d"))
+    b = T.dropout(x, 0.4, make_rng(5, "d"))
     assert np.array_equal(a.data, b.data)
 
 
@@ -440,9 +440,9 @@ def test_grad_layer_norm():
 def test_grad_dropout_is_scaled_mask():
     x = T.Tensor(np.ones((6, 6)), requires_grad=True)
     with T.Tape() as tape:
-        out = T.dropout(x, 0.25, make_rng(9, "dg"), training=True)
+        out = T.dropout(x, 0.25, make_rng(9, "dg"))
         tape.backward(T.tsum(out))
-    expected = (T.dropout(x, 0.25, make_rng(9, "dg"), training=True).data != 0)
+    expected = (T.dropout(x, 0.25, make_rng(9, "dg")).data != 0)
     assert np.array_equal(x.grad, expected / 0.75)
 
 
@@ -494,13 +494,13 @@ def test_affine_matmul_is_one_record_and_checks_its_bias():
 
 
 def residual_chain(x, fx, gain, bias, p, seed, training):
-    return T.layer_norm(T.add(x, T.dropout(fx, p, make_rng(seed, "res"),
-                                           training)), gain, bias)
+    rng = make_rng(seed, "res") if training else None
+    return T.layer_norm(T.add(x, T.dropout(fx, p, rng)), gain, bias)
 
 
 def residual_fused(x, fx, gain, bias, p, seed, training):
-    return T.residual_norm(x, fx, gain, bias, p, make_rng(seed, "res"),
-                           training)
+    rng = make_rng(seed, "res") if training else None
+    return T.residual_norm(x, fx, gain, bias, p, rng)
 
 
 @pytest.mark.parametrize("p, training", [(0.1, True), (0.1, False),
@@ -544,9 +544,7 @@ def test_residual_norm_keeps_dropout_errors():
     ones, zeros = T.Tensor(np.ones(3)), T.Tensor(np.zeros(3))
     for p in (1.0, -0.1):
         with pytest.raises(ContractError, match="dropout rate"):
-            T.residual_norm(x, x, ones, zeros, p, make_rng(0, "r"), True)
-    with pytest.raises(ContractError, match="needs an RNG"):
-        T.residual_norm(x, x, ones, zeros, 0.1, None, True)
+            T.residual_norm(x, x, ones, zeros, p, make_rng(0, "r"))
 
 
 def float_mask(shape, p, seed):
@@ -575,7 +573,7 @@ def test_dropout_bool_mask_matches_float_mask_formula():
     g = signed_inputs(rng, 5, 7)
     mask = float_mask(x.shape, 0.3, 6)
     with T.Tape() as tape:
-        out = T.dropout(x, 0.3, make_rng(6, "res"), True)
+        out = T.dropout(x, 0.3, make_rng(6, "res"))
         tape.backward(T.tsum(T.mul(out, T.Tensor(g))))
     assert bit_identical(out.data, x.data * mask)
     assert bit_identical(x.grad, g * mask)
@@ -606,7 +604,7 @@ def test_residual_norm_bool_mask_matches_float_mask_formula():
 def test_dropout_mask_is_kept_as_bool():
     x = T.Tensor(np.ones((4, 4)), requires_grad=True)
     with T.Tape() as tape:
-        T.dropout(x, 0.5, make_rng(1, "d"), True)
+        T.dropout(x, 0.5, make_rng(1, "d"))
     _, _, vjp = tape._records[0]
     arrays = [c.cell_contents for c in vjp.__closure__
               if isinstance(c.cell_contents, np.ndarray)]
