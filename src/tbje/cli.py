@@ -28,7 +28,7 @@ from .features import (EMBEDDING_DIM, ModalityBatch, build_vocabulary,
 from .gradcheck import DEFAULT_TOLERANCE, check_gradients
 from .metrics import EMOTIONS, SENTIMENT_MAX, SENTIMENT_MIN, evaluation_report
 from .model import (EncoderConfig, TbjeModel, forward_logits, init_model,
-                    load_model, save_model)
+                    load_model)
 from .rng import make_rng
 from .tensor import load_array
 from .training import (cross_entropy, ensemble_predict, evaluate_accuracy,
@@ -281,8 +281,7 @@ def cmd_train(args) -> int:
 
     summary = {"members": [], "task": cfg.encoder.task,
                "config": cfg.to_dict()}
-    for i, (model, state) in enumerate(members):
-        save_model(out / f"model-member{i}.tbjm", model)
+    for i, (_, state) in enumerate(members):
         summary["members"].append({
             "member": i,
             "seed": cfg.training.seed + i,

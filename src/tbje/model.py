@@ -384,6 +384,42 @@ def write_model(fh, model: TbjeModel) -> None:
                        for name, t in model.named_parameters()))
 
 
+def _require_config(config: EncoderConfig, model: TbjeModel) -> None:
+    """Raise a one-line ConfigError naming each field in which a
+    checkpoint's ``config`` differs from ``model.config``."""
+    got, want = config.to_dict(), model.config.to_dict()
+    differ = [f"{k}: checkpoint {got[k]!r}, model {want[k]!r}"
+              for k in sorted(want) if got[k] != want[k]]
+    if differ:
+        raise ConfigError("checkpoint config does not match the model it "
+                          "is read into (" + "; ".join(differ) + ")")
+
+
+class _ByteCount:
+    """A sink that counts the bytes written to it and keeps none."""
+
+    size = 0
+
+    def write(self, data) -> None:
+        self.size += memoryview(data).nbytes
+
+
+def check_checkpoint(fh, model: TbjeModel) -> None:
+    """Check, without reading any payload, that the checkpoint in ``fh``
+    has ``model``'s config and exactly the size ``write_model`` gives
+    ``model``; leaves ``fh`` at its end."""
+    _, header = T.read_head(fh, CHECKPOINT_MAGIC, "checkpoint",
+                            range(CHECKPOINT_VERSION, CHECKPOINT_VERSION + 1),
+                            required=("config",))
+    _require_config(EncoderConfig.from_dict(header["config"]), model)
+    want = _ByteCount()
+    write_model(want, model)
+    size = fh.seek(0, io.SEEK_END)
+    if size != want.size:
+        raise ConfigError(f"checkpoint holds {size} bytes; this model's "
+                          f"checkpoint holds {want.size}")
+
+
 def save_model(path, model: TbjeModel) -> None:
     with open(path, "wb") as fh:
         write_model(fh, model)
@@ -407,12 +443,7 @@ def read_model(fh, into: Optional[TbjeModel] = None) -> TbjeModel:
     if into is None:
         model = _build_model(config, None, header.get("vocab_hash"))
     else:
-        got, want = config.to_dict(), into.config.to_dict()
-        differ = [f"{k}: checkpoint {got[k]!r}, model {want[k]!r}"
-                  for k in sorted(want) if got[k] != want[k]]
-        if differ:
-            raise ConfigError("checkpoint config does not match the model it "
-                              "is read into (" + "; ".join(differ) + ")")
+        _require_config(config, into)
         model = into
         model.vocab_hash = header.get("vocab_hash")
     slots = {name: p.data for name, p in model.named_parameters()}

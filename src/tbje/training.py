@@ -5,7 +5,8 @@ The schedule: a validation-accuracy epoch that fails to improve on the best
 seen so far first triggers a learning-rate decay (factor 0.2, at most twice);
 once decays are exhausted, a patience counter starts and three consecutive
 non-improving epochs stop the run. The best-validation parameters are what
-fit() leaves in the model.
+fit() leaves in the model; while it runs they live in a checkpoint file,
+not in memory.
 
 All randomness (shuffling, dropout) is derived from (seed, member, epoch,
 batch) alone, so a run resumed from a saved state replays the exact
@@ -15,6 +16,8 @@ trajectory of an uninterrupted one.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -26,8 +29,9 @@ from .errors import ConfigError, ContractError, NumericError, read_section
 from .metrics import accuracy, emotion_predictions, sentiment_bins
 # model_bytes is not called here: it is imported so that the benchmark's
 # tracer can wrap tbje.training.model_bytes
-from .model import (TASK_CLASSES, TbjeModel, forward_logits, model_bytes,
-                    read_model, write_model)
+from .model import (TASK_CLASSES, TbjeModel, check_checkpoint,
+                    forward_logits, load_model, model_bytes, read_model,
+                    write_model)
 from .rng import derive_seed, make_rng
 from .tensor import Tape, Tensor
 
@@ -39,10 +43,10 @@ ADAM_EPS = 1e-8
 _ADAM_BLOCK = 1 << 15
 
 STATE_MAGIC = b"TBJS"
-STATE_VERSION = 3
+STATE_VERSION = 4
 # the TrainState fields a state file keeps in its JSON header
-_STATE_HEADER = ("step", "epoch", "lr", "best_accuracy", "stagnant",
-                 "decays_used", "stopped", "log")
+_STATE_HEADER = ("step", "epoch", "lr", "best_accuracy", "best_epoch",
+                 "stagnant", "decays_used", "stopped", "log")
 
 
 @dataclass
@@ -88,11 +92,11 @@ class TrainState:
     step: int = 0
     epoch: int = 0
     best_accuracy: float = float("-inf")
+    best_epoch: int = 0     # the epoch whose parameters the best file holds
     stagnant: int = 0
     decays_used: int = 0
     stopped: bool = False
     log: list = field(default_factory=list)
-    best: dict = field(default_factory=dict)   # name -> best-validation array
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +326,18 @@ def evaluate_accuracy(model: TbjeModel, split, chunk: int = 64) -> float:
 
 def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
         state: Optional[TrainState] = None, log_fh=None,
-        state_path=None) -> TrainState:
+        state_path=None, best_path=None) -> TrainState:
     """Train until the schedule stops or max_epochs; leaves the
     best-validation parameters in the model and returns the final state.
 
-    ``train`` / ``valid`` are label-carrying splits (see tbje.data). When
+    ``train`` / ``valid`` are label-carrying splits (see tbje.data). Each
+    improving epoch writes the model as a checkpoint to ``best_path``, or
+    with no path to an anonymous temporary file, and the last such
+    checkpoint is read back into the model at the end. When
     ``state_path`` is given the live state is rewritten after every epoch,
-    and passing the loaded state (with its model) back in resumes the
-    exact trajectory of an uninterrupted run.
+    and passing the loaded state (with its model and the same
+    ``best_path``) back in resumes the exact trajectory of an
+    uninterrupted run.
     """
     if train.size == 0 or valid.size == 0:
         raise ContractError("fit() needs non-empty train and valid splits")
@@ -340,62 +348,111 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
     labels = gold_labels(train, task, model.config.sentiment_boundary)
     n = train.size
 
-    while not state.stopped and state.epoch < cfg.max_epochs:
-        state.epoch += 1
-        order = make_rng(cfg.seed, "shuffle", member, state.epoch).permutation(n)
-        lr_used = state.lr
-        weighted_loss = 0.0
-        for bi, lo in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[lo:lo + cfg.batch_size]
-            sub = {m: train.batches[m].take(idx)
-                   for m in model.config.modalities}
-            for p in params.values():
-                p.grad = None
-            with Tape() as tape:
-                logits = forward_logits(
-                    model, sub, training=True,
-                    rng_seed=derive_seed(cfg.seed, "batch", member,
-                                         state.epoch, bi))
-                batch_loss = loss(logits, labels[idx], task)
-                value = batch_loss.item()
-                if not np.isfinite(value):
-                    raise NumericError(
-                        f"training diverged: non-finite loss (member {member}, "
-                        f"epoch {state.epoch}, batch {bi}, lr {lr_used:g}, "
-                        f"step {state.step})")
-                tape.backward(batch_loss)
-            adam_step(params, state, lr=state.lr)
-            weighted_loss += value * len(idx)
+    with _BestFile(best_path) as best:
+        if state.best_epoch:
+            best.check(model, state.best_epoch)
+        while not state.stopped and state.epoch < cfg.max_epochs:
+            state.epoch += 1
+            order = make_rng(cfg.seed, "shuffle", member,
+                             state.epoch).permutation(n)
+            lr_used = state.lr
+            weighted_loss = 0.0
+            for bi, lo in enumerate(range(0, n, cfg.batch_size)):
+                idx = order[lo:lo + cfg.batch_size]
+                sub = {m: train.batches[m].take(idx)
+                       for m in model.config.modalities}
+                for p in params.values():
+                    p.grad = None
+                with Tape() as tape:
+                    logits = forward_logits(
+                        model, sub, training=True,
+                        rng_seed=derive_seed(cfg.seed, "batch", member,
+                                             state.epoch, bi))
+                    batch_loss = loss(logits, labels[idx], task)
+                    value = batch_loss.item()
+                    if not np.isfinite(value):
+                        raise NumericError(
+                            f"training diverged: non-finite loss (member "
+                            f"{member}, epoch {state.epoch}, batch {bi}, "
+                            f"lr {lr_used:g}, step {state.step})")
+                    tape.backward(batch_loss)
+                adam_step(params, state, lr=state.lr)
+                weighted_loss += value * len(idx)
 
-        val_accuracy = evaluate_accuracy(model, valid)
-        outcome = observe_validation(state, val_accuracy, cfg)
-        if outcome == "improved":
-            if not state.best:
-                state.best = {n: np.empty_like(p.data)
-                              for n, p in params.items()}
-            for name, p in params.items():
-                np.copyto(state.best[name], p.data)
-        record = {
-            "epoch": state.epoch,
-            "lr": lr_used,
-            "train_loss": weighted_loss / n,
-            "val_accuracy": val_accuracy,
-            "decays_used": state.decays_used,
-        }
-        state.log.append(record)
-        if log_fh is not None:
-            log_fh.write(json.dumps(record, sort_keys=True) + "\n")
-            log_fh.flush()
-        if state_path is not None:
-            # Live parameters, not the best ones: a resumed run must pick
-            # up exactly where this epoch left off.
-            save_train_state(state_path, model, state)
-
-    # copied into the live buffers: a model that aliased the snapshot would
-    # overwrite it with its next in-place Adam step
-    for name, best in state.best.items():
-        np.copyto(params[name].data, best)
+            val_accuracy = evaluate_accuracy(model, valid)
+            outcome = observe_validation(state, val_accuracy, cfg)
+            if outcome == "improved":
+                best.write(model)
+                state.best_epoch = state.epoch
+            record = {
+                "epoch": state.epoch,
+                "lr": lr_used,
+                "train_loss": weighted_loss / n,
+                "val_accuracy": val_accuracy,
+                "decays_used": state.decays_used,
+            }
+            state.log.append(record)
+            if log_fh is not None:
+                log_fh.write(json.dumps(record, sort_keys=True) + "\n")
+                log_fh.flush()
+            if state_path is not None:
+                # Live parameters, not the best ones: a resumed run must
+                # pick up exactly where this epoch left off.
+                save_train_state(state_path, model, state)
+        if state.best_epoch:
+            best.read_into(model)
     return state
+
+
+class _BestFile:
+    """Where fit() keeps the best-validation parameters: a checkpoint at
+    ``path``, written to a ``.tmp`` sibling and moved into place whole, or
+    with no path an anonymous temporary file. Either way one model's
+    worth of arrays is written and read back through a file object, so no
+    second set of parameters is held in memory."""
+
+    def __init__(self, path):
+        self.path = None if path is None else Path(path)
+        self.fh = tempfile.TemporaryFile() if path is None else None
+
+    def check(self, model: TbjeModel, epoch: int) -> None:
+        """Before a resumed run: the file holds a checkpoint of ``model``'s
+        config and size. Its payload is not read."""
+        if self.path is None:
+            raise ContractError(f"resuming a state whose best epoch is "
+                                f"{epoch} needs the best_path its "
+                                f"checkpoint was written to")
+        if not self.path.is_file():
+            raise ConfigError(f"best checkpoint of epoch {epoch} is missing "
+                              f"(in {self.path})")
+        T.read_file(self.path, lambda fh: check_checkpoint(fh, model))
+
+    def write(self, model: TbjeModel) -> None:
+        if self.path is None:
+            self.fh.seek(0)
+            write_model(self.fh, model)
+            return
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                write_model(fh, model)
+            os.replace(tmp, self.path)
+        finally:
+            tmp.unlink(missing_ok=True)
+
+    def read_into(self, model: TbjeModel) -> None:
+        if self.path is None:
+            self.fh.seek(0)
+            read_model(self.fh, into=model)
+        else:
+            load_model(self.path, into=model)
+
+    def __enter__(self) -> "_BestFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.fh is not None:
+            self.fh.close()
 
 
 def train_ensemble(make_model, train, valid, cfg: TrainConfig, log_dir=None,
@@ -403,20 +460,24 @@ def train_ensemble(make_model, train, valid, cfg: TrainConfig, log_dir=None,
     """Train cfg.ensemble_size members with seeds cfg.seed + i; returns the
     list of (model, state). ``make_model(seed)`` builds a fresh model.
 
-    With ``state_dir`` each member checkpoints its live state every epoch;
-    ``resume=True`` picks up any member whose state file exists. Resumed log
-    files are rewritten from the state's own log so the two never disagree.
+    With ``state_dir`` each member keeps its best checkpoint there as
+    ``model-member{i}.tbjm`` and checkpoints its live state every epoch;
+    ``resume=True`` picks up any member whose state file exists, reading it
+    into the model ``make_model`` builds, whose config it must have.
+    Resumed log files are rewritten from the state's own log so the two
+    never disagree.
     """
     members = []
     for i in range(cfg.ensemble_size):
         member_cfg = replace(cfg, seed=cfg.seed + i)
-        state_path = (None if state_dir is None
-                      else Path(state_dir) / f"state-member{i}.tbjs")
+        state_path = best_path = None
+        if state_dir is not None:
+            state_path = Path(state_dir) / f"state-member{i}.tbjs"
+            best_path = Path(state_dir) / f"model-member{i}.tbjm"
+        model = make_model(cfg.seed + i)
         state = None
         if resume and state_path is not None and state_path.is_file():
-            model, state = load_train_state(state_path)
-        else:
-            model = make_model(cfg.seed + i)
+            _, state = load_train_state(state_path, into=model)
         fh = None
         if log_dir is not None:
             fh = open(Path(log_dir) / f"train-member{i}.ndjson", "w",
@@ -427,7 +488,8 @@ def train_ensemble(make_model, train, valid, cfg: TrainConfig, log_dir=None,
                 fh.flush()
         try:
             state = fit(model, train, valid, member_cfg, member=i,
-                        state=state, log_fh=fh, state_path=state_path)
+                        state=state, log_fh=fh, state_path=state_path,
+                        best_path=best_path)
         finally:
             if fh is not None:
                 fh.close()
@@ -440,25 +502,25 @@ def train_ensemble(make_model, train, valid, cfg: TrainConfig, log_dir=None,
 # ---------------------------------------------------------------------------
 
 def save_train_state(path, model: TbjeModel, state: TrainState) -> None:
-    """One file holding the schedule counters and log so far (a JSON
-    header), the live parameters (an embedded checkpoint), and then, per
-    parameter name, its two Adam moments and its best-validation array."""
+    """One file holding the schedule counters, best epoch and log so far (a
+    JSON header), the live parameters (an embedded checkpoint), and then,
+    per parameter name, its two Adam moments. The best parameters are not
+    here: fit() keeps them in their own checkpoint."""
     header = {key: getattr(state, key) for key in _STATE_HEADER}
     with open(path, "wb") as fh:
         T.write_head(fh, STATE_MAGIC, STATE_VERSION,
                      json.dumps(header, sort_keys=True).encode("utf-8"))
         write_model(fh, model)
         T.write_named(fh, ((name, (state.first_moment[name],
-                                   state.second_moment[name],
-                                   state.best[name]))
+                                   state.second_moment[name]))
                            for name in sorted(state.first_moment)))
 
 
-def _read_train_state(fh) -> tuple[TbjeModel, TrainState]:
+def _read_train_state(fh, into) -> tuple[TbjeModel, TrainState]:
     _, header = T.read_head(fh, STATE_MAGIC, "train-state",
                             range(STATE_VERSION, STATE_VERSION + 1),
                             required=_STATE_HEADER)
-    model = read_model(fh)
+    model = read_model(fh, into)
     state = TrainState(**{key: header[key] for key in _STATE_HEADER})
     params = model.parameter_dict()
     mismatch = "train state moments do not match the model's parameter names"
@@ -466,8 +528,7 @@ def _read_train_state(fh) -> tuple[TbjeModel, TrainState]:
         if name not in params:
             raise ConfigError(mismatch)
         for kind, arrays in (("first moment", state.first_moment),
-                             ("second moment", state.second_moment),
-                             ("best array", state.best)):
+                             ("second moment", state.second_moment)):
             arrays[name] = T.read_array_into(
                 fh, np.empty(params[name].data.shape),
                 f"train-state {kind} {name!r}")
@@ -476,6 +537,9 @@ def _read_train_state(fh) -> tuple[TbjeModel, TrainState]:
     return model, state
 
 
-def load_train_state(path) -> tuple[TbjeModel, TrainState]:
-    """Read the state at ``path``; every error names ``path``."""
-    return T.read_file(path, _read_train_state)
+def load_train_state(path, into: Optional[TbjeModel] = None
+                     ) -> tuple[TbjeModel, TrainState]:
+    """Read the state at ``path``; every error names ``path``. Given
+    ``into``, the live parameters are read into its arrays, and its config
+    must equal the state's, as ``read_model`` describes."""
+    return T.read_file(path, lambda fh: _read_train_state(fh, into))

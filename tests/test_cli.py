@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import tbje.cli
 import tbje.model
 import tbje.tensor as TT
+import tbje.training as TR
 from tbje.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                       format_report, main)
 from tbje.config import (PATH_KEYS, RunConfig, default_encoder,
@@ -456,6 +457,159 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == (f"error: unsupported train-state version 2 "
                        f"(in {state})\n")
+
+    def test_resume_from_v3_state_rejected(self, corpus, tmp_path, capsys):
+        """A version-3 state holds the best parameters itself; this build
+        keeps them in model-member{i}.tbjm and refuses such a state."""
+        config = variant_config(corpus, tmp_path / "one.json",
+                                training={"max_epochs": 1})
+        out = tmp_path / "old"
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        state = out / "state-member0.tbjs"
+        blob = state.read_bytes()
+        state.write_bytes(blob[:4] + struct.pack("<I", 3) + blob[8:])
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--out", str(out),
+                     "--resume"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"error: unsupported train-state version 3 "
+                       f"(in {state})\n")
+
+    def test_resume_under_a_changed_encoder_config_rejected(
+            self, corpus, tmp_path, capsys):
+        config = variant_config(corpus, tmp_path / "one.json",
+                                training={"max_epochs": 1},
+                                encoder={"dropout_block": 0.1})
+        changed = variant_config(corpus, tmp_path / "changed.json",
+                                 training={"max_epochs": 2},
+                                 encoder={"dropout_block": 0.3})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert main(["train", "--config", str(changed), "--out", str(out),
+                     "--resume"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("error: checkpoint config does not match the model "
+                       "it is read into (dropout_block: checkpoint 0.1, "
+                       f"model 0.3) (in {out / 'state-member0.tbjs'})\n")
+        assert tree_bytes(out) == before
+
+    def test_resume_without_the_best_checkpoint_rejected(self, corpus,
+                                                         tmp_path, capsys):
+        config = variant_config(corpus, tmp_path / "one.json",
+                                training={"max_epochs": 1})
+        more = variant_config(corpus, tmp_path / "more.json",
+                              training={"max_epochs": 3})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        best = out / "model-member0.tbjm"
+        best.unlink()
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert main(["train", "--config", str(more), "--out", str(out),
+                     "--resume"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"error: best checkpoint of epoch 1 is missing "
+                       f"(in {best})\n")
+        assert tree_bytes(out) == before     # refused before any epoch
+
+    @pytest.mark.parametrize("damage", ["cut", "other-config"])
+    def test_resume_from_a_damaged_best_checkpoint_rejected(
+            self, corpus, tmp_path, capsys, damage):
+        config = variant_config(corpus, tmp_path / "one.json",
+                                training={"max_epochs": 1})
+        more = variant_config(corpus, tmp_path / "more.json",
+                              training={"max_epochs": 3})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        best = out / "model-member0.tbjm"
+        if damage == "cut":
+            best.write_bytes(best.read_bytes()[:-8])
+            expected = "checkpoint holds"
+        else:
+            model = load_model(best)
+            model.config = dataclasses.replace(model.config,
+                                               dropout_block=0.25)
+            save_model(best, model)
+            expected = ("checkpoint config does not match the model it is "
+                        "read into (dropout_block: checkpoint 0.25, "
+                        "model 0.1)")
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert main(["train", "--config", str(more), "--out", str(out),
+                     "--resume"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {expected}")
+        assert err.endswith(f" (in {best})\n") and err.count("\n") == 1
+        assert tree_bytes(out) == before     # refused before any epoch
+
+    def test_failed_best_write_keeps_the_previous_best(
+            self, corpus, tmp_path, monkeypatch):
+        """Member 1 improves at epochs 1 and 2 of the toy run; a disk that
+        fills up while epoch 2's best checkpoint is written leaves epoch
+        1's in place, and no temporary file."""
+        config = variant_config(corpus, tmp_path / "c.json",
+                                training={"max_epochs": 2})
+        out = tmp_path / "run"
+        best = out / "model-member1.tbjm"
+        real_write_array = TT.write_array
+        seen = {"arrays": 0, "previous": None}
+
+        def failing_write_array(fh, arr):
+            if getattr(fh, "name", "") == f"{best}.tmp" and best.exists():
+                if seen["previous"] is None:
+                    seen["previous"] = best.read_bytes()
+                seen["arrays"] += 1
+                if seen["arrays"] > 3:
+                    raise OSError(28, "No space left on device")
+            real_write_array(fh, arr)
+
+        monkeypatch.setattr(TT, "write_array", failing_write_array)
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_IO
+        assert seen["arrays"] == 4
+        assert best.read_bytes() == seen["previous"]
+        load_model(best)
+        assert not list(out.glob("*.tmp"))
+
+    def test_crash_after_the_best_write_resumes_exactly(
+            self, corpus, tmp_path, monkeypatch):
+        """A run killed after epoch 2's best checkpoint of member 1 is
+        written, but before its state is, resumes to the same bytes as a
+        run never interrupted."""
+        config = variant_config(corpus, tmp_path / "c.json",
+                                training={"max_epochs": 4})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        uninterrupted = tree_bytes(out)
+        shutil.rmtree(out)
+
+        real_save = TR.save_train_state
+        crashed = []
+
+        def crashing_save(path, model, state):
+            if (Path(path).name == "state-member1.tbjs"
+                    and state.epoch == state.best_epoch == 2):
+                crashed.append(state.epoch)
+                raise OSError(5, "Input/output error")
+            real_save(path, model, state)
+
+        monkeypatch.setattr(TR, "save_train_state", crashing_save)
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_IO
+        assert crashed == [2]
+        _, state = load_train_state(out / "state-member1.tbjs")
+        assert (state.epoch, state.best_epoch) == (1, 1)
+        monkeypatch.setattr(TR, "save_train_state", real_save)
+        assert main(["train", "--config", str(config), "--out", str(out),
+                     "--resume"]) == EXIT_OK
+        assert tree_bytes(out) == uninterrupted
 
     def test_resume_from_truncated_state_names_the_file(self, corpus,
                                                         tmp_path, capsys):

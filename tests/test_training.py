@@ -412,24 +412,39 @@ class TestFit:
             assert set(record) == {"epoch", "lr", "train_loss",
                                    "val_accuracy", "decays_used"}
 
-    def test_model_ends_at_best_checkpoint(self, bundle):
+    def test_model_ends_at_best_checkpoint(self, bundle, tmp_path):
+        """The model ends as it was after the first epoch of highest
+        validation accuracy, and the best file holds exactly that model."""
         model = init_model(tiny_encoder(), seed=7)
+        best_path = tmp_path / "best.tbjm"
         state = fit(model, bundle.splits["train"], bundle.splits["valid"],
-                    quick_cfg(max_epochs=6))
-        best = state.best
-        for (name, p), name2 in zip(model.named_parameters(), best):
-            assert name == name2
-            assert np.array_equal(p.data, best[name2])
+                    quick_cfg(max_epochs=6), state_path=tmp_path / "s.tbjs",
+                    best_path=best_path)
+        accuracies = [r["val_accuracy"] for r in state.log]
+        assert state.best_epoch == 1 + accuracies.index(max(accuracies))
+        assert state.best_epoch < 6     # the end differs from the best epoch
+        live, _ = load_train_state(tmp_path / "s.tbjs")
+        assert model_bytes(live) != model_bytes(model)
 
-    def test_best_snapshot_does_not_alias_the_model(self, bundle):
+        stopped = init_model(tiny_encoder(), seed=7)
+        fit(stopped, bundle.splits["train"], bundle.splits["valid"],
+            quick_cfg(max_epochs=state.best_epoch))
+        assert model_bytes(model) == model_bytes(stopped)
+        assert best_path.read_bytes() == model_bytes(model)
+
+    def test_best_snapshot_does_not_alias_the_model(self, bundle, tmp_path):
+        """The best parameters are read back into the model's own arrays,
+        and the file they came from does not follow later changes."""
         model = init_model(tiny_encoder(), seed=7)
-        state = fit(model, bundle.splits["train"], bundle.splits["valid"],
-                    quick_cfg(max_epochs=2))
-        before = {n: b.copy() for n, b in state.best.items()}
-        for p in model.parameter_dict().values():
+        arrays = {n: p.data for n, p in model.named_parameters()}
+        best_path = tmp_path / "best.tbjm"
+        fit(model, bundle.splits["train"], bundle.splits["valid"],
+            quick_cfg(max_epochs=2), best_path=best_path)
+        before = best_path.read_bytes()
+        for name, p in model.named_parameters():
+            assert p.data is arrays[name], name
             p.data += 1.0
-        for name, b in state.best.items():
-            assert np.array_equal(b, before[name]), name
+        assert best_path.read_bytes() == before
 
     def test_resume_replays_identical_trajectory(self, bundle, tmp_path):
         cfg_full = quick_cfg(max_epochs=6)
@@ -440,12 +455,14 @@ class TestFit:
 
         paused = init_model(tiny_encoder(), seed=11)
         path_b = tmp_path / "paused.tbjs"
+        best_b = tmp_path / "paused.tbjm"
         fit(paused, bundle.splits["train"], bundle.splits["valid"],
-            quick_cfg(max_epochs=3), state_path=path_b)
+            quick_cfg(max_epochs=3), state_path=path_b, best_path=best_b)
         resumed, mid_state = load_train_state(path_b)
         assert mid_state.epoch == 3
         state_b = fit(resumed, bundle.splits["train"], bundle.splits["valid"],
-                      cfg_full, state=mid_state, state_path=path_b)
+                      cfg_full, state=mid_state, state_path=path_b,
+                      best_path=best_b)
 
         assert model_bytes(direct) == model_bytes(resumed)
         assert state_a.log == state_b.log
@@ -460,6 +477,25 @@ class TestFit:
         assert loaded.epoch == 2
         assert loaded.log == state.log
         assert loaded.step == state.step
+
+    def test_without_best_path_only_the_state_file_is_written(
+            self, bundle, tmp_path):
+        model = init_model(tiny_encoder(("L",)), seed=7)
+        path = tmp_path / "state.tbjs"
+        fit(model, bundle.splits["train"], bundle.splits["valid"],
+            quick_cfg(max_epochs=2), state_path=path)
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_resume_past_a_best_epoch_needs_the_best_path(self, bundle,
+                                                          tmp_path):
+        model = init_model(tiny_encoder(("L",)), seed=7)
+        path = tmp_path / "state.tbjs"
+        fit(model, bundle.splits["train"], bundle.splits["valid"],
+            quick_cfg(max_epochs=1), state_path=path)
+        resumed, state = load_train_state(path)
+        with pytest.raises(ContractError, match="best epoch is 1"):
+            fit(resumed, bundle.splits["train"], bundle.splits["valid"],
+                quick_cfg(max_epochs=2), state=state)
 
     def test_empty_split_rejected(self, bundle):
         model = init_model(tiny_encoder(), seed=7)
@@ -695,9 +731,8 @@ class TestTrainState:
         for arrays in (state.first_moment, state.second_moment):
             for name in arrays:
                 arrays[name] = rng.normal(size=arrays[name].shape)
-        state.best = {n: rng.normal(size=p.data.shape)
-                      for n, p in params.items()}
         state.step, state.epoch, state.best_accuracy = 3, 1, 0.5
+        state.best_epoch = 1
         state.log = [{"epoch": 1, "lr": 0.01}]
 
         config = json.dumps({"config": model.config.to_dict(),
@@ -706,16 +741,16 @@ class TestTrainState:
         checkpoint = (b"TBJM" + struct.pack("<II", 3, len(config)) + config
                       + section([(n, [p.data]) for n, p in params.items()]))
         counters = json.dumps({
-            "best_accuracy": 0.5, "decays_used": 0, "epoch": 1,
-            "log": state.log, "lr": 0.01, "stagnant": 0, "step": 3,
-            "stopped": False}, sort_keys=True).encode()
-        moments = section([(n, [state.first_moment[n], state.second_moment[n],
-                                state.best[n]]) for n in sorted(params)])
+            "best_accuracy": 0.5, "best_epoch": 1, "decays_used": 0,
+            "epoch": 1, "log": state.log, "lr": 0.01, "stagnant": 0,
+            "step": 3, "stopped": False}, sort_keys=True).encode()
+        moments = section([(n, [state.first_moment[n], state.second_moment[n]])
+                           for n in sorted(params)])
         save_model(tmp_path / "m.tbjm", model)
         save_train_state(tmp_path / "s.tbjs", model, state)
         assert (tmp_path / "m.tbjm").read_bytes() == checkpoint
         assert (tmp_path / "s.tbjs").read_bytes() == (
-            b"TBJS" + struct.pack("<II", 3, len(counters)) + counters
+            b"TBJS" + struct.pack("<II", 4, len(counters)) + counters
             + checkpoint + moments)
 
     def test_round_trip_preserves_everything(self, bundle, tmp_path):
@@ -726,17 +761,35 @@ class TestTrainState:
         save_train_state(path, model, state)
         loaded_model, loaded = load_train_state(path)
         assert model_bytes(loaded_model) == model_bytes(model)
-        for field in ("step", "epoch", "lr", "best_accuracy", "stagnant",
-                      "decays_used", "stopped", "log"):
+        assert state.best_epoch > 0
+        for field in ("step", "epoch", "lr", "best_accuracy", "best_epoch",
+                      "stagnant", "decays_used", "stopped", "log"):
             assert getattr(loaded, field) == getattr(state, field)
+        assert list(loaded.first_moment) == sorted(state.first_moment)
         for name in state.first_moment:
             assert np.array_equal(loaded.first_moment[name],
                                   state.first_moment[name])
             assert np.array_equal(loaded.second_moment[name],
                                   state.second_moment[name])
-        assert list(loaded.best) == sorted(state.best)
-        for name in state.best:
-            assert np.array_equal(loaded.best[name], state.best[name])
+
+    def test_size_is_header_checkpoint_and_two_moment_sets(self, bundle,
+                                                           tmp_path):
+        """A state holds the live model and its two Adam moments, and no
+        best-validation arrays."""
+        model = init_model(tiny_encoder(), seed=7)
+        state = fit(model, bundle.splits["train"], bundle.splits["valid"],
+                    quick_cfg(max_epochs=1))
+        path = tmp_path / "state.tbjs"
+        save_train_state(path, model, state)
+        header = json.dumps({k: getattr(state, k) for k in TR._STATE_HEADER},
+                            sort_keys=True).encode()
+        moments = sum(
+            4 + len(name.encode())
+            + 2 * (4 + 1 + 4 * p.data.ndim + 8 * p.data.size)
+            for name, p in model.named_parameters())
+        assert path.stat().st_size == (12 + len(header)
+                                       + len(model_bytes(model))
+                                       + 4 + moments)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.tbjs"
@@ -766,7 +819,7 @@ class TestTrainState:
         model_start = blob.index(CHECKPOINT_MAGIC)
         model_end = model_start + len(model_bytes(model))
         # the embedded checkpoint is cut at every header byte by the
-        # checkpoint test; moments and best arrays are cut here
+        # checkpoint test; the moments are cut here
         cuts = (list(range(model_start))
                 + list(range(model_start, model_end, 211))
                 + truncation_cuts(blob, 211, start=model_end))
@@ -785,15 +838,15 @@ class TestTrainState:
         with pytest.raises(ConfigError, match="trailing bytes"):
             load_train_state(path)
 
-    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("slot", [0, 1])
     def test_misshaped_array_is_config_error(self, bundle, tmp_path, slot):
-        """A first moment, second moment or best array with a wrong extent
-        is caught on load, not by the first Adam step."""
+        """A first or second moment with a wrong extent is caught on load,
+        not by the first Adam step."""
         model = init_model(tiny_encoder(("L",)), seed=7)
         state = fit(model, bundle.splits["train"], bundle.splits["valid"],
                     quick_cfg(max_epochs=1))
         name = "head.out.bias"
-        arrays = (state.first_moment, state.second_moment, state.best)
+        arrays = (state.first_moment, state.second_moment)
         arrays[slot][name] = arrays[slot][name][:-1]
         path = tmp_path / "state.tbjs"
         save_train_state(path, model, state)
