@@ -275,13 +275,14 @@ def cmd_train(args) -> int:
         return init_model(cfg.encoder, seed=seed,
                           vocab_hash=bundle.vocab_hash)
 
-    members = train_ensemble(
-        make_model, bundle.splits["train"], bundle.splits["valid"],
-        cfg.training, log_dir=out, state_dir=out, resume=args.resume)
-
     summary = {"members": [], "task": cfg.encoder.task,
                "config": cfg.to_dict()}
-    for i, (_, state) in enumerate(members):
+    # a plain loop, not enumerate, and each member dropped at the end of
+    # its turn: the next one trains with no other parameters resident
+    for model, state in train_ensemble(
+            make_model, bundle.splits["train"], bundle.splits["valid"],
+            cfg.training, log_dir=out, state_dir=out, resume=args.resume):
+        i = len(summary["members"])
         summary["members"].append({
             "member": i,
             "seed": cfg.training.seed + i,
@@ -292,6 +293,7 @@ def cmd_train(args) -> int:
         })
         print(f"member {i}: best val accuracy {state.best_accuracy:.4f} "
               f"after {state.epoch} epochs")
+        del model, state
     (out / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=1) + "\n",
         encoding="utf-8")

@@ -414,6 +414,10 @@ class _BestFile:
     def __init__(self, path):
         self.path = None if path is None else Path(path)
         self.fh = tempfile.TemporaryFile() if path is None else None
+        if self.path is not None:
+            self.tmp = self.path.with_name(self.path.name + ".tmp")
+            # a hard kill in the middle of a write leaves this behind
+            self.tmp.unlink(missing_ok=True)
 
     def check(self, model: TbjeModel, epoch: int) -> None:
         """Before a resumed run: the file holds a checkpoint of ``model``'s
@@ -432,13 +436,12 @@ class _BestFile:
             self.fh.seek(0)
             write_model(self.fh, model)
             return
-        tmp = self.path.with_name(self.path.name + ".tmp")
         try:
-            with open(tmp, "wb") as fh:
+            with open(self.tmp, "wb") as fh:
                 write_model(fh, model)
-            os.replace(tmp, self.path)
+            os.replace(self.tmp, self.path)
         finally:
-            tmp.unlink(missing_ok=True)
+            self.tmp.unlink(missing_ok=True)
 
     def read_into(self, model: TbjeModel) -> None:
         if self.path is None:
@@ -457,8 +460,14 @@ class _BestFile:
 
 def train_ensemble(make_model, train, valid, cfg: TrainConfig, log_dir=None,
                    state_dir=None, resume=False):
-    """Train cfg.ensemble_size members with seeds cfg.seed + i; returns the
-    list of (model, state). ``make_model(seed)`` builds a fresh model.
+    """Train cfg.ensemble_size members with seeds cfg.seed + i, yielding
+    each member's (model, state) once it is trained. ``make_model(seed)``
+    builds a fresh model.
+
+    The generator keeps no reference to a member it has yielded, so a
+    caller that drops each pair before asking for the next holds one
+    member's parameters and moments at a time. (``enumerate`` would keep
+    the previous pair alive while the next member trains.)
 
     With ``state_dir`` each member keeps its best checkpoint there as
     ``model-member{i}.tbjm`` and checkpoints its live state every epoch;
@@ -467,7 +476,6 @@ def train_ensemble(make_model, train, valid, cfg: TrainConfig, log_dir=None,
     Resumed log files are rewritten from the state's own log so the two
     never disagree.
     """
-    members = []
     for i in range(cfg.ensemble_size):
         member_cfg = replace(cfg, seed=cfg.seed + i)
         state_path = best_path = None
@@ -493,8 +501,8 @@ def train_ensemble(make_model, train, valid, cfg: TrainConfig, log_dir=None,
         finally:
             if fh is not None:
                 fh.close()
-        members.append((model, state))
-    return members
+        yield model, state
+        del model, state
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +513,29 @@ def save_train_state(path, model: TbjeModel, state: TrainState) -> None:
     """One file holding the schedule counters, best epoch and log so far (a
     JSON header), the live parameters (an embedded checkpoint), and then,
     per parameter name, its two Adam moments. The best parameters are not
-    here: fit() keeps them in their own checkpoint."""
+    here: fit() keeps them in their own checkpoint.
+
+    An existing file is overwritten in place, not truncated first, which
+    would wait for the last write's pages and allocate new blocks. Its
+    magic is zeroed first and written last, so a write cut short leaves a
+    file that load_train_state rejects, never a mix of two states."""
     header = {key: getattr(state, key) for key in _STATE_HEADER}
-    with open(path, "wb") as fh:
-        T.write_head(fh, STATE_MAGIC, STATE_VERSION,
+    with open(path, "wb", opener=_open_untruncated) as fh:
+        T.write_head(fh, bytes(len(STATE_MAGIC)), STATE_VERSION,
                      json.dumps(header, sort_keys=True).encode("utf-8"))
         write_model(fh, model)
         T.write_named(fh, ((name, (state.first_moment[name],
                                    state.second_moment[name]))
                            for name in sorted(state.first_moment)))
+        fh.truncate()
+        fh.seek(0)
+        fh.write(STATE_MAGIC)
+
+
+def _open_untruncated(path, flags: int) -> int:
+    """``open``'s opener for a write-only file that is created if missing
+    and kept, not emptied, if it exists."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _read_train_state(fh, into) -> tuple[TbjeModel, TrainState]:

@@ -9,6 +9,7 @@ import shutil
 import struct
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -610,6 +611,83 @@ class TestTrain:
         assert main(["train", "--config", str(config), "--out", str(out),
                      "--resume"]) == EXIT_OK
         assert tree_bytes(out) == uninterrupted
+
+    def test_cut_state_write_fails_closed(self, corpus, tmp_path,
+                                          monkeypatch, capsys):
+        """A disk that fills up while member 0's epoch-2 state is written
+        over its epoch-1 state fails the run, and a resume then refuses
+        the half-written state with one line naming it."""
+        config = variant_config(corpus, tmp_path / "c.json",
+                                training={"max_epochs": 2})
+        out = tmp_path / "run"
+        state = out / "state-member0.tbjs"
+        real_write_array = TT.write_array
+        seen = {"arrays": 0}
+
+        def failing_write_array(fh, arr):
+            if getattr(fh, "name", "") == str(state) and state.exists():
+                seen["arrays"] += 1
+                if seen["arrays"] > 5:
+                    raise OSError(28, "No space left on device")
+            real_write_array(fh, arr)
+
+        monkeypatch.setattr(TT, "write_array", failing_write_array)
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_IO
+        assert seen["arrays"] == 6
+        monkeypatch.setattr(TT, "write_array", real_write_array)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--out", str(out),
+                     "--resume"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("error: bad train-state magic b'\\x00\\x00\\x00\\x00'; "
+                       f"expected b'TBJS' (in {state})\n")
+
+    def test_resume_clears_a_stale_best_temporary(self, corpus, tmp_path):
+        """A ``.tmp`` left by a kill during a best write is removed by the
+        next run over the directory, even one with no epochs left."""
+        config = variant_config(corpus, tmp_path / "one.json",
+                                training={"max_epochs": 1})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        before = tree_bytes(out)
+        for i in range(2):
+            (out / f"model-member{i}.tbjm.tmp").write_bytes(b"TBJM cut")
+        assert main(["train", "--config", str(config), "--out", str(out),
+                     "--resume"]) == EXIT_OK
+        assert not list(out.glob("*.tmp"))
+        assert tree_bytes(out) == before
+
+    def test_each_member_is_released_before_the_next_trains(
+            self, corpus, tmp_path, monkeypatch):
+        """``tbje train`` holds one member's model and state at a time: by
+        the time member i is built, member i-1's are gone."""
+        config = variant_config(corpus, tmp_path / "c.json",
+                                training={"max_epochs": 1,
+                                          "ensemble_size": 3})
+        real_init, real_fit = tbje.cli.init_model, TR.fit
+        models, states, alive = [], [], []
+
+        def init_model(*args, **kwargs):
+            alive.append([ref() is not None for ref in models + states])
+            model = real_init(*args, **kwargs)
+            models.append(weakref.ref(model))
+            return model
+
+        def fit(model, *args, **kwargs):
+            alive.append([ref() is not None for ref in models[:-1] + states])
+            state = real_fit(model, *args, **kwargs)
+            states.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(tbje.cli, "init_model", init_model)
+        monkeypatch.setattr(TR, "fit", fit)
+        assert main(["train", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert len(models) == 3
+        assert alive == [[], [], [False] * 2, [False] * 2, [False] * 4,
+                         [False] * 4]
 
     def test_resume_from_truncated_state_names_the_file(self, corpus,
                                                         tmp_path, capsys):

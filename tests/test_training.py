@@ -643,10 +643,10 @@ class TestEnsemble:
 
     def test_train_ensemble_members_differ_and_log(self, bundle, tmp_path):
         cfg = quick_cfg(max_epochs=2, ensemble_size=2)
-        members = train_ensemble(
+        members = list(train_ensemble(
             lambda seed: init_model(tiny_encoder(("L",)), seed=seed),
             bundle.splits["train"], bundle.splits["valid"], cfg,
-            log_dir=tmp_path, state_dir=tmp_path)
+            log_dir=tmp_path, state_dir=tmp_path))
         assert len(members) == 2
         assert model_bytes(members[0][0]) != model_bytes(members[1][0])
         for i, (_, state) in enumerate(members):
@@ -662,15 +662,17 @@ class TestEnsemble:
         b_dir = tmp_path / "paused"
         a_dir.mkdir()
         b_dir.mkdir()
-        direct = train_ensemble(make, bundle.splits["train"],
-                                bundle.splits["valid"], cfg,
-                                log_dir=a_dir, state_dir=a_dir)
-        train_ensemble(make, bundle.splits["train"], bundle.splits["valid"],
-                       quick_cfg(max_epochs=2, ensemble_size=1),
-                       log_dir=b_dir, state_dir=b_dir)
-        resumed = train_ensemble(make, bundle.splits["train"],
-                                 bundle.splits["valid"], cfg,
-                                 log_dir=b_dir, state_dir=b_dir, resume=True)
+        direct = list(train_ensemble(make, bundle.splits["train"],
+                                     bundle.splits["valid"], cfg,
+                                     log_dir=a_dir, state_dir=a_dir))
+        list(train_ensemble(make, bundle.splits["train"],
+                            bundle.splits["valid"],
+                            quick_cfg(max_epochs=2, ensemble_size=1),
+                            log_dir=b_dir, state_dir=b_dir))
+        resumed = list(train_ensemble(make, bundle.splits["train"],
+                                      bundle.splits["valid"], cfg,
+                                      log_dir=b_dir, state_dir=b_dir,
+                                      resume=True))
         assert model_bytes(direct[0][0]) == model_bytes(resumed[0][0])
         assert (a_dir / "train-member0.ndjson").read_bytes() == \
             (b_dir / "train-member0.ndjson").read_bytes()
@@ -790,6 +792,60 @@ class TestTrainState:
         assert path.stat().st_size == (12 + len(header)
                                        + len(model_bytes(model))
                                        + 4 + moments)
+
+    def test_write_over_a_longer_state_equals_a_fresh_write(self, bundle,
+                                                            tmp_path):
+        """A state is overwritten in place: written over a longer one it
+        leaves no trailing bytes and the bytes of a write to a new path."""
+        path, fresh = tmp_path / "state.tbjs", tmp_path / "fresh.tbjs"
+        fit(init_model(tiny_encoder(("L",)), seed=7), bundle.splits["train"],
+            bundle.splits["valid"], quick_cfg(max_epochs=3), state_path=path)
+        longer = path.stat().st_size
+        model = init_model(tiny_encoder(("L",)), seed=7)
+        state = fit(model, bundle.splits["train"], bundle.splits["valid"],
+                    quick_cfg(max_epochs=1))
+        save_train_state(path, model, state)
+        save_train_state(fresh, model, state)
+        assert path.stat().st_size < longer
+        assert path.read_bytes() == fresh.read_bytes()
+        loaded_model, loaded = load_train_state(path)
+        assert model_bytes(loaded_model) == model_bytes(model)
+        assert loaded.log == state.log and loaded.epoch == 1
+
+    def test_write_cut_at_any_array_is_rejected(self, bundle, tmp_path,
+                                                monkeypatch):
+        """A state write that fails after any number of arrays leaves a
+        file with a zero magic, which is refused rather than read as a mix
+        of the old state and the new one."""
+        model = init_model(tiny_encoder(("L",)), seed=7)
+        path = tmp_path / "state.tbjs"
+        state = fit(model, bundle.splits["train"], bundle.splits["valid"],
+                    quick_cfg(max_epochs=2), state_path=path)
+        old = path.read_bytes()
+        state.epoch += 1
+        total = 3 * len(model.parameter_dict())
+        real_write_array = T.write_array
+        for cut in range(total):
+            written = []
+
+            def failing_write_array(fh, arr):
+                if len(written) == cut:
+                    raise OSError(28, "No space left on device")
+                written.append(arr)
+                real_write_array(fh, arr)
+
+            path.write_bytes(old)
+            monkeypatch.setattr(T, "write_array", failing_write_array)
+            with pytest.raises(OSError):
+                save_train_state(path, model, state)
+            monkeypatch.setattr(T, "write_array", real_write_array)
+            assert path.read_bytes()[:4] == b"\0\0\0\0"
+            with pytest.raises(ConfigError, match=(
+                    r"^bad train-state magic b'\\x00\\x00\\x00\\x00'; "
+                    r"expected b'TBJS' \(in .*state\.tbjs\)$")):
+                load_train_state(path)
+        save_train_state(path, model, state)
+        assert load_train_state(path)[1].epoch == 3
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.tbjs"
