@@ -27,13 +27,12 @@ from .features import (EMBEDDING_DIM, ModalityBatch, build_vocabulary,
                        normalize_mel, tokenize)
 from .gradcheck import DEFAULT_TOLERANCE, check_gradients
 from .metrics import EMOTIONS, SENTIMENT_MAX, SENTIMENT_MIN, evaluation_report
-from .model import (EncoderConfig, TbjeModel, forward_logits, init_model,
-                    load_model)
+from .model import EncoderConfig, forward_logits, init_model, load_model
 from .rng import make_rng
-from .tensor import load_array
+from .tensor import load_array, read_json
 from .training import (cross_entropy, ensemble_predict, evaluate_accuracy,
-                       fit, gold_labels, predictions_from_probabilities,
-                       train_ensemble)
+                       fit, gold_labels, load_train_state,
+                       predictions_from_probabilities)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -271,21 +270,32 @@ def cmd_train(args) -> int:
     out = cfg.require_path("out")
     out.mkdir(parents=True, exist_ok=True)
 
-    def make_model(seed: int) -> TbjeModel:
-        return init_model(cfg.encoder, seed=seed,
-                          vocab_hash=bundle.vocab_hash)
-
     summary = {"members": [], "task": cfg.encoder.task,
                "config": cfg.to_dict()}
-    # a plain loop, not enumerate, and each member dropped at the end of
-    # its turn: the next one trains with no other parameters resident
-    for model, state in train_ensemble(
-            make_model, bundle.splits["train"], bundle.splits["valid"],
-            cfg.training, log_dir=out, state_dir=out, resume=args.resume):
-        i = len(summary["members"])
+    for i in range(cfg.training.ensemble_size):
+        seed = cfg.training.seed + i
+        state_path = out / f"state-member{i}.tbjs"
+        model = init_model(cfg.encoder, seed=seed,
+                           vocab_hash=bundle.vocab_hash)
+        state = None
+        if args.resume and state_path.is_file():
+            # [1] alone: a name for the model would outlive `del model`
+            state = load_train_state(state_path, into=model)[1]
+        with open(out / f"train-member{i}.ndjson", "w",
+                  encoding="utf-8") as fh:
+            if state is not None:
+                # rewritten from the state's own log, so the two agree
+                for record in state.log:
+                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+                fh.flush()
+            state = fit(
+                model, bundle.splits["train"], bundle.splits["valid"],
+                dataclasses.replace(cfg.training, seed=seed), member=i,
+                state=state, log_fh=fh, state_path=state_path,
+                best_path=out / f"model-member{i}.tbjm")
         summary["members"].append({
             "member": i,
-            "seed": cfg.training.seed + i,
+            "seed": seed,
             "epochs": state.epoch,
             "best_val_accuracy": state.best_accuracy,
             "decays_used": state.decays_used,
@@ -293,6 +303,7 @@ def cmd_train(args) -> int:
         })
         print(f"member {i}: best val accuracy {state.best_accuracy:.4f} "
               f"after {state.epoch} epochs")
+        # the next member trains with no other parameters resident
         del model, state
     (out / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=1) + "\n",
@@ -329,11 +340,19 @@ def cmd_evaluate(args) -> int:
 
     paths = [Path(p) for p in args.checkpoints]
     if not paths:
+        # the members summary.json lists, not every checkpoint in the
+        # directory: an earlier, larger run may have left more behind
         run_dir = cfg.require_path("out")
-        paths = sorted(run_dir.glob("model-member*.tbjm"))
-        if not paths:
-            raise ConfigError(f"no model-member*.tbjm checkpoints in "
-                              f"{run_dir}")
+        listing = run_dir / "summary.json"
+        if not listing.is_file():
+            raise ConfigError(f"no run summary {listing}; name the "
+                              f"checkpoints to score an unfinished run")
+        members = read_json(listing.read_bytes(), f"run summary {listing}",
+                            required=("members",))["members"]
+        if not isinstance(members, list) or not members:
+            raise ConfigError(f"run summary {listing} lists no members")
+        paths = [run_dir / f"model-member{i}.tbjm"
+                 for i in range(len(members))]
     configs = []
 
     def members():
@@ -508,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, paths=("bundle", "out"))
     p.add_argument("--split", default="test")
     p.add_argument("checkpoints", nargs="*",
-                   help="model files; default: paths.out/model-member*.tbjm")
+                   help="model files; default: the members "
+                        "paths.out/summary.json lists")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gradcheck",

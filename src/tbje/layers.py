@@ -2,15 +2,15 @@
 attention over projected subspaces, the position-wise MLP, the residual
 sublayer wrapper, and sinusoidal positional encodings.
 
-Parameter containers expose ``named(prefix)`` so the model can iterate every
-learnable tensor under a stable dotted name; those names are also the keys
-used in checkpoints.
+``named_tensors`` walks a parameter container so the model can iterate
+every learnable tensor under a stable dotted name; those names are also the
+keys used in checkpoints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -20,6 +20,18 @@ from .errors import ConfigError, ContractError
 from .tensor import Tensor
 
 NamedTensors = Iterator[tuple[str, Tensor]]
+
+
+def named_tensors(params, prefix: str) -> NamedTensors:
+    """Each tensor of the parameter container ``params``, fields in
+    declaration order: a ``Tensor`` as ``prefix.field``, a nested container
+    walked under that name; ``None`` and ints hold none."""
+    for f in fields(params):
+        value, name = getattr(params, f.name), f"{prefix}.{f.name}"
+        if isinstance(value, Tensor):
+            yield name, value
+        elif is_dataclass(value):
+            yield from named_tensors(value, name)
 
 
 def xavier_uniform(rng: Optional[np.random.Generator], n_in: int,
@@ -48,11 +60,6 @@ class AffineParams:
 
     def apply(self, x: Tensor) -> Tensor:
         return T.matmul(x, self.weight, self.bias)
-
-    def named(self, prefix: str) -> NamedTensors:
-        yield prefix + ".weight", self.weight
-        if self.bias is not None:
-            yield prefix + ".bias", self.bias
 
 
 @dataclass
@@ -92,10 +99,6 @@ class MhaParams:
                          content=by_head(),
                          out=AffineParams.init(rng, width, width), heads=heads)
 
-    def named(self, prefix: str) -> NamedTensors:
-        for tag in ("query", "key", "content", "out"):
-            yield from getattr(self, tag).named(f"{prefix}.{tag}")
-
 
 @dataclass
 class MlpParams:
@@ -115,10 +118,6 @@ class MlpParams:
     def apply(self, x: Tensor) -> Tensor:
         return self.out.apply(T.relu(self.hidden.apply(x)))
 
-    def named(self, prefix: str) -> NamedTensors:
-        yield from self.hidden.named(prefix + ".hidden")
-        yield from self.out.named(prefix + ".out")
-
 
 @dataclass
 class SublayerParams:
@@ -131,10 +130,6 @@ class SublayerParams:
     def init(width: int) -> "SublayerParams":
         return SublayerParams(gain=Tensor(np.ones(width), requires_grad=True),
                               bias=Tensor(np.zeros(width), requires_grad=True))
-
-    def named(self, prefix: str) -> NamedTensors:
-        yield prefix + ".gain", self.gain
-        yield prefix + ".bias", self.bias
 
 
 def _key_keep(mask: Optional[np.ndarray], scores_ndim: int) -> Optional[np.ndarray]:

@@ -24,7 +24,8 @@ from .errors import ConfigError, ContractError, read_section
 from .features import ModalityBatch
 from .layers import (AffineParams, MhaParams, MlpParams, NamedTensors,
                      SublayerParams, _key_keep, multi_head_attention,
-                     positional_encoding, sublayer, xavier_uniform)
+                     named_tensors, positional_encoding, sublayer,
+                     xavier_uniform)
 from .rng import make_rng
 from .tensor import Tensor
 
@@ -151,12 +152,6 @@ class GlimpseParams:
     def count(self) -> int:
         return self.scores.data.shape[0]
 
-    def named(self, prefix: str) -> NamedTensors:
-        yield prefix + ".embed", self.embed
-        yield prefix + ".scores", self.scores
-        if self.norm is not None:
-            yield from self.norm.named(prefix + ".norm")
-
 
 @dataclass
 class BlockParams:
@@ -165,14 +160,6 @@ class BlockParams:
     mlp: MlpParams
     mlp_norm: SublayerParams
     glimpse: Optional[GlimpseParams]    # None in the monomodal variant
-
-    def named(self, prefix: str) -> NamedTensors:
-        yield from self.mha.named(prefix + ".mha")
-        yield from self.mha_norm.named(prefix + ".mha_norm")
-        yield from self.mlp.named(prefix + ".mlp")
-        yield from self.mlp_norm.named(prefix + ".mlp_norm")
-        if self.glimpse is not None:
-            yield from self.glimpse.named(prefix + ".glimpse")
 
 
 @dataclass
@@ -187,12 +174,12 @@ class TbjeModel:
 
     def named_parameters(self) -> NamedTensors:
         for m in self.config.modalities:
-            yield from self.input_proj[m].named(f"proj.{m}")
+            yield from named_tensors(self.input_proj[m], f"proj.{m}")
             for b, block in enumerate(self.blocks[m]):
-                yield from block.named(f"enc.{m}.{b}")
-            yield from self.final_glimpse[m].named(f"final.{m}")
-        yield from self.head_norm.named("head.norm")
-        yield from self.head.named("head.out")
+                yield from named_tensors(block, f"enc.{m}.{b}")
+            yield from named_tensors(self.final_glimpse[m], f"final.{m}")
+        yield from named_tensors(self.head_norm, "head.norm")
+        yield from named_tensors(self.head, "head.out")
 
     def parameter_dict(self) -> dict[str, Tensor]:
         return dict(self.named_parameters())

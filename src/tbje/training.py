@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -456,53 +456,6 @@ class _BestFile:
     def __exit__(self, *exc) -> None:
         if self.fh is not None:
             self.fh.close()
-
-
-def train_ensemble(make_model, train, valid, cfg: TrainConfig, log_dir=None,
-                   state_dir=None, resume=False):
-    """Train cfg.ensemble_size members with seeds cfg.seed + i, yielding
-    each member's (model, state) once it is trained. ``make_model(seed)``
-    builds a fresh model.
-
-    The generator keeps no reference to a member it has yielded, so a
-    caller that drops each pair before asking for the next holds one
-    member's parameters and moments at a time. (``enumerate`` would keep
-    the previous pair alive while the next member trains.)
-
-    With ``state_dir`` each member keeps its best checkpoint there as
-    ``model-member{i}.tbjm`` and checkpoints its live state every epoch;
-    ``resume=True`` picks up any member whose state file exists, reading it
-    into the model ``make_model`` builds, whose config it must have.
-    Resumed log files are rewritten from the state's own log so the two
-    never disagree.
-    """
-    for i in range(cfg.ensemble_size):
-        member_cfg = replace(cfg, seed=cfg.seed + i)
-        state_path = best_path = None
-        if state_dir is not None:
-            state_path = Path(state_dir) / f"state-member{i}.tbjs"
-            best_path = Path(state_dir) / f"model-member{i}.tbjm"
-        model = make_model(cfg.seed + i)
-        state = None
-        if resume and state_path is not None and state_path.is_file():
-            _, state = load_train_state(state_path, into=model)
-        fh = None
-        if log_dir is not None:
-            fh = open(Path(log_dir) / f"train-member{i}.ndjson", "w",
-                      encoding="utf-8")
-            if state is not None:
-                for record in state.log:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-                fh.flush()
-        try:
-            state = fit(model, train, valid, member_cfg, member=i,
-                        state=state, log_fh=fh, state_path=state_path,
-                        best_path=best_path)
-        finally:
-            if fh is not None:
-                fh.close()
-        yield model, state
-        del model, state
 
 
 # ---------------------------------------------------------------------------

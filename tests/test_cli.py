@@ -379,6 +379,10 @@ class TestTrain:
                 .splitlines()
             records = [json.loads(l) for l in lines]
             assert [r["epoch"] for r in records] == [1, 2, 3]
+            _, state = load_train_state(trained / f"state-member{i}.tbjs")
+            assert state.log == records
+        assert (trained / "model-member0.tbjm").read_bytes() != \
+            (trained / "model-member1.tbjm").read_bytes()
         summary = json.loads((trained / "summary.json").read_text())
         assert [m["member"] for m in summary["members"]] == [0, 1]
         assert [m["seed"] for m in summary["members"]] == [0, 1]
@@ -662,11 +666,16 @@ class TestTrain:
     def test_each_member_is_released_before_the_next_trains(
             self, corpus, tmp_path, monkeypatch):
         """``tbje train`` holds one member's model and state at a time: by
-        the time member i is built, member i-1's are gone."""
+        the time member i is built, member i-1's are gone, also when
+        member 0 is resumed from its state."""
         config = variant_config(corpus, tmp_path / "c.json",
                                 training={"max_epochs": 1,
                                           "ensemble_size": 3})
-        real_init, real_fit = tbje.cli.init_model, TR.fit
+        one = variant_config(corpus, tmp_path / "one.json",
+                             training={"max_epochs": 1, "ensemble_size": 1})
+        assert main(["train", "--config", str(one),
+                     "--out", str(tmp_path / "resumed")]) == EXIT_OK
+        real_init, real_fit = tbje.cli.init_model, tbje.cli.fit
         models, states, alive = [], [], []
 
         def init_model(*args, **kwargs):
@@ -682,12 +691,15 @@ class TestTrain:
             return state
 
         monkeypatch.setattr(tbje.cli, "init_model", init_model)
-        monkeypatch.setattr(TR, "fit", fit)
-        assert main(["train", "--config", str(config),
-                     "--out", str(tmp_path / "run")]) == EXIT_OK
-        assert len(models) == 3
-        assert alive == [[], [], [False] * 2, [False] * 2, [False] * 4,
-                         [False] * 4]
+        monkeypatch.setattr(tbje.cli, "fit", fit)
+        for out, flags in (("fresh", []), ("resumed", ["--resume"])):
+            for seen in (models, states, alive):
+                seen.clear()
+            assert main(["train", "--config", str(config),
+                         "--out", str(tmp_path / out)] + flags) == EXIT_OK
+            assert len(models) == 3
+            assert alive == [[], [], [False] * 2, [False] * 2, [False] * 4,
+                             [False] * 4]
 
     def test_resume_from_truncated_state_names_the_file(self, corpus,
                                                         tmp_path, capsys):
@@ -773,6 +785,48 @@ class TestEvaluate:
             == EXIT_OK
         capsys.readouterr()
         assert (trained / "report-test.txt").read_text() == explicit
+
+    def test_default_members_are_those_the_summary_lists(
+            self, corpus, trained, tmp_path, capsys):
+        """A smaller run over a larger run's directory leaves the larger
+        run's later checkpoints behind; evaluate's default scores only the
+        members summary.json lists."""
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+        one = variant_config(corpus, tmp_path / "one.json",
+                             training={"ensemble_size": 1})
+        assert main(["train", "--config", str(one), "--out", str(out),
+                     "--seed", "7"]) == EXIT_OK
+        assert (out / "model-member1.tbjm").is_file()
+        config = str(corpus / "config.json")
+        assert main(["evaluate", "--config", config, "--out",
+                     str(tmp_path), str(out / "model-member0.tbjm")]) \
+            == EXIT_OK
+        assert main(["evaluate", "--config", config, "--out",
+                     str(out)]) == EXIT_OK
+        capsys.readouterr()
+        default = (out / "report-test.txt").read_text()
+        assert "\nensemble 1\n" in default
+        assert default == (tmp_path / "report-test.txt").read_text()
+
+    @pytest.mark.parametrize("summary", [None, b'{"members": [',
+                                         b'{"task": "sentiment-2"}',
+                                         b'{"members": []}'])
+    def test_default_without_a_usable_summary_is_config_error(
+            self, corpus, trained, tmp_path, capsys, summary):
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+        listing = out / "summary.json"
+        if summary is None:
+            listing.unlink()
+        else:
+            listing.write_bytes(summary)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(listing) in err
 
     def test_duplicated_checkpoint_changes_nothing(self, corpus, trained,
                                                    tmp_path, capsys):

@@ -7,8 +7,8 @@ import tbje.tensor as T
 from tbje.errors import ConfigError, ContractError
 from tbje.gradcheck import check_gradients
 from tbje.layers import (AffineParams, MhaParams, MlpParams, SublayerParams,
-                         attention, multi_head_attention, positional_encoding,
-                         sublayer, xavier_uniform)
+                         attention, multi_head_attention, named_tensors,
+                         positional_encoding, sublayer, xavier_uniform)
 from tbje.rng import make_rng
 from tbje.tensor import Tensor
 
@@ -195,7 +195,7 @@ def test_mha_gradcheck():
     rng = make_rng(35, "mha-grad")
     params = MhaParams.init(rng, 6, 2)
     q, k, c = tens(rng, 3, 6), tens(rng, 4, 6), tens(rng, 4, 6)
-    named = dict(params.named("mha"))
+    named = dict(named_tensors(params, "mha"))
 
     def loss_fn():
         out = multi_head_attention(params, q, k, c)
@@ -257,7 +257,8 @@ def test_sublayer_gradient_flows_both_paths():
     x.requires_grad = True
     params = SublayerParams.init(6)
     mlp = MlpParams.init(rng, 6, 10)
-    named = {"x": x, **dict(params.named("ln")), **dict(mlp.named("mlp"))}
+    named = {"x": x, **dict(named_tensors(params, "ln")),
+             **dict(named_tensors(mlp, "mlp"))}
 
     def loss_fn():
         out = sublayer(x, mlp.apply, params)

@@ -24,7 +24,7 @@ from tbje.training import (TrainConfig, TrainState, adam_step,
                            gold_labels, init_state, load_train_state, loss,
                            observe_validation, predict_probabilities,
                            predictions_from_probabilities, save_train_state,
-                           schedule_trace, train_ensemble)
+                           schedule_trace)
 
 import io
 
@@ -640,42 +640,6 @@ class TestEnsemble:
         multi = np.array([[0.4, 0.6], [0.5, 0.1]])
         assert predictions_from_probabilities(multi, "emotions-6").tolist() \
             == [[0, 1], [1, 0]]
-
-    def test_train_ensemble_members_differ_and_log(self, bundle, tmp_path):
-        cfg = quick_cfg(max_epochs=2, ensemble_size=2)
-        members = list(train_ensemble(
-            lambda seed: init_model(tiny_encoder(("L",)), seed=seed),
-            bundle.splits["train"], bundle.splits["valid"], cfg,
-            log_dir=tmp_path, state_dir=tmp_path))
-        assert len(members) == 2
-        assert model_bytes(members[0][0]) != model_bytes(members[1][0])
-        for i, (_, state) in enumerate(members):
-            lines = (tmp_path / f"train-member{i}.ndjson").read_text().splitlines()
-            assert [json.loads(l) for l in lines] == state.log
-            assert (tmp_path / f"state-member{i}.tbjs").is_file()
-
-    def test_train_ensemble_resume_matches_uninterrupted(self, bundle,
-                                                         tmp_path):
-        make = lambda seed: init_model(tiny_encoder(("L",)), seed=seed)
-        cfg = quick_cfg(max_epochs=4, ensemble_size=1)
-        a_dir = tmp_path / "direct"
-        b_dir = tmp_path / "paused"
-        a_dir.mkdir()
-        b_dir.mkdir()
-        direct = list(train_ensemble(make, bundle.splits["train"],
-                                     bundle.splits["valid"], cfg,
-                                     log_dir=a_dir, state_dir=a_dir))
-        list(train_ensemble(make, bundle.splits["train"],
-                            bundle.splits["valid"],
-                            quick_cfg(max_epochs=2, ensemble_size=1),
-                            log_dir=b_dir, state_dir=b_dir))
-        resumed = list(train_ensemble(make, bundle.splits["train"],
-                                      bundle.splits["valid"], cfg,
-                                      log_dir=b_dir, state_dir=b_dir,
-                                      resume=True))
-        assert model_bytes(direct[0][0]) == model_bytes(resumed[0][0])
-        assert (a_dir / "train-member0.ndjson").read_bytes() == \
-            (b_dir / "train-member0.ndjson").read_bytes()
 
 
 class TestEvaluation:
