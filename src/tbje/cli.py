@@ -22,16 +22,15 @@ import numpy as np
 from .config import RunConfig, load_run_config
 from .data import DatasetBundle, Split, read_bundle, write_bundle
 from .errors import ConfigError, ContractError, NumericError, ShapeError
-from .features import (EMBEDDING_DIM, ModalityBatch, build_vocabulary,
-                       load_waveform, make_batch, mel_spectrogram,
-                       normalize_mel, tokenize)
+from .features import (ModalityBatch, build_vocabulary, load_waveform,
+                       make_batch, mel_spectrogram, normalize_mel, tokenize)
 from .gradcheck import DEFAULT_TOLERANCE, check_gradients
 from .metrics import EMOTIONS, SENTIMENT_MAX, SENTIMENT_MIN, evaluation_report
 from .model import EncoderConfig, forward_logits, init_model, load_model
 from .rng import make_rng
 from .tensor import load_array, read_json
-from .training import (cross_entropy, ensemble_predict, evaluate_accuracy,
-                       fit, gold_labels, load_train_state,
+from .training import (ensemble_predict, evaluate_accuracy, fit,
+                       gold_labels, load_train_state, loss,
                        predictions_from_probabilities)
 
 EXIT_OK = 0
@@ -41,6 +40,8 @@ EXIT_NUMERIC = 4
 
 REQUIRED_COLUMNS = ("id", "split", "transcript", "sentiment") + EMOTIONS
 OPTIONAL_COLUMNS = ("audio", "visual")
+# the manifest column that names each modality's input files
+COLUMNS = {"L": "transcript", "A": "audio", "V": "visual"}
 KNOWN_SPLITS = ("train", "valid", "test")
 
 
@@ -94,6 +95,8 @@ def _require_splits(bundle: DatasetBundle, names) -> None:
 # ---------------------------------------------------------------------------
 
 def _read_manifest(path: Path) -> tuple[list[dict], list[str]]:
+    """The manifest's rows, each with a non-empty, unique id and a known
+    split, and the optional columns it has."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -109,12 +112,19 @@ def _read_manifest(path: Path) -> tuple[list[dict], list[str]]:
         rows = list(reader)
     if not rows:
         raise ConfigError(f"manifest {path} holds no examples")
-    modalities = ["L"]
-    if "audio" in header:
-        modalities.append("A")
-    if "visual" in header:
-        modalities.append("V")
-    return rows, modalities
+    seen = set()
+    for row in rows:
+        if not row["id"]:
+            raise ConfigError(f"manifest {path}: empty example id")
+        if row["id"] in seen:
+            raise ConfigError(f"manifest {path}: duplicate example id "
+                              f"{row['id']!r}")
+        seen.add(row["id"])
+        if row["split"] not in KNOWN_SPLITS:
+            raise ConfigError(f"manifest {path}, example {row['id']!r}: "
+                              f"unknown split {row['split']!r}; expected "
+                              f"one of {list(KNOWN_SPLITS)}")
+    return rows, [c for c in OPTIONAL_COLUMNS if c in header]
 
 
 def _parse_labels(row: dict, path: Path) -> tuple[float, list[int]]:
@@ -140,33 +150,14 @@ def cmd_extract_features(args) -> int:
     cfg = _resolve_config(args)
     manifest_path = cfg.require_path("manifest")
     out = cfg.require_path("bundle")
-    rows, modalities = _read_manifest(manifest_path)
-
+    rows, optional = _read_manifest(manifest_path)
     base = manifest_path.parent
-    seen = set()
-    for row in rows:
-        if not row["id"]:
-            raise ConfigError(f"manifest {manifest_path}: empty example id")
-        if row["id"] in seen:
-            raise ConfigError(f"manifest {manifest_path}: duplicate example "
-                              f"id {row['id']!r}")
-        seen.add(row["id"])
-        if row["split"] not in KNOWN_SPLITS:
-            raise ConfigError(f"manifest {manifest_path}, example "
-                              f"{row['id']!r}: unknown split "
-                              f"{row['split']!r}; expected one of "
-                              f"{list(KNOWN_SPLITS)}")
 
     # every referenced file checked up front, all problems reported at once
-    missing = []
     embeddings_path = cfg.require_path("embeddings")
-    if not embeddings_path.is_file():
-        missing.append(str(embeddings_path))
-    columns = ["transcript"] + [c for c in OPTIONAL_COLUMNS
-                                if ("A" in modalities and c == "audio")
-                                or ("V" in modalities and c == "visual")]
+    missing = [] if embeddings_path.is_file() else [str(embeddings_path)]
     for row in rows:
-        for column in columns:
+        for column in ("transcript", *optional):
             p = base / row[column]
             if not p.is_file():
                 missing.append(f"{p} ({column} of example {row['id']!r})")
@@ -177,80 +168,58 @@ def cmd_extract_features(args) -> int:
 
     by_split = {}
     for row in rows:
-        by_split.setdefault(row["split"], []).append(row)
+        by_split.setdefault(row["split"], []).append(row["id"])
     if "train" not in by_split:
         raise ConfigError("manifest has no train examples; the vocabulary "
                           "is built from the train split")
 
-    token_lists = {row["id"]: tokenize((base / row["transcript"]).read_text(
+    # features[m][example id]: the example's (rows, width) array
+    tokens = {row["id"]: tokenize((base / row["transcript"]).read_text(
         encoding="utf-8")) for row in rows}
-    train_tokens = [token_lists[row["id"]] for row in by_split["train"]]
-    vocab = build_vocabulary(train_tokens, embeddings_path)
-
-    mel_frames = {}
-    if "A" in modalities:
+    vocab = build_vocabulary([tokens[i] for i in by_split["train"]],
+                             embeddings_path)
+    features = {"L": {i: vocab.embed(t) for i, t in tokens.items()}}
+    normalization = {}
+    if "audio" in optional:
+        mel = features["A"] = {
+            row["id"]: mel_spectrogram(load_waveform(
+                base / row["audio"], cfg.mel.sample_rate), cfg.mel)
+            for row in rows}
+        lo = min(float(mel[i].min()) for i in by_split["train"])
+        hi = max(float(mel[i].max()) for i in by_split["train"])
+        hi = hi if hi > lo else lo + 1.0
+        for i in mel:       # replaced one by one: no raw copy stays alive
+            mel[i] = normalize_mel(mel[i], lo, hi)
+        normalization["A"] = {"lo": lo, "hi": hi}
+    if "visual" in optional:
+        features["V"] = {}
         for row in rows:
-            wave = load_waveform(base / row["audio"], cfg.mel.sample_rate)
-            mel_frames[row["id"]] = mel_spectrogram(wave, cfg.mel)
-        train_stack = np.vstack(
-            [mel_frames[row["id"]] for row in by_split["train"]])
-        lo, hi = float(train_stack.min()), float(train_stack.max())
-        if hi <= lo:
-            hi = lo + 1.0
-        mel_frames = {k: normalize_mel(v, lo, hi)
-                      for k, v in mel_frames.items()}
-
-    visual = {}
-    if "V" in modalities:
-        widths = set()
-        for row in rows:
-            feats = load_array(base / row["visual"])
+            feats = features["V"][row["id"]] = load_array(base / row["visual"])
             if feats.ndim != 2:
                 raise ConfigError(f"visual features for {row['id']!r} have "
                                   f"rank {feats.ndim}, expected 2")
-            widths.add(feats.shape[1])
-            visual[row["id"]] = feats
+
+    shapes = {}
+    for m, table in features.items():
+        widths = sorted({a.shape[1] for a in table.values()})
         if len(widths) != 1:
-            raise ConfigError(f"inconsistent visual widths {sorted(widths)}")
-
-    widths = {"L": EMBEDDING_DIM}
-    if "A" in modalities:
-        widths["A"] = cfg.mel.bands
-    if "V" in modalities:
-        widths["V"] = next(iter(visual.values())).shape[1]
-    lengths = {m: cfg.encoder.lengths.get(m, 40) for m in modalities}
-
-    splits = {}
-    for name, split_rows in by_split.items():
-        sequences = {m: [] for m in modalities}
-        sentiment = []
-        emotions = []
-        for row in split_rows:
-            sequences["L"].append(vocab.embed(token_lists[row["id"]]))
-            if "A" in modalities:
-                sequences["A"].append(mel_frames[row["id"]])
-            if "V" in modalities:
-                sequences["V"].append(visual[row["id"]])
-            s, flags = labels[row["id"]]
-            sentiment.append(s)
-            emotions.append(flags)
-        splits[name] = Split(
-            name=name, ids=[row["id"] for row in split_rows],
-            batches={m: make_batch(sequences[m], lengths[m], m)
-                     for m in modalities},
-            sentiment=np.array(sentiment), emotions=np.array(emotions))
-
-    bundle = DatasetBundle(
-        modalities={m: {"width": widths[m], "length": lengths[m]}
-                    for m in modalities},
-        splits=splits, vocab_hash=vocab.content_hash(),
-        normalization=({"A": {"lo": lo, "hi": hi}}
-                       if "A" in modalities else {}))
-    write_bundle(out, bundle, vocab=vocab)
+            raise ConfigError(f"inconsistent {COLUMNS[m]} widths {widths}")
+        shapes[m] = {"width": widths[0],
+                     "length": cfg.encoder.lengths.get(m, 40)}
+    splits = {name: Split(
+        name=name, ids=ids,
+        batches={m: make_batch([table[i] for i in ids], shapes[m]["length"],
+                               m) for m, table in features.items()},
+        sentiment=[labels[i][0] for i in ids],
+        emotions=[labels[i][1] for i in ids])
+        for name, ids in by_split.items()}
+    write_bundle(out, DatasetBundle(
+        modalities=shapes, splits=splits, vocab_hash=vocab.content_hash(),
+        normalization=normalization), vocab=vocab)
 
     print(f"bundle written to {out}")
-    print(f"modalities: {' '.join(modalities)}  widths: "
-          + " ".join(f"{m}={widths[m]}" for m in modalities))
+    print(f"modalities: {' '.join(shapes)}  widths: "
+          + " ".join(f"{m}={s['width']}" for m, s in shapes.items()))
     for name in sorted(splits):
         print(f"split {name}: {splits[name].size} examples")
     print(f"vocabulary: {len(vocab.tokens)} tokens, "
@@ -423,13 +392,15 @@ def cmd_gradcheck(args) -> int:
     model = init_model(encoder, seed=seed)
     rng = make_rng(seed, "gradcheck-data")
     batches = _random_batches(encoder, rng)
-    labels = rng.integers(0, encoder.num_classes(), size=2)
+    # the labels of the configured task, audited through its training loss
+    labels = (rng.integers(0, 2, size=(2, encoder.num_classes()))
+              if encoder.task == "emotions-6"
+              else rng.integers(0, encoder.num_classes(), size=2))
 
     params = dict(model.named_parameters())
 
     def forward():
-        logits = forward_logits(model, batches)
-        return cross_entropy(logits, labels, encoder.num_classes())
+        return loss(forward_logits(model, batches), labels, encoder.task)
 
     results = check_gradients(forward, params, max_coords=args.max_coords,
                               seed=seed)

@@ -73,6 +73,11 @@ class EncoderConfig:
         if unknown:
             raise ConfigError(f"unknown modality tags {sorted(unknown)}; "
                               f"expected subset of {MODALITY_TAGS}")
+        for name in ("lengths", "input_widths", "positional"):
+            unknown = sorted(set(getattr(self, name)) - set(MODALITY_TAGS))
+            if unknown:
+                raise ConfigError(f"encoder.{name} has keys {unknown} that "
+                                  f"are not modality tags {MODALITY_TAGS}")
         if self.primary not in self.modalities:
             raise ConfigError(
                 f"primary modality {self.primary!r} not among {self.modalities}")
@@ -147,10 +152,6 @@ class GlimpseParams:
                           xavier_uniform(rng, 2 * width, count).T,
                           requires_grad=True),
             norm=SublayerParams.init(width) if with_norm else None)
-
-    @property
-    def count(self) -> int:
-        return self.scores.data.shape[0]
 
 
 @dataclass

@@ -43,10 +43,13 @@ ADAM_EPS = 1e-8
 _ADAM_BLOCK = 1 << 15
 
 STATE_MAGIC = b"TBJS"
-STATE_VERSION = 4
+STATE_VERSION = 5
 # the TrainState fields a state file keeps in its JSON header
 _STATE_HEADER = ("step", "epoch", "lr", "best_accuracy", "best_epoch",
-                 "stagnant", "decays_used", "stopped", "log")
+                 "stagnant", "decays_used", "stopped", "log", "config")
+# the TrainConfig fields a resumed run may change: it may train for more
+# epochs, or belong to a larger ensemble
+_RESUMABLE = ("max_epochs", "ensemble_size")
 
 
 @dataclass
@@ -97,6 +100,7 @@ class TrainState:
     decays_used: int = 0
     stopped: bool = False
     log: list = field(default_factory=list)
+    config: Optional[dict] = None   # the TrainConfig fit() last ran, as a dict
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +341,17 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
     ``state_path`` is given the live state is rewritten after every epoch,
     and passing the loaded state (with its model and the same
     ``best_path``) back in resumes the exact trajectory of an
-    uninterrupted run.
+    uninterrupted run. A resumed ``cfg`` may differ from the state's own
+    only in ``max_epochs`` and ``ensemble_size``.
     """
     if train.size == 0 or valid.size == 0:
         raise ContractError("fit() needs non-empty train and valid splits")
     params = model.parameter_dict()
     if state is None:
         state = init_state(params, cfg.lr)
+    else:
+        _require_training(state, cfg, member)
+    state.config = cfg.to_dict()
     task = model.config.task
     labels = gold_labels(train, task, model.config.sentiment_boundary)
     n = train.size
@@ -402,6 +410,21 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
         if state.best_epoch:
             best.read_into(model)
     return state
+
+
+def _require_training(state: TrainState, cfg: TrainConfig,
+                      member: int) -> None:
+    """Raise a one-line ConfigError naming each field, other than those in
+    ``_RESUMABLE``, in which ``cfg`` differs from the config ``state`` was
+    trained under."""
+    got, want = state.config or {}, cfg.to_dict()
+    differ = [f"{k}: state {got.get(k)!r}, config {want[k]!r}"
+              for k in sorted(want) if k not in _RESUMABLE
+              and got.get(k) != want[k]]
+    if differ:
+        raise ConfigError(f"training config does not match the one member "
+                          f"{member}'s state was trained under ("
+                          + "; ".join(differ) + ")")
 
 
 class _BestFile:
@@ -463,10 +486,10 @@ class _BestFile:
 # ---------------------------------------------------------------------------
 
 def save_train_state(path, model: TbjeModel, state: TrainState) -> None:
-    """One file holding the schedule counters, best epoch and log so far (a
-    JSON header), the live parameters (an embedded checkpoint), and then,
-    per parameter name, its two Adam moments. The best parameters are not
-    here: fit() keeps them in their own checkpoint.
+    """One file holding the schedule counters, best epoch, log so far and
+    training config (a JSON header), the live parameters (an embedded
+    checkpoint), and then, per parameter name, its two Adam moments. The
+    best parameters are not here: fit() keeps them in their own checkpoint.
 
     An existing file is overwritten in place, not truncated first, which
     would wait for the last write's pages and allocate new blocks. Its
@@ -495,6 +518,8 @@ def _read_train_state(fh, into) -> tuple[TbjeModel, TrainState]:
     _, header = T.read_head(fh, STATE_MAGIC, "train-state",
                             range(STATE_VERSION, STATE_VERSION + 1),
                             required=_STATE_HEADER)
+    # a malformed config record is refused on load, not by the resume
+    TrainConfig.from_dict(header["config"])
     model = read_model(fh, into)
     state = TrainState(**{key: header[key] for key in _STATE_HEADER})
     params = model.parameter_dict()

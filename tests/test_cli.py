@@ -214,6 +214,23 @@ class TestRunConfig:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(key) in err
 
+    @pytest.mark.parametrize("encoder, message", [
+        ({"positional": {"Q": True}, "lengths": {"X": 3}},
+         "encoder.lengths has keys ['X']"),
+        ({"positional": {"L": True, "Q": True}},
+         "encoder.positional has keys ['Q']"),
+        ({"input_widths": {"L": 300, "A": 80, "a": 8, "T": 1}},
+         "encoder.input_widths has keys ['T', 'a']"),
+    ], ids=["lengths", "positional", "input-widths"])
+    def test_per_modality_key_that_is_no_modality_exits_2(
+            self, tmp_path, capsys, encoder, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"encoder": encoder}))
+        assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {message} that are not modality tags "
+            f"('L', 'A', 'V')\n")
+
     def test_integer_stands_for_a_float(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"training": {"lr": 1},
@@ -366,6 +383,71 @@ class TestExtract:
             == EXIT_CONFIG
         assert "train" in capsys.readouterr().err
 
+    @staticmethod
+    def refused(tmp_path, capsys, edit, code=EXIT_CONFIG) -> str:
+        """Build the toy corpus, apply ``edit`` to its root, run
+        extract-features; it must exit with ``code``, write no bundle, and
+        report one error. Returns that error line."""
+        build_toy_corpus(tmp_path)
+        config = toy_run_config(tmp_path)
+        edit(tmp_path)
+        capsys.readouterr()
+        assert run_quiet(["extract-features", "--config", str(config)]) \
+            == code
+        assert not (tmp_path / "bundle").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    @staticmethod
+    def rewrite_manifest(old: str, new: str):
+        def edit(root):
+            manifest = root / "manifest.csv"
+            manifest.write_text(manifest.read_text().replace(old, new, 1))
+        return edit
+
+    def test_empty_id_rejected(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys,
+                           self.rewrite_manifest("\nutt03,", "\n,"))
+        assert err == (f"error: manifest {tmp_path / 'manifest.csv'}: "
+                       f"empty example id\n")
+
+    def test_unknown_split_rejected(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys,
+                           self.rewrite_manifest(",valid,", ",dev,"))
+        assert err == (f"error: manifest {tmp_path / 'manifest.csv'}, "
+                       f"example 'utt04': unknown split 'dev'; expected one "
+                       f"of ['train', 'valid', 'test']\n")
+
+    def test_rank_3_visual_features_rejected(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, lambda root: TT.save_array(
+            root / "visual" / "utt05.tbjt", np.zeros((2, 3, 5))))
+        assert err == ("error: visual features for 'utt05' have rank 3, "
+                       "expected 2\n")
+
+    def test_inconsistent_visual_widths_rejected(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, lambda root: TT.save_array(
+            root / "visual" / "utt02.tbjt", np.ones((3, 6))))
+        assert err == "error: inconsistent visual widths [5, 6]\n"
+
+    def test_visual_ranks_are_checked_before_widths(self, tmp_path, capsys):
+        def edit(root):
+            TT.save_array(root / "visual" / "utt01.tbjt", np.ones((3, 6)))
+            TT.save_array(root / "visual" / "utt06.tbjt", np.zeros(4))
+        err = self.refused(tmp_path, capsys, edit)
+        assert err == ("error: visual features for 'utt06' have rank 1, "
+                       "expected 2\n")
+
+    def test_missing_files_are_reported_before_bad_labels(self, tmp_path,
+                                                          capsys):
+        def edit(root):
+            self.rewrite_manifest(",2.9,", ",oops,")(root)
+            (root / "visual" / "utt02.tbjt").unlink()
+        err = self.refused(tmp_path, capsys, edit, code=EXIT_IO)
+        assert err == (f"i/o error: missing input files:\n  "
+                       f"{tmp_path / 'visual' / 'utt02.tbjt'} (visual of "
+                       f"example 'utt02')\n")
+
 
 # ---------------------------------------------------------------------------
 # train
@@ -480,6 +562,65 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == (f"error: unsupported train-state version 3 "
                        f"(in {state})\n")
+
+    def test_resume_from_v4_state_rejected(self, corpus, tmp_path, capsys):
+        """A version-4 state does not record the training config it ran
+        under, so a resume could not check it; this build refuses it."""
+        config = variant_config(corpus, tmp_path / "one.json",
+                                training={"max_epochs": 1})
+        out = tmp_path / "old"
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        state = out / "state-member0.tbjs"
+        blob = state.read_bytes()
+        state.write_bytes(blob[:4] + struct.pack("<I", 4) + blob[8:])
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--out", str(out),
+                     "--resume"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"error: unsupported train-state version 4 "
+                       f"(in {state})\n")
+
+    def test_resume_under_a_changed_training_config_rejected(
+            self, corpus, tmp_path, capsys):
+        config = variant_config(corpus, tmp_path / "two.json",
+                                training={"max_epochs": 2})
+        changed = variant_config(corpus, tmp_path / "changed.json",
+                                 training={"max_epochs": 4, "lr": 0.5,
+                                           "batch_size": 1})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert main(["train", "--config", str(changed), "--out", str(out),
+                     "--seed", "99", "--resume"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: training config does not match the one member 0's "
+            "state was trained under (batch_size: state 4, config 1; lr: "
+            "state 0.002, config 0.5; seed: state 0, config 99)\n")
+        assert captured.out == ""
+        assert tree_bytes(out) == before
+
+    def test_resume_with_more_members_and_epochs_matches_uninterrupted(
+            self, corpus, tmp_path):
+        full = variant_config(corpus, tmp_path / "full.json",
+                              training={"max_epochs": 3, "ensemble_size": 3})
+        part = variant_config(corpus, tmp_path / "part.json",
+                              training={"max_epochs": 2, "ensemble_size": 1})
+        direct, paused = tmp_path / "direct", tmp_path / "paused"
+        assert main(["train", "--config", str(full),
+                     "--out", str(direct)]) == EXIT_OK
+        assert main(["train", "--config", str(part),
+                     "--out", str(paused)]) == EXIT_OK
+        assert main(["train", "--config", str(full), "--out", str(paused),
+                     "--resume"]) == EXIT_OK
+        got, want = tree_bytes(paused), tree_bytes(direct)
+        # the summary's config names each run's own out directory
+        summaries = [json.loads(t.pop("summary.json")) for t in (got, want)]
+        assert got == want
+        assert summaries[0]["members"] == summaries[1]["members"]
 
     def test_resume_under_a_changed_encoder_config_rejected(
             self, corpus, tmp_path, capsys):
@@ -1131,6 +1272,31 @@ class TestGradcheck:
         save_run_config(path, RunConfig())
         assert main(["gradcheck", "--config", str(path)]) == EXIT_CONFIG
         assert "toy" in capsys.readouterr().err
+
+    def test_emotions_config_checks_the_loss_it_trains_with(
+            self, tmp_path, monkeypatch, capsys):
+        """An emotions-6 model trains with per-label BCE, whose gradient
+        runs through log_sigmoid; a wrong log_sigmoid vjp must fail."""
+        encoder = dataclasses.replace(tbje.cli.toy_encoder(),
+                                      task="emotions-6")
+        path = tmp_path / "emotions.json"
+        save_run_config(path, RunConfig(encoder=encoder))
+        argv = ["gradcheck", "--config", str(path), "--max-coords", "2"]
+        assert main(argv) == EXIT_OK
+
+        def corrupt_log_sigmoid(a):
+            x = a.data
+            data = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+            # the true vjp is g * sigmoid(-x): 1.5 times it, wrong on purpose
+            return TT._from_op(data, (a,), lambda: (
+                lambda g: (1.5 * g / (1.0 + np.exp(x)),)))
+
+        monkeypatch.setattr(TT, "log_sigmoid", corrupt_log_sigmoid)
+        capsys.readouterr()
+        assert main(argv) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert "FAIL head.out.weight" in captured.out
+        assert "FAILED" in captured.err
 
     def test_corrupted_backward_fails(self, monkeypatch, capsys):
         true_relu = TT.relu

@@ -468,6 +468,42 @@ class TestFit:
         assert state_a.log == state_b.log
         assert path_a.read_bytes() == path_b.read_bytes()
 
+    def test_resume_under_a_changed_training_config_rejected(self, bundle,
+                                                             tmp_path):
+        """Every field but max_epochs and ensemble_size must match the
+        state's; the one-line error names each differing field, and the
+        model and state are left as they were."""
+        model = init_model(tiny_encoder(("L",)), seed=7)
+        path = tmp_path / "state.tbjs"
+        fit(model, bundle.splits["train"], bundle.splits["valid"],
+            quick_cfg(max_epochs=1), state_path=path)
+        before = path.read_bytes()
+        resumed, state = load_train_state(path)
+        weights = model_bytes(resumed)
+        with pytest.raises(ConfigError, match=(
+                r"^training config does not match the one member 0's state "
+                r"was trained under \(batch_size: state 8, config 1; "
+                r"patience: state 150, config 3; seed: state 11, config 12\)"
+                r"$")):
+            fit(resumed, bundle.splits["train"], bundle.splits["valid"],
+                quick_cfg(max_epochs=3, ensemble_size=9, batch_size=1,
+                          patience=3, seed=12), state=state, state_path=path)
+        assert model_bytes(resumed) == weights and state.epoch == 1
+        assert path.read_bytes() == before
+
+    def test_state_records_the_config_fit_last_ran(self, bundle, tmp_path):
+        model = init_model(tiny_encoder(("L",)), seed=7)
+        path = tmp_path / "state.tbjs"
+        best = tmp_path / "best.tbjm"
+        fit(model, bundle.splits["train"], bundle.splits["valid"],
+            quick_cfg(max_epochs=1), state_path=path, best_path=best)
+        resumed, state = load_train_state(path)
+        assert state.config == quick_cfg(max_epochs=1).to_dict()
+        longer = quick_cfg(max_epochs=2, ensemble_size=3)
+        fit(resumed, bundle.splits["train"], bundle.splits["valid"], longer,
+            state=state, state_path=path, best_path=best)
+        assert load_train_state(path)[1].config == longer.to_dict()
+
     def test_state_file_tracks_live_run(self, bundle, tmp_path):
         model = init_model(tiny_encoder(("L",)), seed=7)
         path = tmp_path / "state.tbjs"
@@ -700,6 +736,7 @@ class TestTrainState:
         state.step, state.epoch, state.best_accuracy = 3, 1, 0.5
         state.best_epoch = 1
         state.log = [{"epoch": 1, "lr": 0.01}]
+        state.config = quick_cfg().to_dict()
 
         config = json.dumps({"config": model.config.to_dict(),
                              "vocab_hash": "v1"}, sort_keys=True,
@@ -709,14 +746,15 @@ class TestTrainState:
         counters = json.dumps({
             "best_accuracy": 0.5, "best_epoch": 1, "decays_used": 0,
             "epoch": 1, "log": state.log, "lr": 0.01, "stagnant": 0,
-            "step": 3, "stopped": False}, sort_keys=True).encode()
+            "step": 3, "stopped": False, "config": quick_cfg().to_dict()},
+            sort_keys=True).encode()
         moments = section([(n, [state.first_moment[n], state.second_moment[n]])
                            for n in sorted(params)])
         save_model(tmp_path / "m.tbjm", model)
         save_train_state(tmp_path / "s.tbjs", model, state)
         assert (tmp_path / "m.tbjm").read_bytes() == checkpoint
         assert (tmp_path / "s.tbjs").read_bytes() == (
-            b"TBJS" + struct.pack("<II", 4, len(counters)) + counters
+            b"TBJS" + struct.pack("<II", 5, len(counters)) + counters
             + checkpoint + moments)
 
     def test_round_trip_preserves_everything(self, bundle, tmp_path):
@@ -827,6 +865,21 @@ class TestTrainState:
         path.write_bytes(TR.STATE_MAGIC + struct.pack(
             "<II", TR.STATE_VERSION, len(header)) + header)
         with pytest.raises(ConfigError, match="train-state header"):
+            load_train_state(path)
+
+    @pytest.mark.parametrize("config, message", [
+        (None, "config section 'training' must be an object"),
+        ({"lr": "fast"}, "config key 'training.lr' must be a number"),
+    ])
+    def test_malformed_config_record_is_config_error(self, bundle, tmp_path,
+                                                     config, message):
+        model = init_model(tiny_encoder(("L",)), seed=7)
+        state = fit(model, bundle.splits["train"], bundle.splits["valid"],
+                    quick_cfg(max_epochs=1))
+        state.config = config
+        path = tmp_path / "state.tbjs"
+        save_train_state(path, model, state)
+        with pytest.raises(ConfigError, match=f"^{message}"):
             load_train_state(path)
 
     def test_truncated_anywhere_is_config_error(self, bundle, tmp_path):
