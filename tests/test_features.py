@@ -13,7 +13,8 @@ from tbje.features import (EMBEDDING_DIM, MelConfig, ModalityBatch, Vocabulary,
                            build_vocabulary, hz_to_mel, load_waveform,
                            make_batch, mel_filter_bank, mel_spectrogram,
                            mel_to_hz, normalize_mel, pad_truncate,
-                           resample_linear, stft_magnitudes, tokenize)
+                           read_embedding_file, resample_linear,
+                           stft_magnitudes, tokenize)
 from tbje.rng import make_rng
 
 from oracles import naive_dft_magnitudes
@@ -117,6 +118,76 @@ def test_vocabulary_embed_and_hash(tmp_path):
 def test_vocabulary_requires_reserved_order():
     with pytest.raises(ConfigError):
         Vocabulary(["unk", "pad"], np.zeros((2, EMBEDDING_DIM)))
+
+
+# ---------------------------------------------------------------------------
+# embedding file rules
+# ---------------------------------------------------------------------------
+
+def embedding_line(token, values) -> str:
+    return token + " " + " ".join(f"{v:.6f}" for v in values)
+
+
+def write_embedding_lines(tmp_path, lines, newline="\n"):
+    path = tmp_path / "emb.txt"
+    path.write_bytes("".join(line + newline for line in lines)
+                     .encode("utf-8"))
+    return path
+
+
+def vector(seed: int) -> np.ndarray:
+    return np.round(make_rng(seed, "embedding-rules")
+                    .normal(size=EMBEDDING_DIM), 6)
+
+
+def test_embedding_first_occurrence_wins_over_a_malformed_copy(tmp_path):
+    path = write_embedding_lines(tmp_path, [
+        embedding_line("a", vector(1)),
+        "a 1.0 2.0",
+        "a " + " ".join(["oops"] * EMBEDDING_DIM),
+        embedding_line("a", vector(2))])
+    rows = read_embedding_file(path, {"a"})
+    assert list(rows) == ["a"]
+    assert np.array_equal(rows["a"], vector(1))
+
+
+def test_embedding_malformed_unwanted_lines_are_ignored(tmp_path):
+    path = write_embedding_lines(tmp_path, [
+        "zz 1.0 2.0", "", "yy", "xx " + " ".join(["oops"] * EMBEDDING_DIM),
+        "nn " + " ".join(["nan"] * EMBEDDING_DIM),
+        embedding_line("b", vector(3)), "b"])
+    rows = read_embedding_file(path, {"b", "missing"})
+    assert list(rows) == ["b"]
+    assert np.array_equal(rows["b"], vector(3))
+
+
+def test_embedding_wanted_token_without_values_reports_got_0(tmp_path):
+    path = write_embedding_lines(tmp_path, [embedding_line("z", vector(4)),
+                                            "a"])
+    with pytest.raises(ConfigError) as info:
+        read_embedding_file(path, {"a"})
+    assert str(info.value) == (f"{path}:2: expected 300 values for token "
+                               f"'a', got 0")
+
+
+def test_embedding_trailing_space_reports_got_301(tmp_path):
+    path = write_embedding_lines(tmp_path, [embedding_line("a", vector(5))
+                                            + " "])
+    with pytest.raises(ConfigError) as info:
+        read_embedding_file(path, {"a"})
+    assert str(info.value) == (f"{path}:1: expected 300 values for token "
+                               f"'a', got 301")
+
+
+def test_embedding_crlf_endings_give_the_bytes_of_lf(tmp_path):
+    lines = [embedding_line(t, vector(k)) for k, t in enumerate("abc")]
+    lf = read_embedding_file(write_embedding_lines(tmp_path, lines), {"a", "c"})
+    crlf = read_embedding_file(write_embedding_lines(tmp_path, lines, "\r\n"),
+                               {"a", "c"})
+    assert list(lf) == list(crlf) == ["a", "c"]
+    for token in lf:
+        assert lf[token].tobytes() == crlf[token].tobytes()
+        assert lf[token].dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
