@@ -23,7 +23,8 @@ from .config import RunConfig, load_run_config
 from .data import DatasetBundle, Split, read_bundle, write_bundle
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .features import (ModalityBatch, build_vocabulary, load_waveform,
-                       make_batch, mel_spectrogram, normalize_mel, tokenize)
+                       make_batch, mel_spectrogram, normalize_mel,
+                       not_utf8_error, tokenize)
 from .gradcheck import DEFAULT_TOLERANCE, check_gradients
 from .metrics import EMOTIONS, SENTIMENT_MAX, SENTIMENT_MIN, evaluation_report
 from .model import EncoderConfig, forward_logits, init_model, load_model
@@ -97,19 +98,21 @@ def _require_splits(bundle: DatasetBundle, names) -> None:
 def _read_manifest(path: Path) -> tuple[list[dict], list[str]]:
     """The manifest's rows, each with a non-empty, unique id and a known
     split, and the optional columns it has."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise ConfigError(f"manifest {path} lacks required columns "
-                              f"{missing}")
-        unknown = [c for c in header
-                   if c not in REQUIRED_COLUMNS + OPTIONAL_COLUMNS]
-        if unknown:
-            raise ConfigError(f"manifest {path} has unknown columns "
-                              f"{unknown}")
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise not_utf8_error(path, "manifest") from None
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise ConfigError(f"manifest {path} lacks required columns "
+                          f"{missing}")
+    unknown = [c for c in header
+               if c not in REQUIRED_COLUMNS + OPTIONAL_COLUMNS]
+    if unknown:
+        raise ConfigError(f"manifest {path} has unknown columns {unknown}")
     if not rows:
         raise ConfigError(f"manifest {path} holds no examples")
     seen = set()
@@ -146,18 +149,32 @@ def _parse_labels(row: dict, path: Path) -> tuple[float, list[int]]:
     return sentiment, flags
 
 
+def _read_transcript(path: Path, ident: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8_error(path,
+                             f"transcript of example {ident!r}") from None
+
+
 def cmd_extract_features(args) -> int:
     cfg = _resolve_config(args)
     manifest_path = cfg.require_path("manifest")
     out = cfg.require_path("bundle")
     rows, optional = _read_manifest(manifest_path)
     base = manifest_path.parent
+    columns = ("transcript", *optional)
+    unset = [f"encoder.lengths.{m}" for m, column in COLUMNS.items()
+             if column in columns and m not in cfg.encoder.lengths]
+    if unset:
+        raise ConfigError(f"the manifest's inputs need a padded length, and "
+                          f"the config sets no {', '.join(unset)}")
 
     # every referenced file checked up front, all problems reported at once
     embeddings_path = cfg.require_path("embeddings")
     missing = [] if embeddings_path.is_file() else [str(embeddings_path)]
     for row in rows:
-        for column in ("transcript", *optional):
+        for column in columns:
             p = base / row[column]
             if not p.is_file():
                 missing.append(f"{p} ({column} of example {row['id']!r})")
@@ -174,8 +191,9 @@ def cmd_extract_features(args) -> int:
                           "is built from the train split")
 
     # features[m][example id]: the example's (rows, width) array
-    tokens = {row["id"]: tokenize((base / row["transcript"]).read_text(
-        encoding="utf-8")) for row in rows}
+    tokens = {row["id"]: tokenize(_read_transcript(base / row["transcript"],
+                                                   row["id"]))
+              for row in rows}
     vocab = build_vocabulary([tokens[i] for i in by_split["train"]],
                              embeddings_path)
     features = {"L": {i: vocab.embed(t) for i, t in tokens.items()}}
@@ -194,18 +212,21 @@ def cmd_extract_features(args) -> int:
     if "visual" in optional:
         features["V"] = {}
         for row in rows:
-            feats = features["V"][row["id"]] = load_array(base / row["visual"])
+            path = base / row["visual"]
+            feats = features["V"][row["id"]] = load_array(path)
             if feats.ndim != 2:
                 raise ConfigError(f"visual features for {row['id']!r} have "
                                   f"rank {feats.ndim}, expected 2")
+            if not np.isfinite(feats).all():
+                raise ConfigError(f"visual features for {row['id']!r} in "
+                                  f"{path} hold a non-finite value")
 
     shapes = {}
     for m, table in features.items():
         widths = sorted({a.shape[1] for a in table.values()})
         if len(widths) != 1:
             raise ConfigError(f"inconsistent {COLUMNS[m]} widths {widths}")
-        shapes[m] = {"width": widths[0],
-                     "length": cfg.encoder.lengths.get(m, 40)}
+        shapes[m] = {"width": widths[0], "length": cfg.encoder.lengths[m]}
     splits = {name: Split(
         name=name, ids=ids,
         batches={m: make_batch([table[i] for i in ids], shapes[m]["length"],

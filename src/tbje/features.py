@@ -11,6 +11,7 @@ import functools
 import hashlib
 import json
 import re
+import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,6 +31,8 @@ EMBEDDING_DIM = 300
 # unicode letters and digits survive; punctuation, symbols and underscores
 # act as separators
 _WORD = re.compile(r"[^\W_]+", re.UNICODE)
+# what errors="surrogateescape" decodes a byte that is not UTF-8 to
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def tokenize(utterance: str) -> list[str]:
@@ -88,20 +91,49 @@ class Vocabulary:
         return h.hexdigest()
 
 
+def not_utf8_error(path, what: str) -> ConfigError:
+    """The error for the text file at ``path``, ``what`` it is, having
+    failed to decode as UTF-8; it names, as ``path:line``, the first line
+    that is not UTF-8."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if _UNDECODED.search(line):
+                break
+    return ConfigError(f"{path}:{lineno}: {what} is not UTF-8")
+
+
 def read_embedding_file(path, wanted: set[str]) -> dict[str, np.ndarray]:
     """Parse a text embedding file (token then 300 decimals per line),
-    keeping only tokens in ``wanted``."""
+    keeping only tokens in ``wanted``.
+
+    A line is judged by its token alone. Only the first line of a wanted
+    token is split and parsed, and it must hold 300 finite values; the
+    lines of other tokens and later copies of a kept one are skipped
+    unread, malformed or not.
+    """
     found: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if not parts or parts[0] not in wanted or parts[0] in found:
-                continue
-            if len(parts) != 1 + EMBEDDING_DIM:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected {EMBEDDING_DIM} values for "
-                    f"token {parts[0]!r}, got {len(parts) - 1}")
-            found[parts[0]] = np.array([float(v) for v in parts[1:]])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                token, sep, rest = line.rstrip("\n").partition(" ")
+                if token not in wanted or token in found:
+                    continue
+                values = rest.split(" ") if sep else []
+                if len(values) != EMBEDDING_DIM:
+                    raise ConfigError(
+                        f"{path}:{lineno}: expected {EMBEDDING_DIM} values "
+                        f"for token {token!r}, got {len(values)}")
+                try:
+                    row = np.array(values, dtype=np.float64)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: token {token!r}: "
+                                      f"{exc}") from None
+                if not np.isfinite(row).all():
+                    raise ConfigError(f"{path}:{lineno}: token {token!r} has "
+                                      f"a non-finite value")
+                found[token] = row
+    except UnicodeDecodeError:
+        raise not_utf8_error(path, "embedding file") from None
     return found
 
 
@@ -181,6 +213,15 @@ def mel_filter_bank(cfg: MelConfig) -> np.ndarray:
     return bank
 
 
+@functools.lru_cache(maxsize=8)
+def hann_window(size: int) -> np.ndarray:
+    """The periodic Hann window of ``size`` samples, built once per size and
+    shared by every caller, so it is read-only."""
+    window = hann(size, sym=False)
+    window.flags.writeable = False
+    return window
+
+
 def stft_magnitudes(wave: np.ndarray, cfg: MelConfig,
                     stride: int = 1) -> np.ndarray:
     """Hann-windowed magnitude spectra of the frames that start every
@@ -198,7 +239,7 @@ def stft_magnitudes(wave: np.ndarray, cfg: MelConfig,
                       stacklevel=2)
         wave = np.pad(wave, (0, cfg.window - wave.size))
     frames = sliding_window_view(wave, cfg.window)[::cfg.hop * stride]
-    return np.abs(np.fft.rfft(frames * hann(cfg.window, sym=False),
+    return np.abs(np.fft.rfft(frames * hann_window(cfg.window),
                               n=cfg.n_fft, axis=-1))
 
 
@@ -241,13 +282,21 @@ def resample_linear(wave: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray
 
 def load_waveform(path, target_rate: int) -> np.ndarray:
     """Read a mono WAV file, scale to [-1, 1], resample to the target rate."""
-    rate, data = wavfile.read(path)
+    try:
+        rate, data = wavfile.read(path)
+    except (ValueError, struct.error) as exc:
+        raise ConfigError(f"{path}: not a readable WAV file: {exc}") from None
+    if data.size == 0:
+        raise ConfigError(f"{path}: WAV file holds no samples")
     stored = data.dtype
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 2:
         data = data.mean(axis=1)
     if np.issubdtype(stored, np.integer):
-        data = data / float(np.iinfo(stored).max)
+        # in place: the float64 cast above already copied the samples
+        data /= float(np.iinfo(stored).max)
+    elif not np.isfinite(data).all():
+        raise ConfigError(f"{path}: WAV file holds a non-finite sample")
     return resample_linear(data, rate, target_rate)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
 import tbje.cli
 import tbje.model
@@ -447,6 +448,99 @@ class TestExtract:
         assert err == (f"i/o error: missing input files:\n  "
                        f"{tmp_path / 'visual' / 'utt02.tbjt'} (visual of "
                        f"example 'utt02')\n")
+
+    @staticmethod
+    def last_embedding_value(lineno: int, value: bytes):
+        """An edit that ends line ``lineno`` of the embedding file (1:
+        "what", 5: "film", both train tokens) with ``value``."""
+        def edit(root):
+            path = root / "embeddings.txt"
+            lines = path.read_bytes().split(b"\n")
+            lines[lineno - 1] = lines[lineno - 1].rsplit(b" ", 1)[0] \
+                + b" " + value
+            path.write_bytes(b"\n".join(lines))
+        return edit
+
+    def test_non_numeric_embedding_value_names_the_line(self, tmp_path,
+                                                        capsys):
+        err = self.refused(tmp_path, capsys,
+                           self.last_embedding_value(1, b"0.5x"))
+        assert err == (f"error: {tmp_path / 'embeddings.txt'}:1: token "
+                       f"'what': could not convert string to float: "
+                       f"'0.5x'\n")
+
+    @pytest.mark.parametrize("value", [b"nan", b"-inf"])
+    def test_non_finite_embedding_value_names_the_line(self, tmp_path,
+                                                       capsys, value):
+        err = self.refused(tmp_path, capsys,
+                           self.last_embedding_value(5, value))
+        assert err == (f"error: {tmp_path / 'embeddings.txt'}:5: token "
+                       f"'film' has a non-finite value\n")
+
+    def test_embeddings_not_utf8_name_the_line(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys,
+                           self.last_embedding_value(3, b"0.5\xff"))
+        assert err == (f"error: {tmp_path / 'embeddings.txt'}:3: embedding "
+                       f"file is not UTF-8\n")
+
+    def test_transcript_not_utf8_names_the_file_and_example(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "text" / "utt02.txt"
+        err = self.refused(tmp_path, capsys, lambda root: path.write_bytes(
+            b"The acting was fine,\nnothing caf\xe9."))
+        assert err == (f"error: {path}:2: transcript of example 'utt02' is "
+                       f"not UTF-8\n")
+
+    def test_manifest_not_utf8_names_the_line(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        err = self.refused(tmp_path, capsys, lambda root: manifest.write_bytes(
+            manifest.read_bytes().replace(b"utt05.txt", b"utt05\xe9.txt")))
+        assert err == f"error: {manifest}:7: manifest is not UTF-8\n"
+
+    @pytest.mark.parametrize("content", [b"not a wav file at all", "cut"],
+                             ids=["not-a-wav", "cut-at-30-bytes"])
+    def test_unreadable_audio_names_the_file(self, tmp_path, capsys,
+                                             content):
+        path = tmp_path / "audio" / "utt03.wav"
+
+        def edit(root):
+            path.write_bytes(path.read_bytes()[:30] if content == "cut"
+                             else content)
+        err = self.refused(tmp_path, capsys, edit)
+        assert err.startswith(f"error: {path}: not a readable WAV file: ")
+        assert err.count("\n") == 1
+
+    def test_empty_audio_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "audio" / "utt06.wav"
+        err = self.refused(tmp_path, capsys, lambda root: wavfile.write(
+            path, 4000, np.zeros(0, dtype=np.int16)))
+        assert err == f"error: {path}: WAV file holds no samples\n"
+
+    def test_non_finite_audio_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "audio" / "utt01.wav"
+        samples = np.full(800, 0.25, dtype=np.float32)
+        samples[400] = np.nan
+        err = self.refused(tmp_path, capsys,
+                           lambda root: wavfile.write(path, 4000, samples))
+        assert err == f"error: {path}: WAV file holds a non-finite sample\n"
+
+    def test_non_finite_visual_features_name_the_file(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "visual" / "utt05.tbjt"
+        feats = np.ones((3, 5))
+        feats[1, 2] = np.nan
+        err = self.refused(tmp_path, capsys,
+                           lambda root: TT.save_array(path, feats))
+        assert err == (f"error: visual features for 'utt05' in {path} hold "
+                       f"a non-finite value\n")
+
+    def test_modality_without_a_configured_length_rejected(self, tmp_path,
+                                                           capsys):
+        # the L+A config of an L+A+V corpus: no encoder.lengths.V
+        err = self.refused(tmp_path, capsys, lambda root: toy_run_config(
+            root, with_visual=False))
+        assert err == ("error: the manifest's inputs need a padded length, "
+                       "and the config sets no encoder.lengths.V\n")
 
 
 # ---------------------------------------------------------------------------

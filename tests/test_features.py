@@ -7,14 +7,15 @@ import warnings
 import numpy as np
 import pytest
 from scipy.io import wavfile
+from scipy.signal.windows import hann
 
 from tbje.errors import ConfigError, ContractError, DataWarning
 from tbje.features import (EMBEDDING_DIM, MelConfig, ModalityBatch, Vocabulary,
-                           build_vocabulary, hz_to_mel, load_waveform,
-                           make_batch, mel_filter_bank, mel_spectrogram,
-                           mel_to_hz, normalize_mel, pad_truncate,
-                           read_embedding_file, resample_linear,
-                           stft_magnitudes, tokenize)
+                           build_vocabulary, hann_window, hz_to_mel,
+                           load_waveform, make_batch, mel_filter_bank,
+                           mel_spectrogram, mel_to_hz, normalize_mel,
+                           pad_truncate, read_embedding_file,
+                           resample_linear, stft_magnitudes, tokenize)
 from tbje.rng import make_rng
 
 from oracles import naive_dft_magnitudes
@@ -181,7 +182,8 @@ def test_embedding_trailing_space_reports_got_301(tmp_path):
 
 def test_embedding_crlf_endings_give_the_bytes_of_lf(tmp_path):
     lines = [embedding_line(t, vector(k)) for k, t in enumerate("abc")]
-    lf = read_embedding_file(write_embedding_lines(tmp_path, lines), {"a", "c"})
+    lf = read_embedding_file(write_embedding_lines(tmp_path, lines),
+                             {"a", "c"})
     crlf = read_embedding_file(write_embedding_lines(tmp_path, lines, "\r\n"),
                                {"a", "c"})
     assert list(lf) == list(crlf) == ["a", "c"]
@@ -236,6 +238,15 @@ def test_filter_bank_is_built_once_and_read_only():
     assert not bank.flags.writeable
     with pytest.raises(ValueError):
         bank[0, 0] = 1.0
+
+
+def test_hann_window_is_built_once_and_read_only():
+    window = hann_window(128)
+    assert hann_window(128) is window
+    assert np.array_equal(window, hann(128, sym=False))
+    assert not window.flags.writeable
+    with pytest.raises(ValueError):
+        window[0] = 1.0
 
 
 def test_filter_bank_every_band_has_support():
@@ -381,6 +392,7 @@ def test_load_waveform_int16_scaling(tmp_path):
     back = load_waveform(path, rate)
     assert back.shape == (1600,)
     assert np.abs(back - wave).max() < 1e-3
+    assert np.array_equal(back, ints / float(np.iinfo(np.int16).max))
     resampled = load_waveform(path, 4000)
     assert abs(resampled.size - 800) <= 1
 
