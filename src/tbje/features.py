@@ -92,9 +92,9 @@ class Vocabulary:
 
 
 def not_utf8_error(path, what: str) -> ConfigError:
-    """The error for the text file at ``path``, ``what`` it is, having
-    failed to decode as UTF-8; it names, as ``path:line``, the first line
-    that is not UTF-8."""
+    """The error to raise when the text file at ``path`` (``what`` names
+    it) fails to decode as UTF-8; it gives, as ``path:line``, the first
+    line that is not UTF-8."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if _UNDECODED.search(line):
