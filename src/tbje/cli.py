@@ -29,7 +29,7 @@ from .gradcheck import DEFAULT_TOLERANCE, check_gradients
 from .metrics import EMOTIONS, SENTIMENT_MAX, SENTIMENT_MIN, evaluation_report
 from .model import EncoderConfig, forward_logits, init_model, load_model
 from .rng import make_rng
-from .tensor import load_array, read_json
+from .tensor import load_array, read_json, write_file
 from .training import (ensemble_predict, evaluate_accuracy, fit,
                        gold_labels, load_train_state, loss,
                        predictions_from_probabilities)
@@ -82,6 +82,16 @@ def _check_bundle_compatibility(encoder: EncoderConfig, bundle: DatasetBundle,
     if problems:
         raise ConfigError(f"{source} does not match the bundle: "
                           + "; ".join(problems))
+
+
+def _print_and_keep(cfg: RunConfig, text: str, name: str, what: str) -> None:
+    """Print ``text`` and, when paths.out is set, keep it there as ``name``."""
+    print(text, end="")
+    if cfg.path("out") is not None:
+        cfg.path("out").mkdir(parents=True, exist_ok=True)
+        target = cfg.path("out") / name
+        write_file(target, lambda fh: fh.write(text.encode("utf-8")))
+        print(f"{what} written to {target}")
 
 
 def _require_splits(bundle: DatasetBundle, names) -> None:
@@ -259,6 +269,10 @@ def cmd_train(args) -> int:
     _check_bundle_compatibility(cfg.encoder, bundle, "config")
     out = cfg.require_path("out")
     out.mkdir(parents=True, exist_ok=True)
+    # a kill in the middle of a write_file leaves its .tmp sibling behind
+    for i in range(cfg.training.ensemble_size):
+        (out / f"model-member{i}.tbjm.tmp").unlink(missing_ok=True)
+    (out / "summary.json.tmp").unlink(missing_ok=True)
 
     summary = {"members": [], "task": cfg.encoder.task,
                "config": cfg.to_dict()}
@@ -295,9 +309,8 @@ def cmd_train(args) -> int:
               f"after {state.epoch} epochs")
         # the next member trains with no other parameters resident
         del model, state
-    (out / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=1) + "\n",
-        encoding="utf-8")
+    text = json.dumps(summary, sort_keys=True, indent=1) + "\n"
+    write_file(out / "summary.json", lambda fh: fh.write(text.encode("utf-8")))
     print(f"checkpoints and logs in {out}")
     return EXIT_OK
 
@@ -368,12 +381,7 @@ def cmd_evaluate(args) -> int:
     report = evaluation_report(task, preds, gold)
     text = (f"split {args.split}\nexamples {split.size}\n"
             f"ensemble {len(paths)}\n") + format_report(report)
-    print(text, end="")
-    if cfg.path("out") is not None:
-        cfg.path("out").mkdir(parents=True, exist_ok=True)
-        target = cfg.path("out") / f"report-{args.split}.txt"
-        target.write_text(text, encoding="utf-8")
-        print(f"report written to {target}")
+    _print_and_keep(cfg, text, f"report-{args.split}.txt", "report")
     return EXIT_OK
 
 
@@ -402,6 +410,8 @@ def _random_batches(config: EncoderConfig, rng) -> dict:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.max_coords < 1:
+        raise ConfigError(f"--max-coords must be >= 1, got {args.max_coords}")
     cfg = _resolve_config(args)
     encoder = cfg.encoder if args.config else toy_encoder()
     if encoder.blocks > 2 or encoder.width > 16:
@@ -476,13 +486,8 @@ def cmd_sweep_blocks(args) -> int:
     for b, val_acc, test_acc, elapsed in rows:
         lines.append(f"{b:>6d} {val_acc:>12.4f} {test_acc:>13.4f} "
                      f"{elapsed:>8.2f}")
-    table = "\n".join(lines) + "\n"
-    print(table, end="")
-    if cfg.path("out") is not None:
-        cfg.path("out").mkdir(parents=True, exist_ok=True)
-        target = cfg.path("out") / "sweep-blocks.txt"
-        target.write_text(table, encoding="utf-8")
-        print(f"table written to {target}")
+    _print_and_keep(cfg, "\n".join(lines) + "\n", "sweep-blocks.txt",
+                    "table")
     return EXIT_OK
 
 

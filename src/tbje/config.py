@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .data import _canonical_text
+from .data import write_canonical_json
 from .errors import ConfigError, check_section, read_section
 from .features import MelConfig
 from .model import EncoderConfig
@@ -18,18 +18,9 @@ from .training import TrainConfig
 PATH_KEYS = ("manifest", "embeddings", "bundle", "out")
 
 
-def default_encoder() -> EncoderConfig:
-    """The full-scale bimodal configuration: 6 joint blocks of width 512."""
-    return EncoderConfig(
-        modalities=("L", "A"), primary="L", blocks=6, width=512, heads=4,
-        mlp_width=1024, lengths={"L": 50, "A": 40},
-        input_widths={"L": 300, "A": 80}, task="sentiment-2",
-        positional={"L": True})
-
-
 @dataclass
 class RunConfig:
-    encoder: EncoderConfig = field(default_factory=default_encoder)
+    encoder: EncoderConfig = field(default_factory=EncoderConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
     mel: MelConfig = field(default_factory=MelConfig)
     paths: dict = field(default_factory=dict)
@@ -72,7 +63,7 @@ _SECTIONS = {
 
 
 def save_run_config(path, cfg: RunConfig) -> None:
-    Path(path).write_text(_canonical_text(cfg.to_dict()), encoding="utf-8")
+    write_canonical_json(path, cfg.to_dict())
 
 
 def load_run_config(path) -> RunConfig:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .features import ModalityBatch, Vocabulary
 from .metrics import EMOTIONS, SENTIMENT_MAX, SENTIMENT_MIN
-from .tensor import load_array, read_json, save_array
+from .tensor import load_array, read_json, save_array, write_file
 
 BUNDLE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -104,21 +104,20 @@ class DatasetBundle:
         }
 
 
-def _canonical_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
+def write_canonical_json(path, obj) -> None:
+    text = json.dumps(obj, sort_keys=True, indent=1, ensure_ascii=False)
+    write_file(path, lambda fh: fh.write((text + "\n").encode("utf-8")))
 
 
 def write_bundle(root, bundle: DatasetBundle,
                  vocab: Optional[Vocabulary] = None) -> None:
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    (root / MANIFEST_NAME).write_text(_canonical_text(bundle.manifest()),
-                                      encoding="utf-8")
+    write_canonical_json(root / MANIFEST_NAME, bundle.manifest())
     if vocab is not None:
-        (root / "vocab.json").write_text(
-            _canonical_text({"tokens": vocab.tokens,
-                             "fallback_count": vocab.fallback_count}),
-            encoding="utf-8")
+        write_canonical_json(root / "vocab.json",
+                             {"tokens": vocab.tokens,
+                              "fallback_count": vocab.fallback_count})
         save_array(root / "vocab.embeddings.tbjt", vocab.embeddings)
     for name, split in bundle.splits.items():
         sub = root / name

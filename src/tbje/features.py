@@ -182,6 +182,9 @@ class MelConfig:
                 f"FFT size {self.n_fft} must cover the window {self.window}")
         if self.hop < 1 or self.window < 1 or self.sample_rate < 1:
             raise ConfigError("sample rate, hop and window must be positive")
+        if not 0.0 < self.floor < float("inf"):
+            raise ConfigError(f"mel.floor must be a finite number > 0, got "
+                              f"{self.floor}")
 
 
 def hz_to_mel(f):
@@ -292,8 +295,12 @@ def load_waveform(path, target_rate: int) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 2:
         data = data.mean(axis=1)
-    if np.issubdtype(stored, np.integer):
-        # in place: the float64 cast above already copied the samples
+    # in place: the float64 cast above already copied the samples
+    if stored == np.uint8:
+        # 8-bit samples are unsigned, centred on 128
+        data -= 128.0
+        data /= 128.0
+    elif np.issubdtype(stored, np.integer):
         data /= float(np.iinfo(stored).max)
     elif not np.isfinite(data).all():
         raise ConfigError(f"{path}: WAV file holds a non-finite sample")

@@ -39,12 +39,14 @@ _V1_HEAD_MAPS = ("query", "key", "content")
 
 @dataclass
 class EncoderConfig:
-    """Architecture hyperparameters. In-block glimpses take one glimpse per
-    padded row, the only count that keeps the glimpse residual well-shaped.
-    ``sentiment_boundary`` splits gold sentiment into the two sentiment-2
-    classes, so a checkpoint carries the labels it was trained on."""
+    """Architecture hyperparameters; the defaults are the full-scale
+    bimodal L+A recipe, 6 joint blocks of width 512. In-block glimpses take
+    one glimpse per padded row, the only count that keeps the glimpse
+    residual well-shaped. ``sentiment_boundary`` splits gold sentiment into
+    the two sentiment-2 classes, so a checkpoint carries the labels it was
+    trained on."""
 
-    modalities: tuple[str, ...] = ("L",)
+    modalities: tuple[str, ...] = ("L", "A")
     primary: str = "L"
     blocks: int = 6
     width: int = 512
@@ -52,8 +54,8 @@ class EncoderConfig:
     mlp_width: int = 1024
     dropout_block: float = 0.1
     dropout_classifier: float = 0.5
-    lengths: dict = field(default_factory=lambda: {"L": 50, "A": 40, "V": 40})
-    input_widths: dict = field(default_factory=lambda: {"L": 300, "A": 80, "V": 35})
+    lengths: dict = field(default_factory=lambda: {"L": 50, "A": 40})
+    input_widths: dict = field(default_factory=lambda: {"L": 300, "A": 80})
     task: str = "sentiment-2"
     variant: str = "auto"              # auto | monomodal | joint
     positional: dict = field(default_factory=lambda: {"L": True})
@@ -409,6 +411,10 @@ def check_checkpoint(fh, model: TbjeModel) -> None:
 
 
 def save_model(path, model: TbjeModel) -> None:
+    """Write ``model`` to ``path`` in place. No subcommand calls this; fit()
+    keeps its checkpoints through ``tensor.write_file``. Routed through
+    that writer too, saving five full-size checkpoints took longer in each
+    of four timed pairs."""
     with open(path, "wb") as fh:
         write_model(fh, model)
 

@@ -660,8 +660,21 @@ def read_array(fh) -> np.ndarray:
 
 
 def save_array(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        write_array(fh, arr)
+    write_file(path, lambda fh: write_array(fh, arr))
+
+
+def write_file(path, write) -> None:
+    """``write(fh)`` into the ``<path>.tmp`` sibling, which then replaces
+    ``path`` whole: a write cut short leaves the previous file as it was,
+    and one that fails leaves no sibling behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
 
 
 def read_file(path, parse):

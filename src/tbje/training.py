@@ -15,6 +15,7 @@ trajectory of an uninterrupted one.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -336,8 +337,8 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
 
     ``train`` / ``valid`` are label-carrying splits (see tbje.data). Each
     improving epoch writes the model as a checkpoint to ``best_path``, or
-    with no path to an anonymous temporary file, and the last such
-    checkpoint is read back into the model at the end. When
+    with no path to a temporary directory that lives as long as the fit,
+    and the last such checkpoint is read back into the model at the end. When
     ``state_path`` is given the live state is rewritten after every epoch,
     and passing the loaded state (with its model and the same
     ``best_path``) back in resumes the exact trajectory of an
@@ -356,9 +357,12 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
     labels = gold_labels(train, task, model.config.sentiment_boundary)
     n = train.size
 
-    with _BestFile(best_path) as best:
-        if state.best_epoch:
-            best.check(model, state.best_epoch)
+    if state.best_epoch:
+        _check_best(best_path, model, state.best_epoch)
+    with contextlib.ExitStack() as stack:
+        if best_path is None:
+            best_path = Path(stack.enter_context(
+                tempfile.TemporaryDirectory()), "best.tbjm")
         while not state.stopped and state.epoch < cfg.max_epochs:
             state.epoch += 1
             order = make_rng(cfg.seed, "shuffle", member,
@@ -390,7 +394,7 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
             val_accuracy = evaluate_accuracy(model, valid)
             outcome = observe_validation(state, val_accuracy, cfg)
             if outcome == "improved":
-                best.write(model)
+                T.write_file(best_path, lambda fh: write_model(fh, model))
                 state.best_epoch = state.epoch
             record = {
                 "epoch": state.epoch,
@@ -408,7 +412,7 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
                 # pick up exactly where this epoch left off.
                 save_train_state(state_path, model, state)
         if state.best_epoch:
-            best.read_into(model)
+            load_model(best_path, into=model)
     return state
 
 
@@ -427,58 +431,17 @@ def _require_training(state: TrainState, cfg: TrainConfig,
                           + "; ".join(differ) + ")")
 
 
-class _BestFile:
-    """Where fit() keeps the best-validation parameters: a checkpoint at
-    ``path``, written to a ``.tmp`` sibling and moved into place whole, or
-    with no path an anonymous temporary file. Either way one model's
-    worth of arrays is written and read back through a file object, so no
-    second set of parameters is held in memory."""
-
-    def __init__(self, path):
-        self.path = None if path is None else Path(path)
-        self.fh = tempfile.TemporaryFile() if path is None else None
-        if self.path is not None:
-            self.tmp = self.path.with_name(self.path.name + ".tmp")
-            # a hard kill in the middle of a write leaves this behind
-            self.tmp.unlink(missing_ok=True)
-
-    def check(self, model: TbjeModel, epoch: int) -> None:
-        """Before a resumed run: the file holds a checkpoint of ``model``'s
-        config and size. Its payload is not read."""
-        if self.path is None:
-            raise ContractError(f"resuming a state whose best epoch is "
-                                f"{epoch} needs the best_path its "
-                                f"checkpoint was written to")
-        if not self.path.is_file():
-            raise ConfigError(f"best checkpoint of epoch {epoch} is missing "
-                              f"(in {self.path})")
-        T.read_file(self.path, lambda fh: check_checkpoint(fh, model))
-
-    def write(self, model: TbjeModel) -> None:
-        if self.path is None:
-            self.fh.seek(0)
-            write_model(self.fh, model)
-            return
-        try:
-            with open(self.tmp, "wb") as fh:
-                write_model(fh, model)
-            os.replace(self.tmp, self.path)
-        finally:
-            self.tmp.unlink(missing_ok=True)
-
-    def read_into(self, model: TbjeModel) -> None:
-        if self.path is None:
-            self.fh.seek(0)
-            read_model(self.fh, into=model)
-        else:
-            load_model(self.path, into=model)
-
-    def __enter__(self) -> "_BestFile":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.fh is not None:
-            self.fh.close()
+def _check_best(path, model: TbjeModel, epoch: int) -> None:
+    """Before a resumed run: the best checkpoint at ``path`` holds one of
+    ``model``'s config and size. Its payload is not read."""
+    if path is None:
+        raise ContractError(f"resuming a state whose best epoch is {epoch} "
+                            f"needs the best_path its checkpoint was "
+                            f"written to")
+    if not Path(path).is_file():
+        raise ConfigError(f"best checkpoint of epoch {epoch} is missing "
+                          f"(in {path})")
+    T.read_file(path, lambda fh: check_checkpoint(fh, model))
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +454,12 @@ def save_train_state(path, model: TbjeModel, state: TrainState) -> None:
     checkpoint), and then, per parameter name, its two Adam moments. The
     best parameters are not here: fit() keeps them in their own checkpoint.
 
-    An existing file is overwritten in place, not truncated first, which
-    would wait for the last write's pages and allocate new blocks. Its
-    magic is zeroed first and written last, so a write cut short leaves a
-    file that load_train_state rejects, never a mix of two states."""
+    An existing file is overwritten in place, not truncated first nor
+    replaced by a ``tensor.write_file`` sibling: a fresh file waits for the
+    last write's pages and allocates new blocks, and truncating first took
+    0.66 s per 0.8 GB state write where overwriting takes 0.33 s. Its magic
+    is zeroed first and written last, so a write cut short leaves a file
+    that load_train_state rejects, never a mix of two states."""
     header = {key: getattr(state, key) for key in _STATE_HEADER}
     with open(path, "wb", opener=_open_untruncated) as fh:
         T.write_head(fh, bytes(len(STATE_MAGIC)), STATE_VERSION,

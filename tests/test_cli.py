@@ -1,10 +1,12 @@
 """End-to-end command-line tests: extraction, training, evaluation,
 gradient checking, and the block sweep, plus exit-code discipline."""
 
+import builtins
 import contextlib
 import dataclasses
 import io
 import json
+import os
 import shutil
 import struct
 import tempfile
@@ -24,13 +26,13 @@ import tbje.tensor as TT
 import tbje.training as TR
 from tbje.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                       format_report, main)
-from tbje.config import (PATH_KEYS, RunConfig, default_encoder,
-                         load_run_config, save_run_config)
+from tbje.config import (PATH_KEYS, RunConfig, load_run_config,
+                         save_run_config)
 from tbje.data import load_vocabulary, read_bundle
 from tbje.errors import ConfigError
 from tbje.features import DataWarning, MelConfig
 from tbje.metrics import evaluation_report
-from tbje.model import EncoderConfig, load_model, save_model
+from tbje.model import EncoderConfig, init_model, load_model, save_model
 from tbje.training import (TrainConfig, ensemble_predict, gold_labels,
                            load_train_state, predictions_from_probabilities,
                            save_train_state)
@@ -129,6 +131,45 @@ def variant_config(corpus, out_path, training=None, encoder=None,
 def tree_bytes(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def cut_writes_to(monkeypatch, name: str) -> list:
+    """Make each file whose name starts with ``name`` fail as a full disk
+    would once it is opened for writing: its first write stores half of
+    its data and raises. Returns the names of the files so cut."""
+    real_open = io.open
+    cut = []
+
+    class Cut:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            cut.append(Path(self.fh.name).name)
+            raise OSError(28, "No space left on device")
+
+        def __getattr__(self, attr):
+            return getattr(self.fh, attr)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def cutting_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and isinstance(file, (str, os.PathLike)) \
+                and Path(file).name.startswith(name):
+            return Cut(fh)
+        return fh
+
+    # pathlib opens through io.open, code in the package through open
+    monkeypatch.setattr(io, "open", cutting_open)
+    monkeypatch.setattr(builtins, "open", cutting_open)
+    return cut
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +281,20 @@ class TestRunConfig:
         assert cfg.training.lr == 1 and cfg.encoder.dropout_block == 0
 
     def test_default_encoder_is_bimodal_joint(self):
-        assert default_encoder().resolved_variant() == "joint"
+        assert EncoderConfig().resolved_variant() == "joint"
+
+    def test_omitted_encoder_keys_take_the_default_recipe(self):
+        """A config that sets only encoder.blocks builds the L+A model of
+        the defaults; a partial section that names V must size it."""
+        cfg = RunConfig.from_dict({"encoder": {"blocks": 1}})
+        assert cfg.encoder == dataclasses.replace(RunConfig().encoder,
+                                                  blocks=1)
+        names = [n for n, _ in init_model(cfg.encoder).named_parameters()]
+        assert {n.split(".")[1] for n in names if n.startswith("proj.")} \
+            == {"L", "A"}
+        with pytest.raises(ConfigError, match="modality V needs a padded "
+                                              "length"):
+            RunConfig.from_dict({"encoder": {"modalities": ["L", "A", "V"]}})
 
     @SETTINGS
     @given(run_configs())
@@ -534,6 +588,33 @@ class TestExtract:
         assert err == (f"error: visual features for 'utt05' in {path} hold "
                        f"a non-finite value\n")
 
+    @pytest.mark.parametrize("floor", [0.0, -1e-5, float("nan"),
+                                       float("inf")])
+    def test_mel_floor_must_be_a_finite_positive_number(self, tmp_path,
+                                                         capsys, floor):
+        def edit(root):
+            raw = json.loads((root / "config.json").read_text())
+            raw["mel"]["floor"] = floor
+            (root / "config.json").write_text(json.dumps(raw))
+        err = self.refused(tmp_path, capsys, edit)
+        assert err == (f"error: mel.floor must be a finite number > 0, "
+                       f"got {floor}\n")
+
+    def test_failed_manifest_write_keeps_the_previous_bundle(
+            self, corpus, tmp_path, monkeypatch):
+        """A disk that fills up while extract-features writes the
+        manifest.json of an existing bundle leaves that bundle as it was,
+        and no temporary file."""
+        bundle = tmp_path / "bundle"
+        argv = ["extract-features", "--config", str(corpus / "config.json"),
+                "--bundle", str(bundle)]
+        assert run_quiet(argv) == EXIT_OK
+        before = tree_bytes(bundle)
+        cut = cut_writes_to(monkeypatch, "manifest.json")
+        assert run_quiet(argv) == EXIT_IO
+        assert len(cut) == 1
+        assert tree_bytes(bundle) == before
+
     def test_modality_without_a_configured_length_rejected(self, tmp_path,
                                                            capsys):
         # the L+A config of an L+A+V corpus: no encoder.lengths.V
@@ -817,6 +898,27 @@ class TestTrain:
         load_model(best)
         assert not list(out.glob("*.tmp"))
 
+    def test_failed_summary_write_keeps_the_previous_summary(
+            self, corpus, tmp_path, monkeypatch):
+        """A disk that fills up while a 1-member run resumed as 2 members
+        writes its summary.json leaves the 1-member summary in place, and
+        no temporary file."""
+        one = variant_config(corpus, tmp_path / "one.json",
+                             training={"max_epochs": 1, "ensemble_size": 1})
+        two = variant_config(corpus, tmp_path / "two.json",
+                             training={"max_epochs": 1, "ensemble_size": 2})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(one),
+                     "--out", str(out)]) == EXIT_OK
+        previous = (out / "summary.json").read_bytes()
+        cut = cut_writes_to(monkeypatch, "summary.json")
+        assert main(["train", "--config", str(two), "--out", str(out),
+                     "--resume"]) == EXIT_IO
+        assert len(cut) == 1
+        assert (out / "summary.json").read_bytes() == previous
+        assert (out / "model-member1.tbjm").is_file()
+        assert not list(out.glob("*.tmp"))
+
     def test_crash_after_the_best_write_resumes_exactly(
             self, corpus, tmp_path, monkeypatch):
         """A run killed after epoch 2's best checkpoint of member 1 is
@@ -883,8 +985,9 @@ class TestTrain:
                        f"expected b'TBJS' (in {state})\n")
 
     def test_resume_clears_a_stale_best_temporary(self, corpus, tmp_path):
-        """A ``.tmp`` left by a kill during a best write is removed by the
-        next run over the directory, even one with no epochs left."""
+        """A ``.tmp`` left by a kill during the write of a best checkpoint
+        or the summary is removed by the next run over the directory, even
+        one with no epochs left. Other files there are left alone."""
         config = variant_config(corpus, tmp_path / "one.json",
                                 training={"max_epochs": 1})
         out = tmp_path / "run"
@@ -893,10 +996,12 @@ class TestTrain:
         before = tree_bytes(out)
         for i in range(2):
             (out / f"model-member{i}.tbjm.tmp").write_bytes(b"TBJM cut")
+        (out / "summary.json.tmp").write_bytes(b'{"members": [')
+        (out / "notes.txt.tmp").write_bytes(b"not the run's")
         assert main(["train", "--config", str(config), "--out", str(out),
                      "--resume"]) == EXIT_OK
-        assert not list(out.glob("*.tmp"))
-        assert tree_bytes(out) == before
+        assert tree_bytes(out) == {**before,
+                                   "notes.txt.tmp": b"not the run's"}
 
     def test_each_member_is_released_before_the_next_trains(
             self, corpus, tmp_path, monkeypatch):
@@ -1008,6 +1113,19 @@ class TestEvaluate:
         expected = evaluation_report("sentiment-2", preds,
                                      gold_labels(split, "sentiment-2"))
         assert format_report(expected) in text
+
+    def test_failed_report_write_keeps_the_previous_report(
+            self, corpus, trained, monkeypatch):
+        """A disk that fills up while evaluate writes its report leaves the
+        previous report in place, and no temporary file."""
+        argv = ["evaluate", "--config", str(corpus / "config.json")]
+        assert main(argv) == EXIT_OK
+        previous = (trained / "report-test.txt").read_bytes()
+        cut = cut_writes_to(monkeypatch, "report-test.txt")
+        assert main(argv) == EXIT_IO
+        assert len(cut) == 1
+        assert (trained / "report-test.txt").read_bytes() == previous
+        assert not list(trained.glob("*.tmp"))
 
     def test_explicit_checkpoints_equal_glob_default(self, corpus, trained,
                                                      tmp_path, capsys):
@@ -1360,6 +1478,14 @@ class TestGradcheck:
         assert main(["gradcheck", "--config", str(tmp_path / "seed7.json"),
                      "--seed", "0", "--max-coords", "2"]) == EXIT_OK
         assert capsys.readouterr().out == out[0]
+
+    @pytest.mark.parametrize("coords", ["0", "-1"])
+    def test_max_coords_below_one_rejected(self, capsys, coords):
+        assert main(["gradcheck", "--max-coords", coords]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --max-coords must be >= 1, got "
+                                f"{coords}\n")
 
     def test_full_size_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "big.json"

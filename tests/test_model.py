@@ -13,7 +13,6 @@ import pytest
 import tbje.layers
 import tbje.model
 import tbje.tensor as T
-from tbje.config import default_encoder
 from tbje.errors import ConfigError, ContractError
 from tbje.features import ModalityBatch
 from tbje.gradcheck import check_gradients
@@ -546,7 +545,7 @@ def test_sentiment_boundary_only_with_sentiment_2(task):
 
 
 def test_default_model_has_240_parameter_tensors():
-    names = [name for name, _ in init_model(default_encoder()).named_parameters()]
+    names = [name for name, _ in init_model(EncoderConfig()).named_parameters()]
     assert len(names) == 240
     # one query, key, content and output map per block: 2 modalities x 6
     # blocks, each with a weight and, except the key map, a bias

@@ -3,6 +3,7 @@ serialization, each checked against straight-line references."""
 
 import json
 import struct
+import tempfile
 import weakref
 from pathlib import Path
 
@@ -521,6 +522,28 @@ class TestFit:
         fit(model, bundle.splits["train"], bundle.splits["valid"],
             quick_cfg(max_epochs=2), state_path=path)
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_without_best_path_no_temporary_file_outlives_the_fit(
+            self, bundle, tmp_path, monkeypatch):
+        """With no best_path the best checkpoint lives in a temporary
+        directory that goes with the fit, whether it ends or fails."""
+        tmpdir = tmp_path / "tmpdir"
+        tmpdir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+        model = init_model(tiny_encoder(("L",)), seed=7)
+        state = fit(model, bundle.splits["train"], bundle.splits["valid"],
+                    quick_cfg(max_epochs=2))
+        assert state.best_epoch and not list(tmpdir.iterdir())
+
+        def failing_save(path, model, state):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(TR, "save_train_state", failing_save)
+        with pytest.raises(OSError):
+            fit(init_model(tiny_encoder(("L",)), seed=7),
+                bundle.splits["train"], bundle.splits["valid"],
+                quick_cfg(max_epochs=2), state_path=tmp_path / "s.tbjs")
+        assert not list(tmpdir.iterdir())
 
     def test_resume_past_a_best_epoch_needs_the_best_path(self, bundle,
                                                           tmp_path):
