@@ -29,7 +29,7 @@ from .gradcheck import DEFAULT_TOLERANCE, check_gradients
 from .metrics import EMOTIONS, SENTIMENT_MAX, SENTIMENT_MIN, evaluation_report
 from .model import EncoderConfig, forward_logits, init_model, load_model
 from .rng import make_rng
-from .tensor import load_array, read_json, write_file
+from .tensor import clear_stale, load_array, read_json, write_file
 from .training import (ensemble_predict, evaluate_accuracy, fit,
                        gold_labels, load_train_state, loss,
                        predictions_from_probabilities)
@@ -269,10 +269,9 @@ def cmd_train(args) -> int:
     _check_bundle_compatibility(cfg.encoder, bundle, "config")
     out = cfg.require_path("out")
     out.mkdir(parents=True, exist_ok=True)
-    # a kill in the middle of a write_file leaves its .tmp sibling behind
-    for i in range(cfg.training.ensemble_size):
-        (out / f"model-member{i}.tbjm.tmp").unlink(missing_ok=True)
-    (out / "summary.json.tmp").unlink(missing_ok=True)
+    # a kill in the middle of a write leaves a .tmp sibling; fit() removes
+    # each member checkpoint's
+    clear_stale(out / "summary.json")
 
     summary = {"members": [], "task": cfg.encoder.task,
                "config": cfg.to_dict()}

@@ -411,12 +411,7 @@ def check_checkpoint(fh, model: TbjeModel) -> None:
 
 
 def save_model(path, model: TbjeModel) -> None:
-    """Write ``model`` to ``path`` in place. No subcommand calls this; fit()
-    keeps its checkpoints through ``tensor.write_file``. Routed through
-    that writer too, saving five full-size checkpoints took longer in each
-    of four timed pairs."""
-    with open(path, "wb") as fh:
-        write_model(fh, model)
+    T.write_file(path, lambda fh: write_model(fh, model))
 
 
 def read_model(fh, into: Optional[TbjeModel] = None) -> TbjeModel:

@@ -673,8 +673,15 @@ def write_file(path, write) -> None:
             write(fh)
         os.replace(tmp, path)
     finally:
-        if os.path.lexists(tmp):
-            os.unlink(tmp)
+        clear_stale(path)
+
+
+def clear_stale(path) -> None:
+    """Remove the ``<path>.tmp`` sibling of ``write_file``, which a kill in
+    the middle of a write leaves behind."""
+    tmp = f"{path}.tmp"
+    if os.path.lexists(tmp):
+        os.unlink(tmp)
 
 
 def read_file(path, parse):

@@ -15,7 +15,6 @@ trajectory of an uninterrupted one.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import tempfile
@@ -359,10 +358,10 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
 
     if state.best_epoch:
         _check_best(best_path, model, state.best_epoch)
-    with contextlib.ExitStack() as stack:
-        if best_path is None:
-            best_path = Path(stack.enter_context(
-                tempfile.TemporaryDirectory()), "best.tbjm")
+    with tempfile.TemporaryDirectory() as scratch:
+        best_path = best_path or Path(scratch, "best.tbjm")
+        # a kill in the middle of a write leaves this behind
+        T.clear_stale(best_path)
         while not state.stopped and state.epoch < cfg.max_epochs:
             state.epoch += 1
             order = make_rng(cfg.seed, "shuffle", member,

@@ -397,7 +397,6 @@ def test_load_waveform_int16_scaling(tmp_path):
     assert abs(resampled.size - 800) <= 1
 
 
-
 def test_load_waveform_uint8_is_centred_on_128(tmp_path):
     """8-bit WAV samples are unsigned: 128 is silence."""
     rate = 8000
@@ -409,6 +408,7 @@ def test_load_waveform_uint8_is_centred_on_128(tmp_path):
     assert np.array_equal(back, (ints - 128.0) / 128.0)
     assert abs(back.mean()) < 1e-3
     assert -1.0 <= back.min() < -0.7 and 0.7 < back.max() <= 1.0
+
 
 # ---------------------------------------------------------------------------
 # padding and batching
