@@ -94,13 +94,6 @@ def _print_and_keep(cfg: RunConfig, text: str, name: str, what: str) -> None:
         print(f"{what} written to {target}")
 
 
-def _require_splits(bundle: DatasetBundle, names) -> None:
-    missing = [n for n in names if n not in bundle.splits]
-    if missing:
-        raise ConfigError(f"bundle lacks required splits {missing}; "
-                          f"has {sorted(bundle.splits)}")
-
-
 # ---------------------------------------------------------------------------
 # extract-features
 # ---------------------------------------------------------------------------
@@ -264,8 +257,7 @@ def cmd_extract_features(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    bundle = read_bundle(cfg.require_path("bundle"))
-    _require_splits(bundle, ("train", "valid"))
+    bundle = read_bundle(cfg.require_path("bundle"), ("train", "valid"))
     _check_bundle_compatibility(cfg.encoder, bundle, "config")
     out = cfg.require_path("out")
     out.mkdir(parents=True, exist_ok=True)
@@ -336,8 +328,7 @@ def format_report(report: dict) -> str:
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
-    bundle = read_bundle(cfg.require_path("bundle"))
-    _require_splits(bundle, (args.split,))
+    bundle = read_bundle(cfg.require_path("bundle"), (args.split,))
     split = bundle.splits[args.split]
 
     paths = [Path(p) for p in args.checkpoints]
@@ -464,8 +455,8 @@ def cmd_sweep_blocks(args) -> int:
     if not block_counts or any(b < 0 for b in block_counts):
         raise ConfigError(f"block counts must be >= 0, got {block_counts}")
 
-    bundle = read_bundle(cfg.require_path("bundle"))
-    _require_splits(bundle, ("train", "valid", "test"))
+    bundle = read_bundle(cfg.require_path("bundle"),
+                         ("train", "valid", "test"))
     _check_bundle_compatibility(cfg.encoder, bundle, "config")
 
     rows = []

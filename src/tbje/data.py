@@ -130,7 +130,9 @@ def write_bundle(root, bundle: DatasetBundle,
                    split.emotions.astype(np.float64))
 
 
-def read_bundle(root) -> DatasetBundle:
+def read_bundle(root, names=None) -> DatasetBundle:
+    """The bundle at ``root`` with the splits ``names`` (default: all). The
+    whole manifest is checked; only the named splits' files are read."""
     root = Path(root)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -152,20 +154,23 @@ def read_bundle(root) -> DatasetBundle:
             if not isinstance(entry, dict) or not fields <= set(entry):
                 raise ConfigError(f"bundle manifest {manifest_path}: {key} "
                                   f"entry {name!r} needs {sorted(fields)}")
-    expected = []
-    for name in manifest["splits"]:
-        for m in manifest["modalities"]:
-            expected.append(root / name / f"{m}.features.tbjt")
-            expected.append(root / name / f"{m}.mask.tbjt")
-        expected.append(root / name / "labels.sentiment.tbjt")
-        expected.append(root / name / "labels.emotions.tbjt")
-    missing = [str(p) for p in expected if not p.is_file()]
+    listed = manifest["splits"]
+    missing = [n for n in names or () if n not in listed]
+    if missing:
+        raise ConfigError(f"bundle lacks required splits {missing}; "
+                          f"has {sorted(listed)}")
+    wanted = {n: listed[n] for n in (listed if names is None else names)}
+    files = [f"{m}.{kind}.tbjt" for m in manifest["modalities"]
+             for kind in ("features", "mask")]
+    files += ["labels.sentiment.tbjt", "labels.emotions.tbjt"]
+    missing = [str(root / name / f) for name in wanted for f in files
+               if not (root / name / f).is_file()]
     if missing:
         raise FileNotFoundError(
             "bundle is missing files:\n  " + "\n  ".join(missing))
 
     splits = {}
-    for name, entry in manifest["splits"].items():
+    for name, entry in wanted.items():
         batches = {}
         for m in manifest["modalities"]:
             feats = load_array(root / name / f"{m}.features.tbjt")

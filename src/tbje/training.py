@@ -337,12 +337,12 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
     ``train`` / ``valid`` are label-carrying splits (see tbje.data). Each
     improving epoch writes the model as a checkpoint to ``best_path``, or
     with no path to a temporary directory that lives as long as the fit,
-    and the last such checkpoint is read back into the model at the end. When
-    ``state_path`` is given the live state is rewritten after every epoch,
-    and passing the loaded state (with its model and the same
-    ``best_path``) back in resumes the exact trajectory of an
-    uninterrupted run. A resumed ``cfg`` may differ from the state's own
-    only in ``max_epochs`` and ``ensemble_size``.
+    and the last such checkpoint is read back into the model at the end
+    unless the last epoch wrote it. When ``state_path`` is given the live
+    state is rewritten after every epoch, and passing the loaded state (with
+    its model and the same ``best_path``) back in resumes the exact
+    trajectory of an uninterrupted run. A resumed ``cfg`` may differ from the
+    state's own only in ``max_epochs`` and ``ensemble_size``.
     """
     if train.size == 0 or valid.size == 0:
         raise ContractError("fit() needs non-empty train and valid splits")
@@ -410,7 +410,8 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
                 # Live parameters, not the best ones: a resumed run must
                 # pick up exactly where this epoch left off.
                 save_train_state(state_path, model, state)
-        if state.best_epoch:
+        # a best written by the last epoch holds the live parameters
+        if state.best_epoch not in (0, state.epoch):
             load_model(best_path, into=model)
     return state
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import tbje.cli
+import tbje.data
 import tbje.model
 import tbje.tensor as TT
 import tbje.training as TR
@@ -1090,6 +1091,25 @@ class TestTrain:
                      "--bundle", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "o")]) == EXIT_IO
 
+    def test_damaged_test_split_is_not_read(self, corpus, tmp_path, capsys):
+        """train reads only train and valid: a cut test array changes no
+        file it writes."""
+        config = variant_config(corpus, tmp_path / "one.json",
+                                training={"max_epochs": 2,
+                                          "ensemble_size": 1})
+        bundle, out = tmp_path / "bundle", tmp_path / "run"
+        shutil.copytree(corpus / "bundle", bundle)
+        argv = ["train", "--config", str(config), "--bundle", str(bundle),
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        intact = tree_bytes(out)
+        shutil.rmtree(out)
+        cut = bundle / "test" / "A.features.tbjt"
+        cut.write_bytes(cut.read_bytes()[:40])
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert tree_bytes(out) == intact
+
 
 # ---------------------------------------------------------------------------
 # evaluate
@@ -1353,7 +1373,7 @@ class TestEvaluate:
                                                    tmp_path, capsys):
         bundle = tmp_path / "bundle"
         shutil.copytree(corpus / "bundle", bundle)
-        cut = bundle / "train" / "L.features.tbjt"
+        cut = bundle / "test" / "L.features.tbjt"
         blob = cut.read_bytes()
         cut.write_bytes(blob[: len(blob) // 2])
         assert main(["evaluate", "--config", str(corpus / "config.json"),
@@ -1432,6 +1452,34 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(corpus / "config.json"),
                      "--split", "extra"]) == EXIT_CONFIG
         assert "extra" in capsys.readouterr().err
+
+    def test_unknown_split_rejected_before_any_array_is_read(
+            self, corpus, trained, capsys, monkeypatch):
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(tbje.data, "load_array", no_read)
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--split", "nope"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: bundle lacks required splits ['nope']; has ['test', "
+            "'train', 'valid']\n")
+
+    def test_damaged_split_it_does_not_score_is_not_read(
+            self, corpus, trained, tmp_path, capsys):
+        """evaluate reads only the split it scores: a cut train array
+        leaves the test report as the intact bundle gives it."""
+        argv = ["evaluate", "--config", str(corpus / "config.json")]
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        intact = capsys.readouterr()
+        bundle = tmp_path / "bundle"
+        shutil.copytree(corpus / "bundle", bundle)
+        cut = bundle / "train" / "L.features.tbjt"
+        cut.write_bytes(cut.read_bytes()[:40])
+        assert main(argv + ["--bundle", str(bundle)]) == EXIT_OK
+        assert capsys.readouterr() == intact
+        assert "accuracy" in intact.out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Tokenizer, vocabulary, mel front-end, padding/batching."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -21,6 +24,7 @@ from tbje.rng import make_rng
 from oracles import naive_dft_magnitudes
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +244,11 @@ def test_filter_bank_is_built_once_and_read_only():
         bank[0, 0] = 1.0
 
 
-def test_hann_window_is_built_once_and_read_only():
-    window = hann_window(128)
-    assert hann_window(128) is window
-    assert np.array_equal(window, hann(128, sym=False))
+@pytest.mark.parametrize("size", [1, 2, 3, 255, 1024, 2048])
+def test_hann_window_is_built_once_and_read_only(size):
+    window = hann_window(size)
+    assert hann_window(size) is window
+    assert np.array_equal(window, hann(size, sym=False))
     assert not window.flags.writeable
     with pytest.raises(ValueError):
         window[0] = 1.0
@@ -408,6 +413,27 @@ def test_load_waveform_uint8_is_centred_on_128(tmp_path):
     assert np.array_equal(back, (ints - 128.0) / 128.0)
     assert abs(back.mean()) < 1e-3
     assert -1.0 <= back.min() < -0.7 and 0.7 < back.max() <= 1.0
+
+
+def test_importing_the_cli_loads_scipy_only_to_read_a_wav(tmp_path):
+    """A fresh ``import tbje.cli`` loads neither scipy.signal nor scipy.io;
+    the first WAV read loads its reader and works."""
+    path = tmp_path / "tone.wav"
+    ints = np.arange(-800, 800, 2, dtype=np.int16)
+    wavfile.write(path, 8000, ints)
+    script = (
+        "import sys\n"
+        "import tbje.cli\n"
+        "print(sorted({'scipy.signal', 'scipy.io'} & set(sys.modules)))\n"
+        "from tbje.features import load_waveform\n"
+        f"print(load_waveform({str(path)!r}, 8000).tolist())\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded, samples = done.stdout.splitlines()
+    assert loaded == "[]"
+    assert json.loads(samples) == (ints / 32767.0).tolist()
 
 
 # ---------------------------------------------------------------------------

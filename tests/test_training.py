@@ -16,7 +16,7 @@ from tbje.data import Split
 from tbje.errors import ConfigError, ContractError, NumericError
 from tbje.metrics import accuracy, sentiment_bins
 from tbje.model import (CHECKPOINT_MAGIC, EncoderConfig, init_model,
-                        model_bytes, read_model, save_model)
+                        load_model, model_bytes, read_model, save_model)
 from tbje.synthetic import make_synthetic_bundle
 from tbje.tensor import Tape, Tensor
 from tbje.training import (TrainConfig, TrainState, adam_step,
@@ -432,6 +432,30 @@ class TestFit:
             quick_cfg(max_epochs=state.best_epoch))
         assert model_bytes(model) == model_bytes(stopped)
         assert best_path.read_bytes() == model_bytes(model)
+
+    @pytest.mark.parametrize("last_is_best", [True, False])
+    def test_best_is_read_back_only_when_an_earlier_epoch_wrote_it(
+            self, bundle, tmp_path, monkeypatch, last_is_best):
+        """A best checkpoint the last epoch wrote holds the live parameters,
+        so it is not read back; one an earlier epoch wrote is, once."""
+        reads = []
+
+        def counting_load(path, into=None):
+            reads.append(path)
+            return load_model(path, into=into)
+
+        monkeypatch.setattr(TR, "load_model", counting_load)
+        model = init_model(tiny_encoder(), seed=7)
+        best_path = tmp_path / "best.tbjm"
+        # one epoch always improves; of six, the fifth is the best
+        state = fit(model, bundle.splits["train"], bundle.splits["valid"],
+                    quick_cfg(max_epochs=1 if last_is_best else 6),
+                    best_path=best_path)
+        assert (state.best_epoch == state.epoch) == last_is_best
+        assert reads == ([] if last_is_best else [best_path])
+        best = dict(load_model(best_path).named_parameters())
+        for name, p in model.named_parameters():
+            assert np.array_equal(p.data, best[name].data), name
 
     def test_best_snapshot_does_not_alias_the_model(self, bundle, tmp_path):
         """The best parameters are read back into the model's own arrays,
