@@ -99,15 +99,19 @@ def _print_and_keep(cfg: RunConfig, text: str, name: str, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _read_manifest(path: Path) -> tuple[list[dict], list[str]]:
-    """The manifest's rows, each with a non-empty, unique id and a known
-    split, and the optional columns it has."""
+    """The manifest's rows, each with one field per column, a non-empty,
+    unique id and a known split, and the optional columns it has."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            rows = list(reader)
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            # blank lines skipped, as csv.DictReader does
+            lines = [(reader.line_num, fields) for fields in reader if fields]
     except UnicodeDecodeError:
         raise not_utf8_error(path, "manifest") from None
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise ConfigError(f"manifest {path} repeats columns {repeated}")
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise ConfigError(f"manifest {path} lacks required columns "
@@ -116,6 +120,11 @@ def _read_manifest(path: Path) -> tuple[list[dict], list[str]]:
                if c not in REQUIRED_COLUMNS + OPTIONAL_COLUMNS]
     if unknown:
         raise ConfigError(f"manifest {path} has unknown columns {unknown}")
+    for line, fields in lines:
+        if len(fields) != len(header):
+            raise ConfigError(f"manifest {path}:{line}: {len(fields)} fields "
+                              f"for {len(header)} columns")
+    rows = [dict(zip(header, fields)) for _, fields in lines]
     if not rows:
         raise ConfigError(f"manifest {path} holds no examples")
     seen = set()

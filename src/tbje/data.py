@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .features import ModalityBatch, Vocabulary
 from .metrics import EMOTIONS, SENTIMENT_MAX, SENTIMENT_MIN
-from .tensor import load_array, read_json, save_array, write_file
+from .tensor import load_array, read_json, save_array, write_dir, write_file
 
 BUNDLE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -111,23 +111,34 @@ def write_canonical_json(path, obj) -> None:
 
 def write_bundle(root, bundle: DatasetBundle,
                  vocab: Optional[Vocabulary] = None) -> None:
+    """Write ``bundle`` to the directory ``root``, replacing it whole (see
+    ``tensor.write_dir``); a ``root`` that is neither an empty directory nor
+    a bundle is refused and left as it was."""
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    write_canonical_json(root / MANIFEST_NAME, bundle.manifest())
-    if vocab is not None:
-        write_canonical_json(root / "vocab.json",
-                             {"tokens": vocab.tokens,
-                              "fallback_count": vocab.fallback_count})
-        save_array(root / "vocab.embeddings.tbjt", vocab.embeddings)
-    for name, split in bundle.splits.items():
-        sub = root / name
-        sub.mkdir(exist_ok=True)
-        for m, batch in split.batches.items():
-            save_array(sub / f"{m}.features.tbjt", batch.features)
-            save_array(sub / f"{m}.mask.tbjt", batch.mask.astype(np.float64))
-        save_array(sub / "labels.sentiment.tbjt", split.sentiment)
-        save_array(sub / "labels.emotions.tbjt",
-                   split.emotions.astype(np.float64))
+    if root.exists() and not (root.is_dir() and (
+            (root / MANIFEST_NAME).is_file() or not any(root.iterdir()))):
+        raise ConfigError(f"{root} is neither a bundle nor an empty "
+                          f"directory; a bundle written there would replace "
+                          f"it whole")
+
+    def write(tmp: Path):
+        write_canonical_json(tmp / MANIFEST_NAME, bundle.manifest())
+        if vocab is not None:
+            write_canonical_json(tmp / "vocab.json",
+                                 {"tokens": vocab.tokens,
+                                  "fallback_count": vocab.fallback_count})
+            save_array(tmp / "vocab.embeddings.tbjt", vocab.embeddings)
+        for name, split in bundle.splits.items():
+            sub = tmp / name
+            sub.mkdir()
+            for m, batch in split.batches.items():
+                save_array(sub / f"{m}.features.tbjt", batch.features)
+                save_array(sub / f"{m}.mask.tbjt",
+                           batch.mask.astype(np.float64))
+            save_array(sub / "labels.sentiment.tbjt", split.sentiment)
+            save_array(sub / "labels.emotions.tbjt",
+                       split.emotions.astype(np.float64))
+    write_dir(root, write)
 
 
 def read_bundle(root, names=None) -> DatasetBundle:

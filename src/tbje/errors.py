@@ -6,6 +6,7 @@ The CLI maps these onto distinct exit codes (see ``tbje.cli``).
 """
 
 import dataclasses
+import math
 
 
 class TbjeError(Exception):
@@ -81,6 +82,13 @@ def check_section(raw, defaults: dict, section: str = "") -> dict:
 def read_section(cls, raw, section: str):
     """A ``cls`` whose fields are those the config section ``raw`` gives,
     checked by ``check_section`` against the defaults of ``cls()``, and
-    those defaults for the rest."""
+    those defaults for the rest; a number given must be finite, which is
+    checked after ``cls``'s own, narrower checks."""
     defaults = dataclasses.asdict(cls())
-    return cls(**{**defaults, **check_section(raw, defaults, section)})
+    given = check_section(raw, defaults, section)
+    config = cls(**{**defaults, **given})
+    for key, value in given.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config key {section + '.' + key!r} must be a "
+                              f"finite number, got {value}")
+    return config

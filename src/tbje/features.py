@@ -291,6 +291,8 @@ def load_waveform(path, target_rate: int) -> np.ndarray:
         rate, data = wavfile.read(path)
     except (ValueError, struct.error) as exc:
         raise ConfigError(f"{path}: not a readable WAV file: {exc}") from None
+    if rate < 1:
+        raise ConfigError(f"{path}: WAV sample rate {rate} is not positive")
     if data.size == 0:
         raise ConfigError(f"{path}: WAV file holds no samples")
     stored = data.dtype

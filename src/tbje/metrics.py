@@ -9,8 +9,6 @@ alone. The two coincide when the gold labels are all positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError
@@ -18,35 +16,6 @@ from .errors import ContractError
 EMOTIONS = ("happy", "sad", "angry", "fear", "disgust", "surprise")
 SENTIMENT_MIN = -3.0
 SENTIMENT_MAX = 3.0
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-    @property
-    def support(self) -> int:
-        """Gold examples of the positive class."""
-        return self.tp + self.fn
-
-    def precision(self) -> float:
-        denom = self.tp + self.fp
-        return self.tp / denom if denom else 0.0
-
-    def recall(self) -> float:
-        denom = self.tp + self.fn
-        return self.tp / denom if denom else 0.0
-
-    def f1(self) -> float:
-        p, r = self.precision(), self.recall()
-        return 2.0 * p * r / (p + r) if p + r else 0.0
 
 
 def _as_labels(pred, gold):
@@ -60,28 +29,22 @@ def _as_labels(pred, gold):
     return pred, gold
 
 
-def confusion(pred, gold, positive=1) -> ConfusionCounts:
-    pred, gold = _as_labels(pred, gold)
-    p = pred == positive
-    g = gold == positive
-    return ConfusionCounts(tp=int(np.sum(p & g)), fp=int(np.sum(p & ~g)),
-                           fn=int(np.sum(~p & g)), tn=int(np.sum(~p & ~g)))
-
-
 def accuracy(pred, gold) -> float:
     """Exact-match fraction; 2-d multi-label inputs are scored per class
     (columns) and averaged."""
     pred, gold = _as_labels(pred, gold)
-    if pred.ndim == 2:
-        return float(np.mean([accuracy(pred[:, c], gold[:, c])
-                              for c in range(pred.shape[1])]))
-    return float(np.mean(pred == gold))
+    return float(np.mean(np.mean(pred == gold, axis=0)))
 
 
 def f1_unweighted(pred, gold, positive=1) -> float:
     """Positive-class F1; zero when precision + recall is zero."""
     pred, gold = _as_labels(pred, gold)
-    return confusion(pred, gold, positive).f1()
+    p, g = pred == positive, gold == positive
+    tp, predicted, actual = int(np.sum(p & g)), int(np.sum(p)), int(np.sum(g))
+    precision = tp / predicted if predicted else 0.0
+    recall = tp / actual if actual else 0.0
+    return (2.0 * precision * recall / (precision + recall)
+            if precision + recall else 0.0)
 
 
 def f1_weighted(pred, gold) -> float:
@@ -91,24 +54,13 @@ def f1_weighted(pred, gold) -> float:
     then exactly the other class's F1 (not merely within rounding of it).
     """
     pred, gold = _as_labels(pred, gold)
-    pos = confusion(pred, gold, positive=1)
-    neg = confusion(pred, gold, positive=0)
-    if neg.support == 0:
-        return pos.f1()
-    if pos.support == 0:
-        return neg.f1()
-    total = pos.support + neg.support
-    return (pos.support * pos.f1() + neg.support * neg.f1()) / total
-
-
-def _check_raw(raw):
-    raw = np.asarray(raw, dtype=np.float64)
-    if np.any(raw < SENTIMENT_MIN) or np.any(raw > SENTIMENT_MAX):
-        bad = raw[(raw < SENTIMENT_MIN) | (raw > SENTIMENT_MAX)]
-        raise ContractError(
-            f"sentiment values outside [{SENTIMENT_MIN:g}, "
-            f"{SENTIMENT_MAX:g}]: {bad[:5]}")
-    return raw
+    pos, neg = int(np.sum(gold == 1)), int(np.sum(gold == 0))
+    if neg == 0:
+        return f1_unweighted(pred, gold, positive=1)
+    if pos == 0:
+        return f1_unweighted(pred, gold, positive=0)
+    return (pos * f1_unweighted(pred, gold, positive=1)
+            + neg * f1_unweighted(pred, gold, positive=0)) / (pos + neg)
 
 
 def round_half_away(x):
@@ -124,7 +76,12 @@ def sentiment_bins(raw, classes: int = 7, boundary: float = 0.0):
     7-class: round to the nearest integer (halves away from zero), shift to
     0..6. 2-class: 0 below the boundary, 1 at or above it.
     """
-    raw = _check_raw(raw)
+    raw = np.asarray(raw, dtype=np.float64)
+    bad = raw[(raw < SENTIMENT_MIN) | (raw > SENTIMENT_MAX)]
+    if bad.size:
+        raise ContractError(
+            f"sentiment values outside [{SENTIMENT_MIN:g}, "
+            f"{SENTIMENT_MAX:g}]: {bad[:5]}")
     if classes == 7:
         return (round_half_away(raw) + 3).astype(np.int64)
     if classes == 2:
@@ -132,42 +89,29 @@ def sentiment_bins(raw, classes: int = 7, boundary: float = 0.0):
     raise ContractError(f"sentiment supports 2 or 7 classes, got {classes}")
 
 
-def emotion_predictions(probabilities, threshold: float = 0.5):
-    """Binarize per-emotion probabilities."""
-    return (np.asarray(probabilities, dtype=np.float64) >= threshold).astype(np.int64)
+def _scores(pred, gold) -> dict:
+    """Accuracy and both F1 flavors of one binary label."""
+    return {"accuracy": accuracy(pred, gold),
+            "f1_weighted": f1_weighted(pred, gold),
+            "f1_unweighted": f1_unweighted(pred, gold)}
 
 
 def evaluation_report(task: str, pred, gold) -> dict:
     """Machine-readable metric block for one task.
 
-    Sentiment tasks report accuracy plus both F1 flavors of the predicted
-    classes; the emotions task reports per-emotion accuracy and F1s plus
-    their means.
+    Sentiment-2 reports accuracy plus both F1 flavors of the predicted
+    classes, sentiment-7 accuracy alone; the emotions task reports the three
+    per emotion plus their means.
     """
-    pred = np.asarray(pred)
-    gold = np.asarray(gold)
+    pred, gold = np.asarray(pred), np.asarray(gold)
     if task == "emotions-6":
-        per = {}
-        for c, name in enumerate(EMOTIONS):
-            per[name] = {
-                "accuracy": accuracy(pred[:, c], gold[:, c]),
-                "f1_weighted": f1_weighted(pred[:, c], gold[:, c]),
-                "f1_unweighted": f1_unweighted(pred[:, c], gold[:, c]),
-            }
-        return {
-            "task": task,
-            "per_emotion": per,
-            "accuracy": accuracy(pred, gold),
-            "f1_weighted": float(np.mean([v["f1_weighted"] for v in per.values()])),
-            "f1_unweighted": float(np.mean([v["f1_unweighted"] for v in per.values()])),
-        }
+        per = {name: _scores(pred[:, c], gold[:, c])
+               for c, name in enumerate(EMOTIONS)}
+        return {"task": task, "per_emotion": per,
+                **{key: float(np.mean([s[key] for s in per.values()]))
+                   for key in per[EMOTIONS[0]]}}
     if task == "sentiment-2":
-        return {
-            "task": task,
-            "accuracy": accuracy(pred, gold),
-            "f1_weighted": f1_weighted(pred, gold),
-            "f1_unweighted": f1_unweighted(pred, gold),
-        }
+        return {"task": task, **_scores(pred, gold)}
     if task == "sentiment-7":
         return {"task": task, "accuracy": accuracy(pred, gold)}
     raise ContractError(f"unknown task {task!r}")

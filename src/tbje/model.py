@@ -95,6 +95,9 @@ class EncoderConfig:
             raise ConfigError("monomodal variant requires exactly one modality")
         if self.blocks < 0:
             raise ConfigError(f"block count must be >= 0, got {self.blocks}")
+        if self.mlp_width < 1:
+            raise ConfigError(f"encoder.mlp_width must be >= 1, got "
+                              f"{self.mlp_width}")
         if self.width < 1 or self.heads < 1 or self.width % self.heads:
             raise ConfigError(f"width {self.width} must be a positive multiple "
                               f"of head count {self.heads}")

@@ -34,8 +34,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -682,6 +684,25 @@ def clear_stale(path) -> None:
     tmp = f"{path}.tmp"
     if os.path.lexists(tmp):
         os.unlink(tmp)
+
+
+def write_dir(path, write) -> None:
+    """``write(tmp)`` into a fresh ``<path>.tmp`` sibling directory, then
+    swap it in for the directory ``path``, whose old version is renamed to
+    ``<path>.old.tmp`` and removed. A failed write leaves ``path`` as it
+    was; a kill between the two renames leaves none, never a mix of two."""
+    tmp, old = f"{path}.tmp", f"{path}.old.tmp"
+    for stale in (tmp, old):
+        shutil.rmtree(stale, ignore_errors=True)
+    os.makedirs(tmp)
+    try:
+        write(Path(tmp))
+        if os.path.lexists(path):
+            os.replace(path, old)
+        os.replace(tmp, path)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def read_file(path, parse):

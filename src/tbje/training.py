@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, NumericError, read_section
-from .metrics import accuracy, emotion_predictions, sentiment_bins
+from .metrics import accuracy, sentiment_bins
 # model_bytes is not called here: it is imported so that the benchmark's
 # tracer can wrap tbje.training.model_bytes
 from .model import (TASK_CLASSES, TbjeModel, check_checkpoint,
@@ -302,7 +302,7 @@ def predictions_from_probabilities(probs: np.ndarray, task: str) -> np.ndarray:
     """Argmax for sentiment tasks, 0.5 thresholding for emotions; applied
     after any ensemble averaging."""
     if task == "emotions-6":
-        return emotion_predictions(probs)
+        return (probs >= 0.5).astype(np.int64)
     return np.argmax(probs, axis=-1)
 
 

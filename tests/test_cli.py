@@ -257,6 +257,25 @@ class TestRunConfig:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(key) in err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("training", "lr", float("nan")),
+        ("training", "lr", float("inf")),
+        ("encoder", "sentiment_boundary", float("nan")),
+        ("encoder", "mlp_width", 0),
+    ], ids=["lr-nan", "lr-inf", "boundary-nan", "mlp-width-0"])
+    def test_bad_value_exits_2_before_the_run_directory_is_made(
+            self, corpus, tmp_path, capsys, section, key, value):
+        raw = json.loads((corpus / "config.json").read_text())
+        raw[section][key] = value
+        raw["paths"]["out"] = str(tmp_path / "run")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{section}.{key}" in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("encoder, message", [
         ({"positional": {"Q": True}, "lengths": {"X": 3}},
          "encoder.lengths has keys ['X']"),
@@ -421,6 +440,31 @@ class TestExtract:
             == EXIT_CONFIG
         assert "speaker" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", [2, 13], ids=["short", "long"])
+    def test_row_that_does_not_fit_the_header_names_its_line(
+            self, tmp_path, capsys, fields):
+        manifest = tmp_path / "manifest.csv"
+
+        def edit(root):
+            lines = manifest.read_text().splitlines()
+            lines[4] = ",".join((lines[4].split(",") + ["0"])[:fields])
+            manifest.write_text("\n".join(lines) + "\n")
+        err = self.refused(tmp_path, capsys, edit)
+        assert err == (f"error: manifest {manifest}:5: {fields} fields for "
+                       f"12 columns\n")
+
+    def test_repeated_column_rejected(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+
+        def edit(root):
+            lines = manifest.read_text().splitlines()
+            manifest.write_text("\n".join(
+                [lines[0] + ",sentiment"] + [line + ",0.0"
+                                             for line in lines[1:]]) + "\n")
+        err = self.refused(tmp_path, capsys, edit)
+        assert err == (f"error: manifest {manifest} repeats columns "
+                       f"['sentiment']\n")
+
     def test_duplicate_id_rejected(self, tmp_path):
         build_toy_corpus(tmp_path)
         config = toy_run_config(tmp_path)
@@ -571,6 +615,17 @@ class TestExtract:
             path, 4000, np.zeros(0, dtype=np.int16)))
         assert err == f"error: {path}: WAV file holds no samples\n"
 
+    def test_zero_sample_rate_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "audio" / "utt02.wav"
+        samples = np.arange(-400, 400, dtype=np.int16).tobytes()
+        # PCM fmt chunk: format, channels, rate, byte rate, block, bits
+        fmt = struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16)
+        body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                + b"data" + struct.pack("<I", len(samples)) + samples)
+        err = self.refused(tmp_path, capsys, lambda root: path.write_bytes(
+            b"RIFF" + struct.pack("<I", len(body)) + body))
+        assert err == f"error: {path}: WAV sample rate 0 is not positive\n"
+
     def test_non_finite_audio_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "audio" / "utt01.wav"
         samples = np.full(800, 0.25, dtype=np.float32)
@@ -615,6 +670,52 @@ class TestExtract:
         assert run_quiet(argv) == EXIT_IO
         assert len(cut) == 1
         assert tree_bytes(bundle) == before
+
+    def test_failed_array_write_keeps_the_previous_bundle_whole(
+            self, tmp_path, monkeypatch):
+        """A re-extraction whose valid L features fail to write, after its
+        manifest, vocabulary and train arrays were written, leaves the first
+        bundle byte for byte and no sibling directory."""
+        build_toy_corpus(tmp_path)
+        argv = ["extract-features", "--config",
+                str(toy_run_config(tmp_path))]
+        assert run_quiet(argv) == EXIT_OK
+        before = tree_bytes(tmp_path / "bundle")
+        # a train transcript: the vocabulary and train arrays change too
+        (tmp_path / "text" / "utt01.txt").write_text("An altered line.")
+        real_save = tbje.data.save_array
+
+        def save_array(path, arr):
+            if Path(path).parts[-2:] == ("valid", "L.features.tbjt"):
+                raise OSError(28, "No space left on device")
+            real_save(path, arr)
+        monkeypatch.setattr(tbje.data, "save_array", save_array)
+        assert run_quiet(argv) == EXIT_IO
+        assert tree_bytes(tmp_path / "bundle") == before
+        assert not list(tmp_path.glob("bundle.*"))
+
+    def test_siblings_a_kill_left_are_removed(self, corpus, tmp_path):
+        for sibling in ("bundle.tmp", "bundle.old.tmp"):
+            (tmp_path / sibling / "train").mkdir(parents=True)
+        assert run_quiet(["extract-features", "--config",
+                          str(corpus / "config.json"), "--bundle",
+                          str(tmp_path / "bundle")]) == EXIT_OK
+        assert [p.name for p in tmp_path.iterdir()] == ["bundle"]
+        assert tree_bytes(tmp_path / "bundle") == tree_bytes(corpus / "bundle")
+
+    def test_target_that_is_no_bundle_is_refused_untouched(self, corpus,
+                                                          tmp_path, capsys):
+        target = tmp_path / "notes"
+        target.mkdir()
+        (target / "todo.txt").write_text("keep me")
+        capsys.readouterr()
+        assert run_quiet(["extract-features", "--config",
+                          str(corpus / "config.json"), "--bundle",
+                          str(target)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {target} is neither a bundle nor an empty directory; a "
+            f"bundle written there would replace it whole\n")
+        assert tree_bytes(target) == {"todo.txt": b"keep me"}
 
     def test_modality_without_a_configured_length_rejected(self, tmp_path,
                                                            capsys):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from tbje.errors import ContractError
-from tbje.metrics import (ConfusionCounts, EMOTIONS, accuracy, confusion,
-                          emotion_predictions, evaluation_report, f1_unweighted,
+from tbje.metrics import (EMOTIONS, accuracy, evaluation_report, f1_unweighted,
                           f1_weighted, round_half_away, sentiment_bins)
 from tbje.rng import make_rng
 
@@ -81,17 +80,6 @@ def test_metrics_permutation_invariant():
     assert f1_unweighted(pred, gold) == f1_unweighted(pred[perm], gold[perm])
 
 
-def test_confusion_counts_sum_to_total():
-    rng = make_rng(102, "conf")
-    pred = rng.integers(0, 2, size=200)
-    gold = rng.integers(0, 2, size=200)
-    counts = confusion(pred, gold)
-    assert counts.total == 200
-    assert counts.support == int(np.sum(gold == 1))
-    assert (counts.tp, counts.fp, counts.fn, counts.tn) == \
-        oracles.confusion_oracle(pred, gold, 1)
-
-
 def test_metrics_match_brute_force_oracle_exactly():
     rng = make_rng(103, "oracle")
     for trial in range(30):
@@ -149,11 +137,6 @@ def test_sentiment_out_of_range_rejected():
         sentiment_bins(np.array([-3.0001]))
     with pytest.raises(ContractError):
         sentiment_bins(np.array([0.0]), classes=5)
-
-
-def test_emotion_predictions_threshold():
-    probs = np.array([[0.5, 0.49], [0.9, 0.1]])
-    assert np.array_equal(emotion_predictions(probs), [[1, 0], [1, 0]])
 
 
 # ---------------------------------------------------------------------------
