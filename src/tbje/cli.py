@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_run_config
-from .data import DatasetBundle, Split, read_bundle, write_bundle
+from .data import (DatasetBundle, Split, check_bundle_target, read_bundle,
+                   write_bundle)
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .features import (ModalityBatch, build_vocabulary, load_waveform,
                        make_batch, mel_spectrogram, normalize_mel,
@@ -173,6 +174,7 @@ def cmd_extract_features(args) -> int:
     cfg = _resolve_config(args)
     manifest_path = cfg.require_path("manifest")
     out = cfg.require_path("bundle")
+    check_bundle_target(out)
     rows, optional = _read_manifest(manifest_path)
     base = manifest_path.parent
     columns = ("transcript", *optional)

@@ -109,17 +109,23 @@ def write_canonical_json(path, obj) -> None:
     write_file(path, lambda fh: fh.write((text + "\n").encode("utf-8")))
 
 
-def write_bundle(root, bundle: DatasetBundle,
-                 vocab: Optional[Vocabulary] = None) -> None:
-    """Write ``bundle`` to the directory ``root``, replacing it whole (see
-    ``tensor.write_dir``); a ``root`` that is neither an empty directory nor
-    a bundle is refused and left as it was."""
+def check_bundle_target(root) -> None:
+    """Refuse a ``root`` that exists and is neither an empty directory nor
+    a bundle, since ``write_bundle`` would replace it whole."""
     root = Path(root)
     if root.exists() and not (root.is_dir() and (
             (root / MANIFEST_NAME).is_file() or not any(root.iterdir()))):
         raise ConfigError(f"{root} is neither a bundle nor an empty "
                           f"directory; a bundle written there would replace "
                           f"it whole")
+
+
+def write_bundle(root, bundle: DatasetBundle,
+                 vocab: Optional[Vocabulary] = None) -> None:
+    """Write ``bundle`` to the directory ``root``, replacing it whole (see
+    ``tensor.write_dir``); a ``root`` that ``check_bundle_target`` refuses
+    is left as it was."""
+    check_bundle_target(root)
 
     def write(tmp: Path):
         write_canonical_json(tmp / MANIFEST_NAME, bundle.manifest())

@@ -171,15 +171,13 @@ class MelConfig:
     floor: float = 1e-5       # log-compression floor
 
     def __post_init__(self):
-        if self.bands < 1:
-            raise ConfigError(f"mel band count must be >= 1, got {self.bands}")
-        if self.stride < 1:
-            raise ConfigError(f"temporal stride must be >= 1, got {self.stride}")
+        for key in ("sample_rate", "hop", "window", "bands", "stride"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"mel.{key} must be >= 1, got "
+                                  f"{getattr(self, key)}")
         if self.n_fft < self.window:
-            raise ConfigError(
-                f"FFT size {self.n_fft} must cover the window {self.window}")
-        if self.hop < 1 or self.window < 1 or self.sample_rate < 1:
-            raise ConfigError("sample rate, hop and window must be positive")
+            raise ConfigError(f"mel.n_fft must be >= mel.window, got "
+                              f"{self.n_fft} and {self.window}")
         if not 0.0 < self.floor < float("inf"):
             raise ConfigError(f"mel.floor must be a finite number > 0, got "
                               f"{self.floor}")

@@ -34,7 +34,6 @@ TASK_CLASSES = {"sentiment-2": 2, "sentiment-7": 7, "emotions-6": 6}
 
 CHECKPOINT_MAGIC = b"TBJM"
 CHECKPOINT_VERSION = 3
-_V1_HEAD_MAPS = ("query", "key", "content")
 
 
 @dataclass
@@ -93,25 +92,25 @@ class EncoderConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.variant == "monomodal" and len(self.modalities) != 1:
             raise ConfigError("monomodal variant requires exactly one modality")
-        if self.blocks < 0:
-            raise ConfigError(f"block count must be >= 0, got {self.blocks}")
-        if self.mlp_width < 1:
-            raise ConfigError(f"encoder.mlp_width must be >= 1, got "
-                              f"{self.mlp_width}")
+        for key, low in (("blocks", 0), ("mlp_width", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"encoder.{key} must be >= {low}, got "
+                                  f"{getattr(self, key)}")
         if self.width < 1 or self.heads < 1 or self.width % self.heads:
-            raise ConfigError(f"width {self.width} must be a positive multiple "
-                              f"of head count {self.heads}")
-        if not 0.0 <= self.dropout_block < 1.0:
-            raise ConfigError(f"block dropout must be in [0, 1), "
-                              f"got {self.dropout_block}")
-        if not 0.0 <= self.dropout_classifier < 1.0:
-            raise ConfigError(f"classifier dropout must be in [0, 1), "
-                              f"got {self.dropout_classifier}")
+            raise ConfigError(f"encoder.width must be a positive multiple of "
+                              f"encoder.heads, got {self.width} and "
+                              f"{self.heads}")
+        for key in ("dropout_block", "dropout_classifier"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"encoder.{key} must be in [0, 1), got "
+                                  f"{getattr(self, key)}")
         for m in self.modalities:
-            if m not in self.lengths or self.lengths[m] < 1:
-                raise ConfigError(f"modality {m} needs a padded length >= 1")
-            if m not in self.input_widths or self.input_widths[m] < 1:
-                raise ConfigError(f"modality {m} needs an input width >= 1")
+            for key, what in (("lengths", "a padded length"),
+                              ("input_widths", "an input width")):
+                value = getattr(self, key).get(m, "unset")
+                if value == "unset" or value < 1:
+                    raise ConfigError(f"encoder.{key}.{m} is {value}; "
+                                      f"modality {m} needs {what} >= 1")
 
     def resolved_variant(self) -> str:
         if self.variant != "auto":
@@ -129,10 +128,6 @@ class EncoderConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "EncoderConfig":
-        # v1 checkpoint headers carry "glimpses": null and no boundary
-        if isinstance(raw, dict) and "glimpses" in raw \
-                and raw["glimpses"] is None:
-            raw = {k: v for k, v in raw.items() if k != "glimpses"}
         return read_section(EncoderConfig, raw, "encoder")
 
 
@@ -401,9 +396,8 @@ def check_checkpoint(fh, model: TbjeModel) -> None:
     """Check, without reading any payload, that the checkpoint in ``fh``
     has ``model``'s config and exactly the size ``write_model`` gives
     ``model``; leaves ``fh`` at its end."""
-    _, header = T.read_head(fh, CHECKPOINT_MAGIC, "checkpoint",
-                            range(CHECKPOINT_VERSION, CHECKPOINT_VERSION + 1),
-                            required=("config",))
+    header = T.read_head(fh, CHECKPOINT_MAGIC, "checkpoint",
+                         CHECKPOINT_VERSION, required=("config",))
     _require_config(EncoderConfig.from_dict(header["config"]), model)
     want = _ByteCount()
     write_model(want, model)
@@ -420,17 +414,14 @@ def save_model(path, model: TbjeModel) -> None:
 def read_model(fh, into: Optional[TbjeModel] = None) -> TbjeModel:
     """Parse one checkpoint. The model is built from the header's config as
     uninitialised slots, and each tensor payload is read straight into the
-    slot whose name and shape it matches. A version-1 checkpoint's per-head
-    payloads fill the column blocks of the fused attention maps. Versions 1
-    and 2 store a key bias per attention map, read into a dropped slot.
+    slot whose name and shape it matches.
 
     Given ``into``, a model whose config must equal the header's, the
     payloads overwrite ``into``'s own arrays and ``into`` is returned; a
     config mismatch raises before any payload is read, a later error leaves
     ``into`` partly overwritten."""
-    version, header = T.read_head(fh, CHECKPOINT_MAGIC, "checkpoint",
-                                  range(1, CHECKPOINT_VERSION + 1),
-                                  required=("config",))
+    header = T.read_head(fh, CHECKPOINT_MAGIC, "checkpoint",
+                         CHECKPOINT_VERSION, required=("config",))
     config = EncoderConfig.from_dict(header["config"])
     if into is None:
         model = _build_model(config, None, header.get("vocab_hash"))
@@ -439,17 +430,6 @@ def read_model(fh, into: Optional[TbjeModel] = None) -> TbjeModel:
         model = into
         model.vocab_hash = header.get("vocab_hash")
     slots = {name: p.data for name, p in model.named_parameters()}
-    if version < 3:
-        for name in [n for n in slots if n.endswith(".mha.key.weight")]:
-            slots[name[:-len("weight")] + "bias"] = np.empty(config.width)
-    if version == 1:
-        # head i of a query, key or content map was its own tensor there,
-        # `….mha.{q,k,c}{i}.{weight,bias}`; it fills column block i here
-        for name in [n for n in slots if n.split(".")[-2] in _V1_HEAD_MAPS]:
-            block, proj, kind = name.rsplit(".", 2)
-            heads = np.split(slots.pop(name), config.heads, axis=-1)
-            slots.update((f"{block}.{proj[0]}{i}.{kind}", head)
-                         for i, head in enumerate(heads))
     seen = set()
     for name in T.read_named(fh):
         if name not in slots:

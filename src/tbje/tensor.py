@@ -565,23 +565,20 @@ def write_head(fh, magic: bytes, version: int, header: bytes) -> None:
     fh.write(header)
 
 
-def read_head(fh, magic: bytes, what: str, versions: range,
-              required=()) -> tuple[int, dict]:
-    """Read the head ``write_head`` wrote; returns the version, which must
-    lie in ``versions`` and is checked before the header is parsed, and the
-    header, which must hold the ``required`` keys. ``what`` names the
-    artifact in errors."""
+def read_head(fh, magic: bytes, what: str, version: int,
+              required=()) -> dict:
+    """Read the head ``write_head`` wrote and return its header, which must
+    hold the ``required`` keys; the version must be ``version`` and is
+    checked before the header is parsed. ``what`` names the artifact in
+    errors."""
     got = read_exact(fh, 4)
     if got != magic:
         raise ConfigError(f"bad {what} magic {got!r}; expected {magic!r}")
-    (version,) = struct.unpack("<I", read_exact(fh, 4))
-    if version not in versions:
-        reads = (f"; this build reads {versions[0]} to {versions[-1]}"
-                 if len(versions) > 1 else "")
-        raise ConfigError(f"unsupported {what} version {version}{reads}")
+    (found,) = struct.unpack("<I", read_exact(fh, 4))
+    if found != version:
+        raise ConfigError(f"unsupported {what} version {found}")
     (size,) = struct.unpack("<I", read_exact(fh, 4))
-    return version, read_json(read_exact(fh, size), f"{what} header",
-                              required)
+    return read_json(read_exact(fh, size), f"{what} header", required)
 
 
 def write_named(fh, entries) -> None:

@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, NumericError, read_section
+from .errors import (ConfigError, ContractError, NumericError, check_section,
+                     read_section)
 from .metrics import accuracy, sentiment_bins
 # model_bytes is not called here: it is imported so that the benchmark's
 # tracer can wrap tbje.training.model_bytes
@@ -64,20 +65,15 @@ class TrainConfig:
     max_epochs: int = 500
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        for key, low in (("lr", 0), ("batch_size", 1), ("max_decays", 0),
+                         ("patience", 1), ("ensemble_size", 1),
+                         ("max_epochs", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"training.{key} must be >= {low}, got "
+                                  f"{getattr(self, key)}")
         if not 0.0 < self.decay_factor < 1.0:
-            raise ConfigError(
-                f"decay factor must lie in (0, 1), got {self.decay_factor}")
-        if self.max_decays < 0 or self.patience < 1:
-            raise ConfigError("max_decays must be >= 0 and patience >= 1")
-        if self.ensemble_size < 1:
-            raise ConfigError(
-                f"ensemble size must be >= 1, got {self.ensemble_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+            raise ConfigError(f"training.decay_factor must lie in (0, 1), "
+                              f"got {self.decay_factor}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -480,10 +476,11 @@ def _open_untruncated(path, flags: int) -> int:
 
 
 def _read_train_state(fh, into) -> tuple[TbjeModel, TrainState]:
-    _, header = T.read_head(fh, STATE_MAGIC, "train-state",
-                            range(STATE_VERSION, STATE_VERSION + 1),
-                            required=_STATE_HEADER)
-    # a malformed config record is refused on load, not by the resume
+    header = T.read_head(fh, STATE_MAGIC, "train-state", STATE_VERSION,
+                         required=_STATE_HEADER)
+    # a malformed record is refused on load, not by the resume
+    check_section({key: header[key] for key in _STATE_HEADER
+                   if key != "config"}, asdict(TrainState(lr=0.0)))
     TrainConfig.from_dict(header["config"])
     model = read_model(fh, into)
     state = TrainState(**{key: header[key] for key in _STATE_HEADER})

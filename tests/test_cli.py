@@ -262,11 +262,40 @@ class TestRunConfig:
         ("training", "lr", float("inf")),
         ("encoder", "sentiment_boundary", float("nan")),
         ("encoder", "mlp_width", 0),
-    ], ids=["lr-nan", "lr-inf", "boundary-nan", "mlp-width-0"])
+        ("training", "lr", -1),
+        ("training", "batch_size", 0),
+        ("training", "decay_factor", 1.0),
+        ("training", "max_decays", -1),
+        ("training", "patience", 0),
+        ("training", "ensemble_size", 0),
+        ("training", "max_epochs", 0),
+        ("encoder", "blocks", -1),
+        ("encoder", "width", 15),
+        ("encoder", "heads", 0),
+        ("encoder", "dropout_block", 1.0),
+        ("encoder", "dropout_classifier", -0.5),
+        ("encoder", "lengths.A", 0),
+        ("encoder", "input_widths.V", 0),
+        ("mel", "bands", 0),
+        ("mel", "stride", 0),
+        ("mel", "n_fft", 64),
+        ("mel", "hop", 0),
+        ("mel", "window", 0),
+        ("mel", "sample_rate", 0),
+    ], ids=["lr-nan", "lr-inf", "boundary-nan", "mlp-width-0", "lr-negative",
+            "batch-0", "decay-1", "decays-negative", "patience-0",
+            "ensemble-0", "epochs-0", "blocks-negative", "width-15",
+            "heads-0", "dropout-block-1", "dropout-classifier-negative",
+            "length-A-0", "input-width-V-0", "bands-0", "stride-0",
+            "n-fft-64", "hop-0", "window-0", "sample-rate-0"])
     def test_bad_value_exits_2_before_the_run_directory_is_made(
             self, corpus, tmp_path, capsys, section, key, value):
         raw = json.loads((corpus / "config.json").read_text())
-        raw[section][key] = value
+        *parents, leaf = key.split(".")
+        target = raw[section]
+        for parent in parents:
+            target = target[parent]
+        target[leaf] = value
         raw["paths"]["out"] = str(tmp_path / "run")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
@@ -717,6 +746,21 @@ class TestExtract:
             f"bundle written there would replace it whole\n")
         assert tree_bytes(target) == {"todo.txt": b"keep me"}
 
+    def test_target_that_is_no_bundle_is_refused_before_any_input_is_read(
+            self, corpus, tmp_path, capsys):
+        target = tmp_path / "notes"
+        target.mkdir()
+        (target / "todo.txt").write_text("keep me")
+        capsys.readouterr()
+        assert run_quiet(["extract-features", "--config",
+                          str(corpus / "config.json"), "--bundle",
+                          str(target), "--manifest",
+                          str(tmp_path / "absent.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {target} is neither a bundle nor an empty directory; a "
+            f"bundle written there would replace it whole\n")
+        assert tree_bytes(target) == {"todo.txt": b"keep me"}
+
     def test_modality_without_a_configured_length_rejected(self, tmp_path,
                                                            capsys):
         # the L+A config of an L+A+V corpus: no encoder.lengths.V
@@ -790,73 +834,57 @@ class TestTrain:
                      "train-member0.ndjson", "train-member1.ndjson"):
             assert (direct / name).read_bytes() == (paused / name).read_bytes()
 
-    def test_resume_from_v1_state_rejected(self, corpus, tmp_path, capsys):
+    @staticmethod
+    def resume_edited_state(corpus, tmp_path, capsys, edit):
+        """Train one epoch, rewrite member 0's state bytes with ``edit``
+        and resume; returns the exit code, stderr and the state's path."""
         config = variant_config(corpus, tmp_path / "one.json",
                                 training={"max_epochs": 1})
         out = tmp_path / "old"
         assert main(["train", "--config", str(config),
                      "--out", str(out)]) == EXIT_OK
         state = out / "state-member0.tbjs"
-        blob = state.read_bytes()
-        state.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        state.write_bytes(edit(state.read_bytes()))
         capsys.readouterr()
-        assert main(["train", "--config", str(config), "--out", str(out),
-                     "--resume"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err == (f"error: unsupported train-state version 1 "
+        code = main(["train", "--config", str(config), "--out", str(out),
+                     "--resume"])
+        return code, capsys.readouterr().err, state
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_resume_from_an_old_state_version_rejected(
+            self, corpus, tmp_path, capsys, version):
+        """A version-3 state holds the best parameters itself, which this
+        build keeps in model-member{i}.tbjm; a version-4 state does not
+        record the training config it ran under, so a resume could not
+        check it. This build refuses every state but version 5."""
+        code, err, state = self.resume_edited_state(
+            corpus, tmp_path, capsys,
+            lambda blob: blob[:4] + struct.pack("<I", version) + blob[8:])
+        assert code == EXIT_CONFIG
+        assert err == (f"error: unsupported train-state version {version} "
                        f"(in {state})\n")
 
-    def test_resume_from_v2_state_rejected(self, corpus, tmp_path, capsys):
-        config = variant_config(corpus, tmp_path / "one.json",
-                                training={"max_epochs": 1})
-        out = tmp_path / "old"
-        assert main(["train", "--config", str(config),
-                     "--out", str(out)]) == EXIT_OK
-        state = out / "state-member0.tbjs"
-        blob = state.read_bytes()
-        state.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
-        capsys.readouterr()
-        assert main(["train", "--config", str(config), "--out", str(out),
-                     "--resume"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err == (f"error: unsupported train-state version 2 "
-                       f"(in {state})\n")
+    @pytest.mark.parametrize("field, value, message", [
+        ("epoch", "1", "must be an integer, got a string"),
+        ("step", None, "must be an integer, got null"),
+        ("log", 5, "must be an array, got an integer"),
+        ("lr", "x", "must be a number, got a string"),
+        ("epoch", 1.5, "must be an integer, got a number"),
+    ], ids=["epoch-str", "step-null", "log-int", "lr-str", "epoch-float"])
+    def test_resume_from_a_state_header_field_of_the_wrong_type_rejected(
+            self, corpus, tmp_path, capsys, field, value, message):
+        def edit(blob):
+            (size,) = struct.unpack("<I", blob[8:12])
+            header = json.loads(blob[12:12 + size])
+            header[field] = value
+            raw = json.dumps(header, sort_keys=True).encode("utf-8")
+            return (blob[:8] + struct.pack("<I", len(raw)) + raw
+                    + blob[12 + size:])
 
-    def test_resume_from_v3_state_rejected(self, corpus, tmp_path, capsys):
-        """A version-3 state holds the best parameters itself; this build
-        keeps them in model-member{i}.tbjm and refuses such a state."""
-        config = variant_config(corpus, tmp_path / "one.json",
-                                training={"max_epochs": 1})
-        out = tmp_path / "old"
-        assert main(["train", "--config", str(config),
-                     "--out", str(out)]) == EXIT_OK
-        state = out / "state-member0.tbjs"
-        blob = state.read_bytes()
-        state.write_bytes(blob[:4] + struct.pack("<I", 3) + blob[8:])
-        capsys.readouterr()
-        assert main(["train", "--config", str(config), "--out", str(out),
-                     "--resume"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err == (f"error: unsupported train-state version 3 "
-                       f"(in {state})\n")
-
-    def test_resume_from_v4_state_rejected(self, corpus, tmp_path, capsys):
-        """A version-4 state does not record the training config it ran
-        under, so a resume could not check it; this build refuses it."""
-        config = variant_config(corpus, tmp_path / "one.json",
-                                training={"max_epochs": 1})
-        out = tmp_path / "old"
-        assert main(["train", "--config", str(config),
-                     "--out", str(out)]) == EXIT_OK
-        state = out / "state-member0.tbjs"
-        blob = state.read_bytes()
-        state.write_bytes(blob[:4] + struct.pack("<I", 4) + blob[8:])
-        capsys.readouterr()
-        assert main(["train", "--config", str(config), "--out", str(out),
-                     "--resume"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err == (f"error: unsupported train-state version 4 "
-                       f"(in {state})\n")
+        code, err, state = self.resume_edited_state(corpus, tmp_path, capsys,
+                                                    edit)
+        assert code == EXIT_CONFIG
+        assert err == f"error: config key {field!r} {message} (in {state})\n"
 
     def test_resume_under_a_changed_training_config_rejected(
             self, corpus, tmp_path, capsys):
@@ -1375,6 +1403,19 @@ class TestEvaluate:
                      "--out", str(tmp_path), str(cut)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: truncated file") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("version", [1, 2, 4])
+    def test_checkpoint_of_another_version_is_config_error(
+            self, corpus, trained, tmp_path, capsys, version):
+        blob = (trained / "model-member0.tbjm").read_bytes()
+        other = tmp_path / "other.tbjm"
+        other.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--out", str(tmp_path), str(other)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: unsupported checkpoint version {version} (in {other})\n")
+        assert not (tmp_path / "report-test.txt").exists()
 
     def test_truncated_second_member_fails_after_the_first(
             self, corpus, trained, tmp_path, capsys):

@@ -600,163 +600,33 @@ def test_read_model_draws_no_init(monkeypatch):
     assert model_bytes(read_model(io.BytesIO(blob))) == blob
 
 
-def test_v1_header_with_null_glimpses_and_no_boundary_loads():
-    model = init_model(toy_config(), seed=17)
-    blob = model_bytes(model)
-    (old_len,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + old_len])
-    del header["config"]["sentiment_boundary"]
-    header["config"]["glimpses"] = None
-    v1 = json.dumps(header).encode("utf-8")
-    loaded = read_model(io.BytesIO(blob[:8] + struct.pack("<I", len(v1)) + v1
-                                   + blob[12 + old_len:]))
-    assert loaded.config.sentiment_boundary == 0.0
-    assert model_bytes(loaded) == blob
-
-
-def with_key_bias(model, rng=None) -> list:
-    """``model``'s (name, array) list as checkpoint versions 1 and 2 hold
-    it: each attention map's key weight is followed by a key bias, zero or,
-    given ``rng``, random."""
+def with_key_bias(model) -> list:
+    """``model``'s (name, array) list with a zero key bias after each
+    attention map's key weight, as checkpoint versions 1 and 2 held it."""
     tensors = []
     for name, p in model.named_parameters():
         tensors.append((name, p.data))
         if name.endswith(".mha.key.weight"):
-            bias = (np.zeros(model.config.width) if rng is None
-                    else rng.uniform(-2.0, 2.0, size=model.config.width))
-            tensors.append((name[:-len("weight")] + "bias", bias))
+            tensors.append((name[:-len("weight")] + "bias",
+                            np.zeros(model.config.width)))
     return tensors
-
-
-def legacy_checkpoint(version, config, model, tensors, edit=None) -> bytes:
-    if edit is not None:
-        tensors = edit(tensors)
-    header = json.dumps({"config": config,
-                         "vocab_hash": model.vocab_hash}).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC + struct.pack("<II", version, len(header))
-              + header)
-    buf.write(struct.pack("<I", len(tensors)))
-    for name, data in tensors:
-        buf.write(struct.pack("<I", len(name)) + name.encode("utf-8"))
-        T.write_array(buf, data)
-    return buf.getvalue()
-
-
-def v2_checkpoint(model, rng=None, edit=None) -> bytes:
-    """``model`` in checkpoint format 2: the format 3 header and tensors
-    plus a key bias per attention map (see ``with_key_bias``). ``edit``
-    may rewrite the (name, array) list before it is written."""
-    return legacy_checkpoint(2, model.config.to_dict(), model,
-                             with_key_bias(model, rng), edit)
-
-
-def v1_checkpoint(model, edit=None, rng=None) -> bytes:
-    """``model`` in checkpoint format 1: a v1 header (null glimpses, no
-    boundary), a key bias per attention map (see ``with_key_bias``), and
-    every attention head's query/key/content block as its own tensor,
-    ``….mha.{q,k,c}{i}.{weight,bias}``. ``edit`` may rewrite the
-    (name, array) list before it is written."""
-    tensors = []
-    for name, data in with_key_bias(model, rng):
-        head, _, kind = name.rpartition(".")
-        mha, _, proj = head.rpartition(".")
-        if mha.endswith(".mha") and proj in ("query", "key", "content"):
-            blocks = np.split(data, model.config.heads, axis=-1)
-            tensors += [(f"{mha}.{proj[0]}{i}.{kind}", block)
-                        for i, block in enumerate(blocks)]
-        else:
-            tensors.append((name, data))
-    config = model.config.to_dict()
-    del config["sentiment_boundary"]
-    config["glimpses"] = None
-    return legacy_checkpoint(1, config, model, tensors, edit)
-
-
-@pytest.mark.parametrize("write", [v1_checkpoint, v2_checkpoint])
-def test_legacy_key_bias_is_read_and_dropped(write):
-    cfg = toy_config(heads=4)
-    model = init_model(cfg, seed=19, vocab_hash="abc123")
-    loaded = read_model(io.BytesIO(write(model, rng=make_rng(89, "key-bias"))))
-    want = model.parameter_dict()
-    got = loaded.parameter_dict()
-    assert list(got) == list(want)
-    assert not [n for n in got if n.endswith("mha.key.bias")]
-    for name in want:
-        assert np.array_equal(got[name].data, want[name].data), name
-    batches = toy_batches(make_rng(90, "key-bias"), cfg, 2)
-    assert np.array_equal(forward_logits(model, batches).data,
-                          forward_logits(loaded, batches).data)
-    assert model_bytes(loaded) == model_bytes(model)
-
-
-@pytest.mark.parametrize("write, edit, message", [
-    (v2_checkpoint,
-     lambda ts: [(n, d[:3] if n == "enc.A.0.mha.key.bias" else d)
-                 for n, d in ts], "'enc.A.0.mha.key.bias' shaped"),
-    (v1_checkpoint,
-     lambda ts: [(n, d[:1] if n == "enc.L.0.mha.k1.bias" else d)
-                 for n, d in ts], "'enc.L.0.mha.k1.bias' shaped"),
-    (v2_checkpoint,
-     lambda ts: [t for t in ts if t[0] != "enc.L.0.mha.key.bias"],
-     r"missing tensors \['enc.L.0.mha.key.bias'\]"),
-])
-def test_legacy_key_bias_is_checked_like_any_tensor(write, edit, message):
-    model = init_model(toy_config(), seed=19)
-    with pytest.raises(ConfigError, match=message):
-        read_model(io.BytesIO(write(model, edit=edit)))
 
 
 def test_key_bias_has_no_slot_in_a_version_3_checkpoint():
     model = init_model(toy_config(), seed=19)
-    blob = v2_checkpoint(model)
-    blob = blob[:4] + struct.pack("<I", CHECKPOINT_VERSION) + blob[8:]
+    buf = io.BytesIO()
+    T.write_head(buf, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, json.dumps(
+        {"config": model.config.to_dict()}).encode("utf-8"))
+    T.write_named(buf, ((name, (data,)) for name, data in with_key_bias(model)))
     with pytest.raises(ConfigError, match="'enc.L.0.mha.key.bias' has no slot"):
-        read_model(io.BytesIO(blob))
+        read_model(io.BytesIO(buf.getvalue()))
 
 
-def test_v1_checkpoint_heads_fill_column_blocks():
-    cfg = toy_config(heads=4)
-    model = init_model(cfg, seed=18, vocab_hash="abc123")
-    loaded = read_model(io.BytesIO(v1_checkpoint(model)))
-    want = model.parameter_dict()
-    got = loaded.parameter_dict()
-    assert list(got) == list(want)
-    for name in want:
-        assert np.array_equal(got[name].data, want[name].data), name
-    batches = toy_batches(make_rng(88, "ckpt-v1"), cfg, 2)
-    assert np.array_equal(forward_logits(model, batches).data,
-                          forward_logits(loaded, batches).data)
-    assert model_bytes(loaded) == model_bytes(model)
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda ts: [t for t in ts if t[0] != "enc.A.0.mha.k1.weight"],
-     r"missing tensors \['enc.A.0.mha.k1.weight'\]"),
-    (lambda ts: [(n, d[:, :1] if n == "enc.L.0.mha.c0.weight" else d)
-                 for n, d in ts], "'enc.L.0.mha.c0.weight' shaped"),
-    (lambda ts: [(n, d[:1] if n == "enc.L.0.mha.q1.bias" else d)
-                 for n, d in ts], "'enc.L.0.mha.q1.bias' shaped"),
-    (lambda ts: ts + [("enc.L.0.mha.q2.bias", np.zeros(4))], "no slot"),
-    (lambda ts: ts + [("enc.L.0.mha.query.bias", np.zeros(8))], "no slot"),
-])
-def test_v1_checkpoint_bad_head_is_config_error(edit, message):
-    model = init_model(toy_config(), seed=18)
-    with pytest.raises(ConfigError, match=message):
-        read_model(io.BytesIO(v1_checkpoint(model, edit)))
-
-
-def test_v1_checkpoint_truncated_anywhere_is_config_error():
-    blob = v1_checkpoint(init_model(toy_config(), seed=18))
-    for cut in truncation_cuts(blob, stride=97):
-        with pytest.raises(ConfigError, match="truncated"):
-            read_model(io.BytesIO(blob[:cut]))
-
-
-def test_glimpses_key_rejected_unless_null():
-    assert EncoderConfig.from_dict({"glimpses": None}) == EncoderConfig()
-    with pytest.raises(ConfigError, match="glimpses"):
-        EncoderConfig.from_dict({"glimpses": {"L": 50}})
+@pytest.mark.parametrize("value", [None, {"L": 50}, 1])
+def test_glimpses_key_rejected_with_any_value(value):
+    with pytest.raises(ConfigError) as err:
+        EncoderConfig.from_dict({"glimpses": value})
+    assert str(err.value) == "unknown config keys ['encoder.glimpses']"
 
 
 def test_checkpoint_trailing_bytes_rejected(tmp_path):
@@ -795,10 +665,9 @@ def test_checkpoint_wrong_width_names_both_values(tmp_path):
         load_model(path, into=init_model(toy_config(width=16, mlp_width=16)))
 
 
-@pytest.mark.parametrize("write", [v1_checkpoint, v2_checkpoint, model_bytes])
-def test_read_into_a_model_equals_a_fresh_read(write):
+def test_read_into_a_model_equals_a_fresh_read():
     cfg = toy_config(heads=4)
-    blob = write(init_model(cfg, seed=21, vocab_hash="abc123"))
+    blob = model_bytes(init_model(cfg, seed=21, vocab_hash="abc123"))
     fresh = read_model(io.BytesIO(blob))
     into = init_model(cfg, seed=22)
     arrays = [p.data for _, p in into.named_parameters()]
