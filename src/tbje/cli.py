@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: extract-features, train, evaluate, gradcheck, sweep-blocks.
-Exit codes: 0 success, 2 configuration/contract problems, 3 I/O problems,
-4 numeric failures (divergence, failed gradient check). Every command
-honors --config (a RunConfig JSON file) and --seed (which sets
+Exit codes: 0 success, 2 configuration/contract problems, 3 I/O or memory
+failures, 4 numeric failures (divergence, failed gradient check). Every
+command honors --config (a RunConfig JSON file) and --seed (which sets
 training.seed), and is reproducible given them.
 """
 
@@ -204,50 +204,53 @@ def cmd_extract_features(args) -> int:
         raise ConfigError("manifest has no train examples; the vocabulary "
                           "is built from the train split")
 
-    # features[m][example id]: the example's (rows, width) array
+    # rows_of[m](example id): its (rows, width) array, asked for once per id
     tokens = {row["id"]: tokenize(_read_transcript(base / row["transcript"],
                                                    row["id"]))
               for row in rows}
     vocab = build_vocabulary([tokens[i] for i in by_split["train"]],
                              embeddings_path)
-    features = {"L": {i: vocab.embed(t) for i, t in tokens.items()}}
+    rows_of = {"L": lambda i: vocab.embed(tokens[i])}
     normalization = {}
     if "audio" in optional:
-        mel = features["A"] = {
-            row["id"]: mel_spectrogram(load_waveform(
+        mel, lo, hi = {}, float("inf"), -float("inf")
+        for row in rows:
+            frames = mel_spectrogram(load_waveform(
                 base / row["audio"], cfg.mel.sample_rate), cfg.mel)
-            for row in rows}
-        lo = min(float(mel[i].min()) for i in by_split["train"])
-        hi = max(float(mel[i].max()) for i in by_split["train"])
+            if row["split"] == "train":
+                lo = min(lo, float(frames.min()))
+                hi = max(hi, float(frames.max()))
+            # a copy: a slice would keep the whole clip alive
+            mel[row["id"]] = frames[:cfg.encoder.lengths["A"]].copy()
         hi = hi if hi > lo else lo + 1.0
-        for i in mel:       # replaced one by one: no raw copy stays alive
-            mel[i] = normalize_mel(mel[i], lo, hi)
+        rows_of["A"] = lambda i: normalize_mel(mel.pop(i), lo, hi)
         normalization["A"] = {"lo": lo, "hi": hi}
     if "visual" in optional:
-        features["V"] = {}
+        visual = {}
         for row in rows:
             path = base / row["visual"]
-            feats = features["V"][row["id"]] = load_array(path)
+            feats = load_array(path)
             if feats.ndim != 2:
                 raise ConfigError(f"visual features for {row['id']!r} have "
                                   f"rank {feats.ndim}, expected 2")
             if not np.isfinite(feats).all():
                 raise ConfigError(f"visual features for {row['id']!r} in "
                                   f"{path} hold a non-finite value")
-
-    shapes = {}
-    for m, table in features.items():
-        widths = sorted({a.shape[1] for a in table.values()})
+            visual[row["id"]] = feats[:cfg.encoder.lengths["V"]].copy()
+        widths = sorted({a.shape[1] for a in visual.values()})
         if len(widths) != 1:
-            raise ConfigError(f"inconsistent {COLUMNS[m]} widths {widths}")
-        shapes[m] = {"width": widths[0], "length": cfg.encoder.lengths[m]}
+            raise ConfigError(f"inconsistent visual widths {widths}")
+        rows_of["V"] = visual.pop
+
     splits = {name: Split(
         name=name, ids=ids,
-        batches={m: make_batch([table[i] for i in ids], shapes[m]["length"],
-                               m) for m, table in features.items()},
+        batches={m: make_batch(ids, get, cfg.encoder.lengths[m], m)
+                 for m, get in rows_of.items()},
         sentiment=[labels[i][0] for i in ids],
         emotions=[labels[i][1] for i in ids])
         for name, ids in by_split.items()}
+    shapes = {m: {"width": b.features.shape[2], "length": b.features.shape[1]}
+              for m, b in splits["train"].batches.items()}
     write_bundle(out, DatasetBundle(
         modalities=shapes, splits=splits, vocab_hash=vocab.content_hash(),
         normalization=normalization), vocab=vocab)
@@ -557,6 +560,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

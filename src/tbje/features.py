@@ -313,25 +313,6 @@ def load_waveform(path, target_rate: int) -> np.ndarray:
 # batching
 # ---------------------------------------------------------------------------
 
-def pad_truncate(sequence: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fix a (t, w) sequence to exactly ``length`` rows.
-
-    Longer sequences keep their first ``length`` rows; shorter ones get a
-    zero-padded tail. The mask marks real rows.
-    """
-    seq = np.asarray(sequence, dtype=np.float64)
-    if seq.ndim != 2 or seq.shape[0] < 1:
-        raise ContractError(
-            f"pad_truncate needs a (t>=1, width) array, got shape {seq.shape}")
-    t = seq.shape[0]
-    out = np.zeros((length, seq.shape[1]))
-    mask = np.zeros(length, dtype=bool)
-    kept = min(t, length)
-    out[:kept] = seq[:kept]
-    mask[:kept] = True
-    return out, mask
-
-
 @dataclass
 class ModalityBatch:
     """Fixed-shape batch for one modality: (batch, N, width) features plus a
@@ -355,7 +336,7 @@ class ModalityBatch:
                 f"{self.features.shape[:2]}")
         if not self.mask.any(axis=1).all():
             raise ContractError("every example needs at least one valid row")
-        if np.any(self.features[~self.mask] != 0.0):
+        if np.any(self.features.any(axis=-1) & ~self.mask):
             raise ContractError("masked rows must hold zeros")
 
     def __len__(self):
@@ -370,8 +351,20 @@ class ModalityBatch:
         return out
 
 
-def make_batch(sequences, length: int, modality: str) -> ModalityBatch:
-    """Pad/truncate a list of (t, w) sequences into one ModalityBatch."""
-    rows = [pad_truncate(s, length) for s in sequences]
-    return ModalityBatch(np.stack([r[0] for r in rows]),
-                         np.stack([r[1] for r in rows]), modality)
+def make_batch(ids, rows, length: int, modality: str) -> ModalityBatch:
+    """The first ``length`` rows of ``rows(i)``, a (t, width) array, for
+    each ``i`` in ``ids``, copied into one array allocated once; a shorter
+    example leaves a zero tail, which the mask marks as padding."""
+    features = mask = None
+    for k, i in enumerate(ids):
+        seq = np.asarray(rows(i), dtype=np.float64)
+        if features is None and seq.ndim == 2:
+            features = np.zeros((len(ids), length, seq.shape[1]))
+            mask = np.zeros((len(ids), length), dtype=bool)
+        if seq.ndim != 2 or len(seq) < 1 or seq.shape[1] != features.shape[2]:
+            raise ContractError(f"{modality} example {i!r}: shape {seq.shape}"
+                                f" is not (t>=1, width) at one width")
+        kept = min(len(seq), length)
+        features[k, :kept] = seq[:kept]
+        mask[k, :kept] = True
+    return ModalityBatch(features, mask, modality)

@@ -70,8 +70,8 @@ def make_synthetic_bundle(seed: int = 0,
                 rows = prototypes[m][cls] + noise * rng.normal(
                     size=(t, widths[m]))
                 sequences[m].append(rows)
-        batches = {m: make_batch(sequences[m], lengths[m], m)
-                   for m in lengths}
+        batches = {m: make_batch(range(count), sequences[m].__getitem__,
+                                 lengths[m], m) for m in lengths}
         jitter = rng.uniform(-0.3, 0.3, size=count)
         sentiment = np.array([_sentiment_value(int(c), float(j))
                               for c, j in zip(classes, jitter)])

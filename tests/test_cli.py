@@ -7,8 +7,11 @@ import dataclasses
 import io
 import json
 import os
+import resource
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 import weakref
@@ -559,6 +562,13 @@ class TestExtract:
             root / "visual" / "utt02.tbjt", np.ones((3, 6))))
         assert err == "error: inconsistent visual widths [5, 6]\n"
 
+    def test_visual_features_with_no_rows_name_the_example(self, tmp_path,
+                                                           capsys):
+        err = self.refused(tmp_path, capsys, lambda root: TT.save_array(
+            root / "visual" / "utt02.tbjt", np.zeros((0, 5))))
+        assert err == ("error: V example 'utt02': shape (0, 5) is not "
+                       "(t>=1, width) at one width\n")
+
     def test_visual_ranks_are_checked_before_widths(self, tmp_path, capsys):
         def edit(root):
             TT.save_array(root / "visual" / "utt01.tbjt", np.ones((3, 6)))
@@ -722,6 +732,32 @@ class TestExtract:
         assert run_quiet(argv) == EXIT_IO
         assert tree_bytes(tmp_path / "bundle") == before
         assert not list(tmp_path.glob("bundle.*"))
+
+    def test_out_of_memory_exits_3_with_one_line(self, tmp_path):
+        """A split array many times the address space the process may use
+        ends in one line and exit 3, with no bundle and no sibling left."""
+        build_toy_corpus(tmp_path)
+        config = toy_run_config(tmp_path)
+        raw = json.loads(config.read_text())
+        # 4 train examples x 2M rows x 300 floats: 19.2 GB against 1.5 GiB
+        raw["encoder"]["lengths"]["L"] = 2_000_000
+        config.write_text(json.dumps(raw))
+        cap = 3 << 29
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        src = Path(tbje.cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-W", "ignore::tbje.errors.DataWarning", "-m",
+             "tbje.cli", "extract-features", "--config", str(config)],
+            env=dict(os.environ, PYTHONPATH=str(src),
+                     OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=limit, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_IO, done.stderr
+        assert done.stderr.startswith("out of memory: ")
+        assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+        assert "Traceback" not in done.stderr
+        assert not list(tmp_path.glob("bundle*"))
 
     def test_siblings_a_kill_left_are_removed(self, corpus, tmp_path):
         for sibling in ("bundle.tmp", "bundle.old.tmp"):

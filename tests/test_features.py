@@ -17,8 +17,8 @@ from tbje.features import (EMBEDDING_DIM, MelConfig, ModalityBatch, Vocabulary,
                            build_vocabulary, hann_window, hz_to_mel,
                            load_waveform, make_batch, mel_filter_bank,
                            mel_spectrogram, mel_to_hz, normalize_mel,
-                           pad_truncate, read_embedding_file,
-                           resample_linear, stft_magnitudes, tokenize)
+                           read_embedding_file, resample_linear,
+                           stft_magnitudes, tokenize)
 from tbje.rng import make_rng
 
 from oracles import naive_dft_magnitudes
@@ -440,31 +440,38 @@ def test_importing_the_cli_loads_scipy_only_to_read_a_wav(tmp_path):
 # padding and batching
 # ---------------------------------------------------------------------------
 
-def test_pad_truncate_exact_fit():
-    seq = np.arange(12.0).reshape(4, 3)
-    out, mask = pad_truncate(seq, 4)
-    assert np.array_equal(out, seq)
-    assert mask.all()
+@pytest.mark.parametrize("seqs, length, rejected", [
+    ([np.arange(12.0).reshape(4, 3)], 4, False),
+    ([np.arange(6.0).reshape(3, 2), np.ones((1, 2))], 5, False),
+    ([np.arange(200.0).reshape(100, 2)], 40, False),
+    ([np.zeros((0, 3))], 5, True),
+    ([np.zeros(3)], 5, True),
+    ([np.ones((2, 3)), np.ones((2, 4))], 5, True),
+], ids=["exact-fit", "zero-tail", "keeps-head", "empty-rejected",
+        "rank-1-rejected", "two-widths-rejected"])
+def test_make_batch_copies_the_first_length_rows(seqs, length, rejected):
+    if rejected:
+        with pytest.raises(ContractError, match=r"\(t>=1, width\)"):
+            make_batch(range(len(seqs)), seqs.__getitem__, length, "L")
+        return
+    batch = make_batch(range(len(seqs)), seqs.__getitem__, length, "L")
+    assert batch.features.shape == (len(seqs), length, seqs[0].shape[1])
+    for k, seq in enumerate(seqs):
+        kept = min(len(seq), length)
+        assert np.array_equal(batch.features[k, :kept], seq[:kept])
+        assert not batch.features[k, kept:].any()
+        assert np.array_equal(batch.mask[k], np.arange(length) < kept)
 
 
-def test_pad_truncate_pads_tail():
-    seq = np.arange(6.0).reshape(3, 2)
-    out, mask = pad_truncate(seq, 5)
-    assert np.array_equal(out[:3], seq)
-    assert np.array_equal(out[3:], np.zeros((2, 2)))
-    assert np.array_equal(mask, [True, True, True, False, False])
+def test_make_batch_asks_for_each_example_once_in_order():
+    asked = []
 
+    def rows(i):
+        asked.append(i)
+        return np.ones((2, 3))
 
-def test_pad_truncate_keeps_head():
-    seq = np.arange(200.0).reshape(100, 2)
-    out, mask = pad_truncate(seq, 40)
-    assert np.array_equal(out, seq[:40])
-    assert mask.all() and mask.size == 40
-
-
-def test_pad_truncate_rejects_empty():
-    with pytest.raises(ContractError):
-        pad_truncate(np.zeros((0, 3)), 5)
+    make_batch(["c", "a", "b"], rows, 4, "V")
+    assert asked == ["c", "a", "b"]
 
 
 def test_modality_batch_validation():
@@ -478,10 +485,23 @@ def test_modality_batch_validation():
         ModalityBatch(np.zeros((1, 2, 3)), np.array([True, False]), "L")
 
 
+@pytest.mark.parametrize("value, valid", [(np.nan, False), (-0.0, True)],
+                         ids=["nan", "negative-zero"])
+def test_padded_rows_are_checked_as_not_equal_to_zero(value, valid):
+    feats = np.zeros((1, 2, 3))
+    feats[0, 1, 2] = value
+    mask = np.array([[True, False]])
+    if valid:
+        assert ModalityBatch(feats, mask, "L").features[0, 1, 2] == 0.0
+    else:
+        with pytest.raises(ContractError, match="zeros"):
+            ModalityBatch(feats, mask, "L")
+
+
 def test_make_batch_and_take():
     rng = make_rng(94, "batch")
     seqs = [rng.normal(size=(t, 4)) for t in (2, 5, 3)]
-    batch = make_batch(seqs, 4, "A")
+    batch = make_batch(range(3), seqs.__getitem__, 4, "A")
     assert batch.features.shape == (3, 4, 4)
     assert np.array_equal(batch.mask.sum(axis=1), [2, 4, 3])
     assert np.array_equal(batch.features[1], seqs[1][:4])
@@ -491,7 +511,8 @@ def test_make_batch_and_take():
 
 
 def test_take_does_not_validate_again(monkeypatch):
-    batch = make_batch([np.ones((t, 2)) for t in (1, 3, 2)], 3, "L")
+    seqs = [np.ones((t, 2)) for t in (1, 3, 2)]
+    batch = make_batch(range(3), seqs.__getitem__, 3, "L")
 
     def scan(self):
         raise AssertionError("a row subset was validated again")
