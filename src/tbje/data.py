@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, json_kind
 from .features import ModalityBatch, Vocabulary
 from .metrics import EMOTIONS, SENTIMENT_MAX, SENTIMENT_MIN
 from .tensor import load_array, read_json, save_array, write_dir, write_file
@@ -162,15 +162,22 @@ def read_bundle(root, names=None) -> DatasetBundle:
             f"bundle format version {manifest.get('format_version')} "
             f"unsupported; this build reads {BUNDLE_VERSION}")
 
-    for key, fields in (("splits", {"ids", "count"}),
-                        ("modalities", {"width", "length"})):
+    for key, fields in (
+            ("splits", {"ids": "an array", "count": "an integer"}),
+            ("modalities", dict.fromkeys(("width", "length"), "an integer"))):
         if not isinstance(manifest[key], dict):
             raise ConfigError(f"bundle manifest {manifest_path}: {key!r} "
                               f"must be a JSON object")
         for name, entry in manifest[key].items():
-            if not isinstance(entry, dict) or not fields <= set(entry):
+            if not isinstance(entry, dict) or not fields.keys() <= set(entry):
                 raise ConfigError(f"bundle manifest {manifest_path}: {key} "
                                   f"entry {name!r} needs {sorted(fields)}")
+            for part, want in fields.items():
+                got = json_kind(entry[part])
+                if got != want:
+                    raise ConfigError(
+                        f"bundle manifest {manifest_path}: {key} entry "
+                        f"{name!r} key {part!r} must be {want}, got {got}")
     listed = manifest["splits"]
     missing = [n for n in names or () if n not in listed]
     if missing:

@@ -39,7 +39,7 @@ _KINDS = ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
           (str, "a string"), ((list, tuple), "an array"), (dict, "an object"))
 
 
-def _kind(value) -> str:
+def json_kind(value) -> str:
     """The JSON type of ``value``; a bool is never counted as a number."""
     return next((name for types, name in _KINDS if isinstance(value, types)),
                 "null")
@@ -49,7 +49,7 @@ def _check_value(value, like, name: str) -> None:
     """``value`` must have the JSON type of the default ``like`` (an integer
     may stand for a number); the entries of an array or object default
     must have the type of its first entry."""
-    want, got = _kind(like), _kind(value)
+    want, got = json_kind(like), json_kind(value)
     if got != want and (want, got) != ("a number", "an integer"):
         raise ConfigError(f"config key {name!r} must be {want}, got {got}")
     if isinstance(like, dict) and like:
@@ -69,7 +69,7 @@ def check_section(raw, defaults: dict, section: str = "") -> dict:
     prefix = section + "." if section else ""
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {section or 'root'!r} must be an "
-                          f"object, got {_kind(raw)}")
+                          f"object, got {json_kind(raw)}")
     unknown = sorted(prefix + key for key in set(raw) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")

@@ -429,18 +429,8 @@ def read_model(fh, into: Optional[TbjeModel] = None) -> TbjeModel:
         _require_config(config, into)
         model = into
         model.vocab_hash = header.get("vocab_hash")
-    slots = {name: p.data for name, p in model.named_parameters()}
-    seen = set()
-    for name in T.read_named(fh):
-        if name not in slots:
-            raise ConfigError(f"checkpoint tensor {name!r} has no slot in "
-                              f"the configured model")
-        T.read_array_into(fh, slots[name], f"checkpoint tensor {name!r}")
-        seen.add(name)
-    missing = sorted(set(slots) - seen)
-    if missing:
-        raise ConfigError(f"checkpoint is missing tensors {missing[:5]}"
-                          + ("…" if len(missing) > 5 else ""))
+    T.read_named(fh, {name: (p.data,) for name, p in model.named_parameters()},
+                 ("checkpoint tensor",), "checkpoint tensor")
     return model
 
 

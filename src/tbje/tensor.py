@@ -153,8 +153,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
-def _from_op(data, inputs, make_vjp):
-    """Build the op output and, when grads are wanted, record its vjp.
+def _from_op(data, inputs, vjp):
+    """Build the op output and, when grads are wanted, record ``vjp``.
 
     ``inputs`` lists the op's tensor arguments in the order its vjp returns
     their gradients; an optional one that was not given is ``None``. The
@@ -166,7 +166,7 @@ def _from_op(data, inputs, make_vjp):
     out.requires_grad = any(s is not None for s in slots)
     out._slot = _GradSlot()
     if out.requires_grad and _active_tape is not None:
-        _active_tape._records.append((out._slot, slots, make_vjp()))
+        _active_tape._records.append((out._slot, slots, vjp))
     return out
 
 
@@ -193,44 +193,34 @@ def _unbroadcast(g, shape):
 # primitives
 # ---------------------------------------------------------------------------
 #
-# Each ``make_vjp`` runs only when the op is recorded. It binds what the
-# vjp needs (shapes, flags such as ``wa``/``wb`` for the inputs that take a
-# gradient, and the arrays the backward formula reads) to locals, so the
-# vjp's closure holds no ``Tensor``. The vjp returns a tuple with one
-# gradient per input, ``None`` for an input that takes none.
+# Each primitive first binds what its vjp reads to locals: shapes, flags
+# such as ``wa``/``wb`` for the inputs that take a gradient, and the arrays
+# the backward formula reads. Then it defines the vjp over those locals, so
+# the closure holds no ``Tensor``. Work that only backward needs, such as
+# relu's mask or log_softmax's ``exp``, runs inside the vjp. The vjp
+# returns a tuple with one gradient per input, ``None`` for an input that
+# takes none.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-
-    def make_vjp():
-        wa, wb = a.requires_grad, b.requires_grad
-        shape_a, shape_b = a.data.shape, b.data.shape
-        return lambda g: (_unbroadcast(g, shape_a) if wa else None,
-                          _unbroadcast(g, shape_b) if wb else None)
-
-    return _from_op(data, (a, b), make_vjp)
+    wa, wb = a.requires_grad, b.requires_grad
+    shape_a, shape_b = a.data.shape, b.data.shape
+    return _from_op(a.data + b.data, (a, b), lambda g: (
+        _unbroadcast(g, shape_a) if wa else None,
+        _unbroadcast(g, shape_b) if wb else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (broadcasting) product."""
-    data = a.data * b.data
-
-    def make_vjp():
-        wa, wb, ad, bd = a.requires_grad, b.requires_grad, a.data, b.data
-        return lambda g: (_unbroadcast(g * bd, ad.shape) if wa else None,
-                          _unbroadcast(g * ad, bd.shape) if wb else None)
-
-    return _from_op(data, (a, b), make_vjp)
+    wa, wb, ad, bd = a.requires_grad, b.requires_grad, a.data, b.data
+    return _from_op(ad * bd, (a, b), lambda g: (
+        _unbroadcast(g * bd, ad.shape) if wa else None,
+        _unbroadcast(g * ad, bd.shape) if wb else None))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
     c = float(c)
-
-    def make_vjp():
-        return lambda g: (g * c,)
-
-    return _from_op(a.data * c, (a,), make_vjp)
+    return _from_op(a.data * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -252,15 +242,10 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         return _matmul_weight(a, b, bias)
     if bias is not None:
         raise ShapeError("a matmul bias needs a 2-d right operand")
-    data = a.data @ b.data
-
-    def make_vjp():
-        wa, wb, ad, bd = a.requires_grad, b.requires_grad, a.data, b.data
-        return lambda g: (
-            _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if wa else None,
-            _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if wb else None)
-
-    return _from_op(data, (a, b), make_vjp)
+    wa, wb, ad, bd = a.requires_grad, b.requires_grad, a.data, b.data
+    return _from_op(ad @ bd, (a, b), lambda g: (
+        _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if wa else None,
+        _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if wb else None))
 
 
 def _matmul_weight(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -269,58 +254,49 @@ def _matmul_weight(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     gradient (an input projection), its ``g2d @ bᵀ`` GEMM is skipped."""
     shape = a.data.shape
     rows = math.prod(shape[:-1])
-    a2d = a.data.reshape(rows, shape[-1])
-    data = a2d @ b.data
+    a2d, bd = a.data.reshape(rows, shape[-1]), b.data
+    data = a2d @ bd
     if bias is not None:
-        if bias.data.shape != b.data.shape[1:]:
+        if bias.data.shape != bd.shape[1:]:
             raise ShapeError(f"matmul bias shaped {bias.data.shape}, want "
-                             f"{b.data.shape[1:]}")
+                             f"{bd.shape[1:]}")
         data += bias.data
-    data = data.reshape(shape[:-1] + b.data.shape[1:])
+    wa, wb = a.requires_grad, b.requires_grad
+    wbias = bias is not None and bias.requires_grad
 
-    def make_vjp():
-        wa, wb, bd = a.requires_grad, b.requires_grad, b.data
-        wbias = bias is not None and bias.requires_grad
+    def vjp(g):
+        g2d = g.reshape(rows, bd.shape[1])
+        return ((g2d @ bd.T).reshape(shape) if wa else None,
+                a2d.T @ g2d if wb else None,
+                g2d.sum(0) if wbias else None)
 
-        def vjp(g):
-            g2d = g.reshape(rows, bd.shape[1])
-            return ((g2d @ bd.T).reshape(shape) if wa else None,
-                    a2d.T @ g2d if wb else None,
-                    g2d.sum(0) if wbias else None)
-        return vjp
-
-    return _from_op(data, (a, b, bias), make_vjp)
+    return _from_op(data.reshape(shape[:-1] + bd.shape[1:]), (a, b, bias),
+                    vjp)
 
 
 def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
-    def make_vjp():
-        return lambda g: (np.swapaxes(g, axis0, axis1),)
-
-    return _from_op(np.swapaxes(a.data, axis0, axis1), (a,), make_vjp)
+    return _from_op(np.swapaxes(a.data, axis0, axis1), (a,),
+                    lambda g: (np.swapaxes(g, axis0, axis1),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    def make_vjp():
-        shape_a = a.data.shape
-        return lambda g: (g.reshape(shape_a),)
-
-    return _from_op(a.data.reshape(shape), (a,), make_vjp)
+    shape_a = a.data.shape
+    return _from_op(a.data.reshape(shape), (a,),
+                    lambda g: (g.reshape(shape_a),))
 
 
 def _reduction(a: Tensor, data, axis, keepdims: bool, count=None) -> Tensor:
     """The record of a sum (``count=None``) or mean of ``a`` over ``axis``:
     the gradient spreads back over the reduced entries."""
-    def make_vjp():
-        shape_a = a.data.shape
+    shape_a = a.data.shape
 
-        def vjp(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            g = np.broadcast_to(g, shape_a)
-            return (g if count is None else g / count,)
-        return vjp
+    def vjp(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        g = np.broadcast_to(g, shape_a)
+        return (g if count is None else g / count,)
 
-    return _from_op(data, (a,), make_vjp)
+    return _from_op(data, (a,), vjp)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -350,13 +326,11 @@ def softmax(a: Tensor, axis: int = -1, keep=None) -> Tensor:
     e = np.exp(x - shift)
     data = e / e.sum(axis=axis, keepdims=True)
 
-    def make_vjp():
-        def vjp(g):
-            gs = (g - (g * data).sum(axis=axis, keepdims=True)) * data
-            return (gs if keep is None else np.where(keep, gs, 0.0),)
-        return vjp
+    def vjp(g):
+        gs = (g - (g * data).sum(axis=axis, keepdims=True)) * data
+        return (gs if keep is None else np.where(keep, gs, 0.0),)
 
-    return _from_op(data, (a,), make_vjp)
+    return _from_op(data, (a,), vjp)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -365,12 +339,8 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     centered = a.data - shift
     lse = np.log(np.exp(centered).sum(axis=axis, keepdims=True))
     data = centered - lse
-
-    def make_vjp():
-        probs = np.exp(data)
-        return lambda g: (g - probs * g.sum(axis=axis, keepdims=True),)
-
-    return _from_op(data, (a,), make_vjp)
+    return _from_op(data, (a,), lambda g: (
+        g - np.exp(data) * g.sum(axis=axis, keepdims=True),))
 
 
 def _stable_sigmoid(x):
@@ -381,11 +351,7 @@ def _stable_sigmoid(x):
 
 def sigmoid(a: Tensor) -> Tensor:
     data = _stable_sigmoid(a.data)
-
-    def make_vjp():
-        return lambda g: (g * data * (1.0 - data),)
-
-    return _from_op(data, (a,), make_vjp)
+    return _from_op(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
 def log_sigmoid(a: Tensor) -> Tensor:
@@ -393,22 +359,16 @@ def log_sigmoid(a: Tensor) -> Tensor:
     x = a.data
     softplus = np.log1p(np.exp(-np.abs(x)))
     data = np.where(x >= 0, -softplus, x - softplus)
-
-    def make_vjp():
-        # d/dx log(sigmoid(x)) = sigmoid(-x)
-        return lambda g: (g * _stable_sigmoid(-x),)
-
-    return _from_op(data, (a,), make_vjp)
+    # d/dx log(sigmoid(x)) = sigmoid(-x)
+    return _from_op(data, (a,), lambda g: (g * _stable_sigmoid(-x),))
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(x, 0). The vjp reads the output, not the input: ``data > 0`` is
+    ``x > 0`` entry for entry, NaN included, and the record after a relu
+    (the MLP's out projection) holds that output anyway."""
     data = np.maximum(a.data, 0.0)
-
-    def make_vjp():
-        active = a.data > 0
-        return lambda g: (g * active,)
-
-    return _from_op(data, (a,), make_vjp)
+    return _from_op(data, (a,), lambda g: (g * (data > 0),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -448,32 +408,28 @@ def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
     denom = np.sqrt(np.maximum(var, eps))
     xhat = centered / denom
     del centered
-    data = xhat * gain.data + bias.data
+    gain_data = gain.data
+    data = xhat * gain_data + bias.data
+    wx, wfx, wgain, wbias = (t is not None and t.requires_grad
+                             for t in (x, fx, gain, bias))
 
-    def make_vjp():
-        wx, wfx, wgain, wbias = (t is not None and t.requires_grad
-                                 for t in (x, fx, gain, bias))
-        gain_data = gain.data if wx or wfx else None
-        floored = var <= eps
+    def vjp(g):
+        ggain = (g * xhat).reshape(-1, width).sum(axis=0) if wgain else None
+        gbias = g.reshape(-1, width).sum(axis=0) if wbias else None
+        if not (wx or wfx):
+            return None, None, ggain, gbias
+        gx = g * gain_data
+        mean_gx = gx.mean(axis=-1, keepdims=True)
+        mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
+        # the variance term vanishes where the eps floor is active
+        correction = np.where(var <= eps, 0.0, xhat * mean_gx_xhat)
+        gs = (gx - mean_gx - correction) / denom
+        gfx = None
+        if wfx:
+            gfx = gs if keep is None else _drop(gs, keep, p)
+        return gs if wx else None, gfx, ggain, gbias
 
-        def vjp(g):
-            ggain = (g * xhat).reshape(-1, width).sum(axis=0) if wgain else None
-            gbias = g.reshape(-1, width).sum(axis=0) if wbias else None
-            if gain_data is None:
-                return None, None, ggain, gbias
-            gx = g * gain_data
-            mean_gx = gx.mean(axis=-1, keepdims=True)
-            mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
-            # the variance term vanishes where the eps floor is active
-            correction = np.where(floored, 0.0, xhat * mean_gx_xhat)
-            gs = (gx - mean_gx - correction) / denom
-            gfx = None
-            if wfx:
-                gfx = gs if keep is None else _drop(gs, keep, p)
-            return gs if wx else None, gfx, ggain, gbias
-        return vjp
-
-    return _from_op(data, (x, fx, gain, bias), make_vjp)
+    return _from_op(data, (x, fx, gain, bias), vjp)
 
 
 def _dropout_keep(shape, p: float,
@@ -505,11 +461,8 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     keep = _dropout_keep(x.data.shape, p, rng)
     if keep is None:
         return x
-
-    def make_vjp():
-        return lambda g: (_drop(g, keep, p),)
-
-    return _from_op(_drop(x.data, keep, p), (x,), make_vjp)
+    return _from_op(_drop(x.data, keep, p), (x,),
+                    lambda g: (_drop(g, keep, p),))
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +546,30 @@ def write_named(fh, entries) -> None:
             write_array(fh, arr)
 
 
-def read_named(fh):
-    """Yield the names of a section ``write_named`` wrote; the caller reads
-    each entry's arrays before it asks for the next name."""
+def read_named(fh, slots: dict, kinds, what: str) -> None:
+    """Read a section ``write_named`` wrote into ``slots``, a ``{name:
+    arrays}`` table: each entry's arrays are filled in place and must have
+    their slot's shapes. ``kinds`` names an entry's arrays and ``what`` an
+    entry in errors. A name with no slot, and a slot that no entry fills,
+    is a bad artifact."""
     (count,) = struct.unpack("<I", read_exact(fh, 4))
+    seen = set()
     for _ in range(count):
         (size,) = struct.unpack("<I", read_exact(fh, 4))
-        yield read_exact(fh, size).decode("utf-8", errors="replace")
+        name = read_exact(fh, size).decode("utf-8", errors="replace")
+        if name not in slots:
+            raise ConfigError(f"{what} {name!r} has no slot in the model")
+        for kind, out in zip(kinds, slots[name]):
+            shape = read_array_header(fh)
+            if shape != out.shape:
+                raise ConfigError(f"{kind} {name!r} shaped {shape}, model "
+                                  f"expects {out.shape}")
+            read_payload(fh, out)
+        seen.add(name)
+    missing = sorted(set(slots) - seen)
+    if missing:
+        raise ConfigError(f"{what}s missing for parameter names "
+                          f"{missing[:5]}" + ("…" if len(missing) > 5 else ""))
 
 
 def read_array_header(fh) -> tuple[int, ...]:
@@ -628,18 +598,6 @@ def read_payload(fh, out: np.ndarray) -> np.ndarray:
         filled += got
     if sys.byteorder != "little":
         out.byteswap(inplace=True)
-    return out
-
-
-def read_array_into(fh, out: np.ndarray, what: str) -> np.ndarray:
-    """Read one array into ``out``, whose shape it must have; ``what`` names
-    the array in the error a wrong extent raises."""
-    shape = read_array_header(fh)
-    if shape != out.shape:
-        raise ConfigError(f"{what} shaped {shape}, model expects {out.shape}")
-    if out.flags.c_contiguous:
-        return read_payload(fh, out)
-    out[...] = read_payload(fh, np.empty(shape))
     return out
 
 

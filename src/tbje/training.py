@@ -484,18 +484,12 @@ def _read_train_state(fh, into) -> tuple[TbjeModel, TrainState]:
     TrainConfig.from_dict(header["config"])
     model = read_model(fh, into)
     state = TrainState(**{key: header[key] for key in _STATE_HEADER})
-    params = model.parameter_dict()
-    mismatch = "train state moments do not match the model's parameter names"
-    for name in T.read_named(fh):
-        if name not in params:
-            raise ConfigError(mismatch)
-        for kind, arrays in (("first moment", state.first_moment),
-                             ("second moment", state.second_moment)):
-            arrays[name] = T.read_array_into(
-                fh, np.empty(params[name].data.shape),
-                f"train-state {kind} {name!r}")
-    if set(state.first_moment) != set(params):
-        raise ConfigError(mismatch)
+    slots = {}
+    for name, p in sorted(model.parameter_dict().items()):
+        slots[name] = (np.empty(p.data.shape), np.empty(p.data.shape))
+        state.first_moment[name], state.second_moment[name] = slots[name]
+    T.read_named(fh, slots, ("train-state first moment",
+                             "train-state second moment"), "train-state moment")
     return model, state
 
 

@@ -1576,6 +1576,25 @@ class TestEvaluate:
         assert err.startswith("error: bundle manifest")
         assert f"{section} entry '{entry}'" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("section,entry,key,value", [
+        ("splits", "test", "ids", 5), ("splits", "test", "ids", None),
+        ("splits", "test", "count", "2"), ("modalities", "A", "length", 2.5)])
+    def test_manifest_field_of_the_wrong_type_is_config_error(
+            self, corpus, trained, tmp_path, capsys, section, entry, key,
+            value):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(corpus / "bundle", bundle)
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        manifest[section][entry][key] = value
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--bundle", str(bundle)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: bundle manifest {bundle / 'manifest.json'}: ")
+        assert f"{section} entry '{entry}' key '{key}'" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("key", ["splits", "modalities"])
     def test_manifest_list_in_place_of_object_is_config_error(
             self, corpus, tmp_path, key):
@@ -1734,8 +1753,8 @@ class TestGradcheck:
             x = a.data
             data = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
             # the true vjp is g * sigmoid(-x): 1.5 times it, wrong on purpose
-            return TT._from_op(data, (a,), lambda: (
-                lambda g: (1.5 * g / (1.0 + np.exp(x)),)))
+            return TT._from_op(data, (a,),
+                               lambda g: (1.5 * g / (1.0 + np.exp(x)),))
 
         monkeypatch.setattr(TT, "log_sigmoid", corrupt_log_sigmoid)
         capsys.readouterr()
@@ -1751,11 +1770,9 @@ class TestGradcheck:
             out = true_relu(a)
             data = np.maximum(a.data, 0.0)
 
-            def make_vjp():
-                active = a.data > 0
-                return lambda g: (g * active * 1.5,)  # wrong on purpose
-
-            return TT._from_op(data, (a,), make_vjp)
+            active = a.data > 0
+            # wrong on purpose
+            return TT._from_op(data, (a,), lambda g: (g * active * 1.5,))
 
         monkeypatch.setattr(TT, "relu", corrupt_relu)
         assert main(["gradcheck"]) == EXIT_NUMERIC

@@ -806,6 +806,22 @@ def _root(arr):
     return arr
 
 
+def test_relu_vjp_holds_only_arrays_the_next_record_holds():
+    """relu's vjp reads its output, which the out projection recorded next
+    holds anyway, so a relu record keeps no array of its own."""
+    def roots(vjp):
+        return {id(_root(cell.cell_contents)) for cell in vjp.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)}
+
+    tape, _ = toy_training_forward()
+    vjps = [vjp for _, _, vjp in tape._records]
+    relus = [i for i, vjp in enumerate(vjps)
+             if vjp.__qualname__.startswith("relu.")]
+    assert len(relus) == 4
+    for i in relus:
+        assert roots(vjps[i]) and roots(vjps[i]) <= roots(vjps[i + 1])
+
+
 def test_unread_activations_are_freed_before_backward(monkeypatch):
     """The MLP's pre-ReLU array and each sublayer's ``fx`` are read by no
     vjp, so they are gone while the tape is still unreplayed."""
