@@ -5,12 +5,23 @@ Run with:  python3 demos/02_attention_and_glimpse.py
 
 import numpy as np
 
-from tbje.layers import MhaParams, attention, multi_head_attention
+from tbje.layers import (MhaParams, attention, multi_head_attention,
+                         named_tensors)
 from tbje.model import GlimpseParams, glimpse
 from tbje.rng import make_rng
 from tbje.tensor import Tensor
 
 rng = make_rng(5, "demo-attention")
+
+
+def drawn(params):
+    """Fill the weights a parameter ``init`` leaves unset (``init_model``
+    fills a whole model's from its own stream)."""
+    for _, t in named_tensors(params, "demo"):
+        if t.data.ndim == 2:
+            t.data[...] = rng.uniform(-0.5, 0.5, t.data.shape)
+    return params
+
 
 # ---------------------------------------------------------------------------
 # attention returns convex combinations of the content rows
@@ -48,7 +59,7 @@ print("(row 1's content can no longer appear in the output)")
 print()
 print("=== multi-head attention ===")
 width, heads = 8, 2
-params = MhaParams.init(rng, width, heads)
+params = drawn(MhaParams.init(width, heads))
 x = Tensor(rng.uniform(-1, 1, size=(4, width)))
 out = multi_head_attention(params, x, x, x)
 print(f"{heads} heads of width {width // heads}, merged back to", out.data.shape)
@@ -60,7 +71,7 @@ print(f"{heads} heads of width {width // heads}, merged back to", out.data.shape
 print()
 print("=== glimpse pooling ===")
 n, width, count = 6, 8, 3
-params = GlimpseParams.init(rng, width, count, with_norm=False)
+params = drawn(GlimpseParams.init(width, count, with_norm=False))
 seq = rng.uniform(-1, 1, size=(n, width))
 pooled = glimpse(Tensor(seq), params)
 print(f"{n} rows in, {count} glimpses out:", pooled.data.shape)
@@ -72,6 +83,6 @@ print("every glimpse stays within the per-column row envelope:", inside)
 
 # a single glimpse with a mask is how each modality becomes one vector
 keep = np.array([True, True, True, False, False, False])
-final = GlimpseParams.init(rng, width, 1, with_norm=False)
+final = drawn(GlimpseParams.init(width, 1, with_norm=False))
 vec = glimpse(Tensor(seq), final, mask=keep)
 print("masked single glimpse  ->", vec.data.shape, "summary vector")

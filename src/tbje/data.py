@@ -179,6 +179,16 @@ def read_bundle(root, names=None) -> DatasetBundle:
                         f"bundle manifest {manifest_path}: {key} entry "
                         f"{name!r} key {part!r} must be {want}, got {got}")
     listed = manifest["splits"]
+    for name, entry in listed.items():
+        seen = set()
+        for id_ in entry["ids"]:
+            problem = ("is not a string" if not isinstance(id_, str) else
+                       "is repeated" if id_ in seen else None)
+            if problem:
+                raise ConfigError(f"bundle manifest {manifest_path}: splits "
+                                  f"entry {name!r} id {json.dumps(id_)} "
+                                  f"{problem}")
+            seen.add(id_)
     missing = [n for n in names or () if n not in listed]
     if missing:
         raise ConfigError(f"bundle lacks required splits {missing}; "

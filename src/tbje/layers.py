@@ -34,29 +34,20 @@ def named_tensors(params, prefix: str) -> NamedTensors:
             yield from named_tensors(value, name)
 
 
-def xavier_uniform(rng: Optional[np.random.Generator], n_in: int,
-                   n_out: int) -> np.ndarray:
-    """An (n_in, n_out) Xavier-uniform draw; with no ``rng``, an
-    uninitialised array of that shape for a checkpoint reader to fill."""
-    if rng is None:
-        return np.empty((n_in, n_out))
-    limit = math.sqrt(6.0 / (n_in + n_out))
-    return rng.uniform(-limit, limit, size=(n_in, n_out))
-
-
 @dataclass
 class AffineParams:
-    """Learned map x @ weight + bias; weight is (in, out), bias may be None."""
+    """Learned map x @ weight + bias; weight is (in, out), bias may be None.
+    ``init`` leaves the weight uninitialised, for ``init_model`` or a
+    checkpoint reader to fill, and the bias at zero."""
 
     weight: Tensor
     bias: Optional[Tensor]
 
     @staticmethod
-    def init(rng: Optional[np.random.Generator], n_in: int,
-             n_out: int) -> "AffineParams":
+    def init(n_in: int, n_out: int, bias: bool = True) -> "AffineParams":
         return AffineParams(
-            weight=Tensor(xavier_uniform(rng, n_in, n_out), requires_grad=True),
-            bias=Tensor(np.zeros(n_out), requires_grad=True))
+            weight=Tensor(np.empty((n_in, n_out)), requires_grad=True),
+            bias=Tensor(np.zeros(n_out), requires_grad=True) if bias else None)
 
     def apply(self, x: Tensor) -> Tensor:
         return T.matmul(x, self.weight, self.bias)
@@ -76,28 +67,15 @@ class MhaParams:
     heads: int
 
     @staticmethod
-    def init(rng: Optional[np.random.Generator], width: int,
-             heads: int) -> "MhaParams":
+    def init(width: int, heads: int) -> "MhaParams":
         if heads < 1 or width % heads != 0:
             raise ConfigError(
                 f"hidden width {width} must be a positive multiple of the "
                 f"head count {heads}")
-        sub = width // heads
-
-        def by_head(bias: bool = True) -> AffineParams:
-            # one Xavier draw per head, each limited by its own (k, k/h)
-            # shape; with no rng the (k, k) map is allocated once, unfilled
-            weight = (xavier_uniform(None, width, width) if rng is None else
-                      np.hstack([xavier_uniform(rng, width, sub)
-                                 for _ in range(heads)]))
-            return AffineParams(
-                weight=Tensor(weight, requires_grad=True),
-                bias=(Tensor(np.zeros(width), requires_grad=True) if bias
-                      else None))
-
-        return MhaParams(query=by_head(), key=by_head(bias=False),
-                         content=by_head(),
-                         out=AffineParams.init(rng, width, width), heads=heads)
+        return MhaParams(query=AffineParams.init(width, width),
+                         key=AffineParams.init(width, width, bias=False),
+                         content=AffineParams.init(width, width),
+                         out=AffineParams.init(width, width), heads=heads)
 
 
 @dataclass
@@ -108,12 +86,11 @@ class MlpParams:
     out: AffineParams
 
     @staticmethod
-    def init(rng: Optional[np.random.Generator], width: int,
-             inner: int) -> "MlpParams":
+    def init(width: int, inner: int) -> "MlpParams":
         if inner < 1:
             raise ConfigError(f"MLP inner width must be positive, got {inner}")
-        return MlpParams(hidden=AffineParams.init(rng, width, inner),
-                         out=AffineParams.init(rng, inner, width))
+        return MlpParams(hidden=AffineParams.init(width, inner),
+                         out=AffineParams.init(inner, width))
 
     def apply(self, x: Tensor) -> Tensor:
         return self.out.apply(T.relu(self.hidden.apply(x)))

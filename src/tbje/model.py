@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -24,9 +25,8 @@ from .errors import ConfigError, ContractError, read_section
 from .features import ModalityBatch
 from .layers import (AffineParams, MhaParams, MlpParams, NamedTensors,
                      SublayerParams, _key_keep, multi_head_attention,
-                     named_tensors, positional_encoding, sublayer,
-                     xavier_uniform)
-from .rng import make_rng
+                     named_tensors, positional_encoding, sublayer)
+from .rng import fill_uniform, make_rng
 from .tensor import Tensor
 
 MODALITY_TAGS = ("L", "A", "V")
@@ -142,15 +142,12 @@ class GlimpseParams:
     norm: Optional[SublayerParams] = None
 
     @staticmethod
-    def init(rng: Optional[np.random.Generator], width: int, count: int,
-             with_norm: bool) -> "GlimpseParams":
+    def init(width: int, count: int, with_norm: bool) -> "GlimpseParams":
+        """Uninitialised embedding and scores, for ``init_model`` or a
+        checkpoint reader to fill."""
         return GlimpseParams(
-            embed=Tensor(xavier_uniform(rng, width, 2 * width),
-                         requires_grad=True),
-            # with no rng, a C-ordered slot: Tensor() would copy a .T view
-            scores=Tensor(np.empty((count, 2 * width)) if rng is None else
-                          xavier_uniform(rng, 2 * width, count).T,
-                          requires_grad=True),
+            embed=Tensor(np.empty((width, 2 * width)), requires_grad=True),
+            scores=Tensor(np.empty((count, 2 * width)), requires_grad=True),
             norm=SublayerParams.init(width) if with_norm else None)
 
 
@@ -188,32 +185,56 @@ class TbjeModel:
 
 def init_model(config: EncoderConfig, seed: int = 0,
                vocab_hash: Optional[str] = None) -> TbjeModel:
-    return _build_model(config, make_rng(seed, "model-init"), vocab_hash)
+    """The model ``config`` describes, each weight Xavier-uniform from the
+    ``seed``'s "model-init" stream, each bias at zero and each layer-norm
+    at unit gain."""
+    model = _build_model(config, vocab_hash)
+    fill_uniform(make_rng(seed, "model-init"),
+                 [(dest, math.sqrt(6.0 / sum(dest.shape)))
+                  for dest in _xavier_slots(model)])
+    return model
 
 
-def _build_model(config: EncoderConfig, rng: Optional[np.random.Generator],
+def _xavier_slots(model: TbjeModel) -> Iterator[np.ndarray]:
+    """Each array ``init_model`` draws, in draw order: every 2-D parameter
+    in ``named_parameters`` order, except that a query, key or content map
+    is drawn one head's column block at a time and a glimpse's (G, 2k)
+    scores as their (2k, G) transpose. Each draw's Xavier limit comes from
+    its own shape, so a head's from (k, k/h)."""
+    for name, p in model.named_parameters():
+        if p.data.ndim != 2:
+            continue
+        if name.endswith((".query.weight", ".key.weight", ".content.weight")):
+            yield from np.hsplit(p.data, model.config.heads)
+        elif name.endswith(".scores"):
+            yield p.data.T
+        else:
+            yield p.data
+
+
+def _build_model(config: EncoderConfig,
                  vocab_hash: Optional[str]) -> TbjeModel:
-    """The model ``config`` describes, drawn from ``rng``; with no ``rng``,
-    every weight is an uninitialised array for a checkpoint reader to fill."""
+    """The model ``config`` describes with every weight an uninitialised
+    array, for ``init_model`` or a checkpoint reader to fill."""
     joint = config.resolved_variant() == "joint"
     proj, blocks, finals = {}, {}, {}
     for m in config.modalities:
-        proj[m] = AffineParams.init(rng, config.input_widths[m], config.width)
+        proj[m] = AffineParams.init(config.input_widths[m], config.width)
         blocks[m] = []
         for _ in range(config.blocks):
             blocks[m].append(BlockParams(
-                mha=MhaParams.init(rng, config.width, config.heads),
+                mha=MhaParams.init(config.width, config.heads),
                 mha_norm=SublayerParams.init(config.width),
-                mlp=MlpParams.init(rng, config.width, config.mlp_width),
+                mlp=MlpParams.init(config.width, config.mlp_width),
                 mlp_norm=SublayerParams.init(config.width),
-                glimpse=(GlimpseParams.init(rng, config.width,
-                                            config.lengths[m], with_norm=True)
+                glimpse=(GlimpseParams.init(config.width, config.lengths[m],
+                                            with_norm=True)
                          if joint else None)))
-        finals[m] = GlimpseParams.init(rng, config.width, 1, with_norm=False)
+        finals[m] = GlimpseParams.init(config.width, 1, with_norm=False)
     return TbjeModel(config=config, input_proj=proj, blocks=blocks,
                      final_glimpse=finals,
                      head_norm=SublayerParams.init(config.width),
-                     head=AffineParams.init(rng, config.width,
+                     head=AffineParams.init(config.width,
                                             config.num_classes()),
                      vocab_hash=vocab_hash)
 
@@ -424,7 +445,7 @@ def read_model(fh, into: Optional[TbjeModel] = None) -> TbjeModel:
                          CHECKPOINT_VERSION, required=("config",))
     config = EncoderConfig.from_dict(header["config"])
     if into is None:
-        model = _build_model(config, None, header.get("vocab_hash"))
+        model = _build_model(config, header.get("vocab_hash"))
     else:
         _require_config(config, into)
         model = into

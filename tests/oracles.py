@@ -6,7 +6,23 @@ against one of these, the implementation and the oracle can only agree by
 computing the same math.
 """
 
+import dataclasses
+
 import numpy as np
+
+
+def drawn(params, rng):
+    """``params`` with every 2-D array of the container, nested ones too,
+    overwritten by a uniform draw from ``rng`` limited as Xavier by its
+    shape; biases and layer-norm parameters keep their init values."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if dataclasses.is_dataclass(value):
+            drawn(value, rng)
+        elif getattr(value, "data", None) is not None and value.data.ndim == 2:
+            limit = np.sqrt(6.0 / sum(value.data.shape))
+            value.data[...] = rng.uniform(-limit, limit, value.data.shape)
+    return params
 
 
 def softmax_row(row):

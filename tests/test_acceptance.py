@@ -107,7 +107,7 @@ def test_02_equations_match_straight_line_oracles():
     for _ in range(100):                  # multi-head attention
         width = int(rng.choice([4, 8]))
         heads = int(rng.choice([1, 2]))
-        params = MhaParams.init(rng, width, heads)
+        params = oracles.drawn(MhaParams.init(width, heads), rng)
         n_q, n_k = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         q = rng.uniform(-1, 1, size=(n_q, width))
         k = rng.uniform(-1, 1, size=(n_k, width))
@@ -122,7 +122,8 @@ def test_02_equations_match_straight_line_oracles():
         width = int(rng.choice([4, 8]))
         count = int(rng.integers(1, 5))
         n = int(rng.integers(2, 7))
-        params = GlimpseParams.init(rng, width, count, with_norm=False)
+        params = oracles.drawn(
+            GlimpseParams.init(width, count, with_norm=False), rng)
         m = rng.uniform(-1, 1, size=(n, width))
         keep = random_keep(rng, n)
         got = glimpse(Tensor(m), params, mask=keep).data

@@ -1595,6 +1595,22 @@ class TestEvaluate:
         assert f"{section} entry '{entry}' key '{key}'" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("bad,named", [
+        ([1, None], "id 1 is not a string"),
+        (["x", "x"], 'id "x" is repeated')])
+    def test_manifest_split_ids_must_be_distinct_strings(
+            self, corpus, trained, tmp_path, capsys, bad, named):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(corpus / "bundle", bundle)
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        manifest["splits"]["test"]["ids"][:2] = bad
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--bundle", str(bundle)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"error: bundle manifest {bundle / 'manifest.json'}: "
+                       f"splits entry 'test' {named}\n")
+
     @pytest.mark.parametrize("key", ["splits", "modalities"])
     def test_manifest_list_in_place_of_object_is_config_error(
             self, corpus, tmp_path, key):

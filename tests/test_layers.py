@@ -8,7 +8,7 @@ from tbje.errors import ConfigError, ContractError
 from tbje.gradcheck import check_gradients
 from tbje.layers import (AffineParams, MhaParams, MlpParams, SublayerParams,
                          attention, multi_head_attention, named_tensors,
-                         positional_encoding, sublayer, xavier_uniform)
+                         positional_encoding, sublayer)
 from tbje.rng import make_rng
 from tbje.tensor import Tensor
 
@@ -112,42 +112,11 @@ def test_mha_single_identity_head_equals_attention():
 
 
 def test_mha_head_subspace_width():
-    params = MhaParams.init(make_rng(31, "mha-width"), 512, 4)
+    params = MhaParams.init(512, 4)
     assert params.query.weight.data.shape == (512, 512)
     assert params.heads == 4
     assert params.query.weight.data.shape[1] // params.heads == 128
     assert params.out.weight.data.shape == (512, 512)
-
-
-def test_mha_init_concatenates_per_head_draws():
-    width, heads = 8, 2
-    rng = make_rng(36, "mha-init")
-    params = MhaParams.init(rng, width, heads)
-    # the same stream, drawn one head block at a time, each Xavier-limited
-    # by its own (k, k/h) shape: all query heads, then key, then content
-    expect = make_rng(36, "mha-init")
-    maps = [np.hstack([xavier_uniform(expect, width, width // heads)
-                       for _ in range(heads)]) for _ in range(3)]
-    maps.append(xavier_uniform(expect, width, width))
-    for got, want in zip((params.query, params.key, params.content,
-                          params.out), maps):
-        assert np.array_equal(got.weight.data, want)
-        if got is params.key:
-            assert got.bias is None
-        else:
-            assert np.array_equal(got.bias.data, np.zeros(width))
-    assert rng.random() == expect.random()
-
-
-def test_mha_slots_without_rng_are_allocated_once(monkeypatch):
-    def no_hstack(*args, **kwargs):
-        raise AssertionError("a slot-only init joined per-head blocks")
-
-    monkeypatch.setattr(np, "hstack", no_hstack)
-    params = MhaParams.init(None, 8, 2)
-    for tag in ("query", "key", "content", "out"):
-        assert getattr(params, tag).weight.data.shape == (8, 8)
-    assert params.key.bias is None
 
 
 def test_key_bias_cancels_in_the_softmax():
@@ -156,7 +125,7 @@ def test_key_bias_cancels_in_the_softmax():
     rng = make_rng(38, "mha-key-bias")
     for heads, keep in ((2, None),
                         (4, np.array([True, False, True, True, False, True]))):
-        params = MhaParams.init(rng, 8, heads)
+        params = oracles.drawn(MhaParams.init(8, heads), rng)
         biased = MhaParams(
             query=params.query,
             key=AffineParams(params.key.weight,
@@ -170,13 +139,13 @@ def test_key_bias_cancels_in_the_softmax():
 
 def test_mha_rejects_indivisible_width():
     with pytest.raises(ConfigError):
-        MhaParams.init(make_rng(32, "mha-bad"), 10, 3)
+        MhaParams.init(10, 3)
 
 
 def test_mha_matches_per_head_oracle():
     rng = make_rng(33, "mha-oracle")
     for _ in range(25):
-        params = MhaParams.init(rng, 8, 2)
+        params = oracles.drawn(MhaParams.init(8, 2), rng)
         q, k, c = tens(rng, 5, 8), tens(rng, 5, 8), tens(rng, 5, 8)
         got = multi_head_attention(params, q, k, c)
         assert np.abs(got.data - oracles.mha_ref(params, q.data, k.data, c.data)).max() < ORACLE_TOL
@@ -184,7 +153,7 @@ def test_mha_matches_per_head_oracle():
 
 def test_mha_masked_matches_oracle():
     rng = make_rng(34, "mha-mask")
-    params = MhaParams.init(rng, 8, 4)
+    params = oracles.drawn(MhaParams.init(8, 4), rng)
     q, k, c = tens(rng, 3, 8), tens(rng, 6, 8), tens(rng, 6, 8)
     keep = np.array([True, True, False, True, False, True])
     got = multi_head_attention(params, q, k, c, key_mask=keep)
@@ -193,7 +162,7 @@ def test_mha_masked_matches_oracle():
 
 def test_mha_gradcheck():
     rng = make_rng(35, "mha-grad")
-    params = MhaParams.init(rng, 6, 2)
+    params = oracles.drawn(MhaParams.init(6, 2), rng)
     q, k, c = tens(rng, 3, 6), tens(rng, 4, 6), tens(rng, 4, 6)
     named = dict(named_tensors(params, "mha"))
 
@@ -231,7 +200,7 @@ def test_sublayer_matches_oracle():
         params = SublayerParams.init(6)
         params.gain.data = rng.uniform(0.5, 1.5, size=6)
         params.bias.data = rng.uniform(-0.5, 0.5, size=6)
-        mlp = MlpParams.init(rng, 6, 12)
+        mlp = oracles.drawn(MlpParams.init(6, 12), rng)
         got = sublayer(x, mlp.apply, params)
         want = oracles.sublayer_ref(x.data, oracles.mlp_ref(mlp, x.data), params)
         assert np.abs(got.data - want).max() < ORACLE_TOL
@@ -256,7 +225,7 @@ def test_sublayer_gradient_flows_both_paths():
     x = tens(rng, 3, 6)
     x.requires_grad = True
     params = SublayerParams.init(6)
-    mlp = MlpParams.init(rng, 6, 10)
+    mlp = oracles.drawn(MlpParams.init(6, 10), rng)
     named = {"x": x, **dict(named_tensors(params, "ln")),
              **dict(named_tensors(mlp, "mlp"))}
 
@@ -280,7 +249,7 @@ def test_sublayer_training_dropout_differs_from_eval():
 
 def test_mlp_bad_inner_width():
     with pytest.raises(ConfigError):
-        MlpParams.init(make_rng(46, "mlp-bad"), 4, 0)
+        MlpParams.init(4, 0)
 
 
 # ---------------------------------------------------------------------------

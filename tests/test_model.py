@@ -1,10 +1,18 @@
-"""Encoder variants, glimpse pooling, classification head, checkpoints."""
+"""Encoder variants, glimpse pooling, classification head, parameter init,
+checkpoints."""
 
 import gc
+import hashlib
 import io
 import json
+import os
+import signal
 import struct
+import sys
+import threading
+import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +20,7 @@ import pytest
 
 import tbje.layers
 import tbje.model
+import tbje.rng
 import tbje.tensor as T
 from tbje.errors import ConfigError, ContractError
 from tbje.features import ModalityBatch
@@ -60,7 +69,7 @@ def toy_batches(rng, cfg, batch):
 
 def test_glimpse_single_row_returned_for_every_glimpse():
     rng = make_rng(50, "gl-one")
-    params = GlimpseParams.init(rng, 4, 3, with_norm=False)
+    params = oracles.drawn(GlimpseParams.init(4, 3, with_norm=False), rng)
     row = Tensor(rng.uniform(-1, 1, size=(1, 4)))
     out = glimpse(row, params)
     assert np.allclose(out.data, np.repeat(row.data, 3, axis=0), atol=1e-14)
@@ -68,7 +77,7 @@ def test_glimpse_single_row_returned_for_every_glimpse():
 
 def test_glimpse_zero_scores_average_valid_rows():
     rng = make_rng(51, "gl-zero")
-    params = GlimpseParams.init(rng, 4, 2, with_norm=False)
+    params = oracles.drawn(GlimpseParams.init(4, 2, with_norm=False), rng)
     params.scores.data = np.zeros_like(params.scores.data)
     m = Tensor(rng.uniform(-1, 1, size=(5, 4)))
     keep = np.array([True, True, False, True, False])
@@ -80,7 +89,7 @@ def test_glimpse_zero_scores_average_valid_rows():
 def test_glimpse_matches_straight_line_oracle():
     rng = make_rng(52, "gl-oracle")
     for _ in range(100):
-        params = GlimpseParams.init(rng, 2, 3, with_norm=False)
+        params = oracles.drawn(GlimpseParams.init(2, 3, with_norm=False), rng)
         m = Tensor(rng.uniform(-2, 2, size=(3, 2)))
         got = glimpse(m, params)
         want = oracles.glimpse_ref(m.data, params.embed.data, params.scores.data)
@@ -96,7 +105,7 @@ def glimpse_embed_first(m, params, keep):
 
 def test_glimpse_matches_embed_first_order_with_gradients():
     rng = make_rng(57, "gl-assoc")
-    params = GlimpseParams.init(rng, 6, 5, with_norm=False)
+    params = oracles.drawn(GlimpseParams.init(6, 5, with_norm=False), rng)
     m = Tensor(rng.uniform(-2, 2, size=(3, 5, 6)), requires_grad=True)
     keep = rng.uniform(size=(3, 5)) > 0.3
     keep[:, 0] = True
@@ -117,7 +126,7 @@ def test_glimpse_matches_embed_first_order_with_gradients():
 
 def test_glimpse_batched_matches_per_example():
     rng = make_rng(53, "gl-batch")
-    params = GlimpseParams.init(rng, 4, 5, with_norm=False)
+    params = oracles.drawn(GlimpseParams.init(4, 5, with_norm=False), rng)
     m = Tensor(rng.uniform(-1, 1, size=(3, 5, 4)))
     keep = rng.uniform(size=(3, 5)) > 0.3
     keep[:, 0] = True
@@ -129,7 +138,7 @@ def test_glimpse_batched_matches_per_example():
 
 def test_glimpse_rows_are_convex_combinations_of_valid_rows():
     rng = make_rng(54, "gl-hull")
-    params = GlimpseParams.init(rng, 3, 4, with_norm=False)
+    params = oracles.drawn(GlimpseParams.init(3, 4, with_norm=False), rng)
     m = Tensor(rng.uniform(-2, 2, size=(3, 3)) + 4 * np.eye(3))
     weights = oracles.recover_attention_weights(glimpse(m, params).data, m.data)
     assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-9
@@ -137,14 +146,15 @@ def test_glimpse_rows_are_convex_combinations_of_valid_rows():
 
 
 def test_glimpse_all_masked_rejected():
-    params = GlimpseParams.init(make_rng(55, "gl-bad"), 4, 2, with_norm=False)
+    params = oracles.drawn(GlimpseParams.init(4, 2, with_norm=False),
+                           make_rng(55, "gl-bad"))
     with pytest.raises(ContractError):
         glimpse(Tensor(np.zeros((2, 4))), params, np.zeros(2, dtype=bool))
 
 
 def test_glimpse_invariant_to_row_permutation_when_uniform():
     rng = make_rng(56, "gl-perm")
-    params = GlimpseParams.init(rng, 4, 2, with_norm=False)
+    params = oracles.drawn(GlimpseParams.init(4, 2, with_norm=False), rng)
     params.scores.data = np.zeros_like(params.scores.data)
     m = rng.uniform(-1, 1, size=(5, 4))
     perm = rng.permutation(5)
@@ -154,8 +164,8 @@ def test_glimpse_invariant_to_row_permutation_when_uniform():
 
 
 def test_glimpse_slots_without_rng_are_allocated_once(monkeypatch):
-    """With no RNG each glimpse array is the one ``np.empty`` allocated,
-    not a C-ordered copy of a transposed one."""
+    """Each glimpse array is the one ``np.empty`` allocated, not a
+    C-ordered copy of a transposed one."""
     allocated, real_empty = [], np.empty
 
     def empty(*args, **kwargs):
@@ -163,7 +173,7 @@ def test_glimpse_slots_without_rng_are_allocated_once(monkeypatch):
         return allocated[-1]
 
     monkeypatch.setattr(np, "empty", empty)
-    params = GlimpseParams.init(None, 4, 3, with_norm=False)
+    params = GlimpseParams.init(4, 3, with_norm=False)
     assert params.scores.data.shape == (3, 8)
     for t in (params.embed, params.scores):
         assert any(np.shares_memory(a, t.data) for a in allocated)
@@ -570,6 +580,178 @@ def test_config_variant_resolution():
     assert toy_config(modalities=("A",), primary="A").resolved_variant() == "monomodal"
     assert toy_config(modalities=("A",), primary="A",
                       variant="joint").resolved_variant() == "joint"
+
+
+# ---------------------------------------------------------------------------
+# parameter init
+# ---------------------------------------------------------------------------
+
+# SHA-256 over every (name, float64 bytes) of ``named_parameters``, as the
+# single-stream serial draw gave them; the two-range draw must not move them
+INIT_SHA256 = {
+    "full": "f852255c636fd0d585e02d4159c3a51e028ca8df7fae4bb11d04a3e64468af20",
+    "joint": "429120fc494ebefe64f9f31a6f7e381d36de146f4eaf70bbf1f7232162918f40",
+    "monomodal":
+        "0409ed4f35b372422a963bdca1d7229f483c97a883b6f9ca723da2c020d4a851",
+}
+
+
+def init_sha256(model):
+    digest = hashlib.sha256()
+    for name, p in model.named_parameters():
+        digest.update(name.encode())
+        digest.update(p.data.tobytes())
+    return digest.hexdigest()
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+@pytest.mark.parametrize("cpus", [(0, 1), (0,)], ids=["worker", "inline"])
+def test_init_model_values_are_pinned(monkeypatch, cpus):
+    usable_cpus(monkeypatch, cpus)
+    on_caller, real_fill = [], tbje.rng._fill
+
+    def fill(rng, draws):
+        on_caller.append(threading.current_thread() is threading.main_thread())
+        real_fill(rng, draws)
+
+    monkeypatch.setattr(tbje.rng, "_fill", fill)
+    for variant, cfg, seed in (
+            ("full", EncoderConfig(), 0),
+            ("joint", toy_config(blocks=2), 3),
+            ("monomodal", toy_config(modalities=("A",), primary="A"), 4)):
+        on_caller.clear()
+        assert init_sha256(init_model(cfg, seed=seed)) == INIT_SHA256[variant]
+        assert sorted(on_caller) == ([False, True] if len(cpus) > 1
+                                     else [True])
+
+
+def test_init_model_draws_per_head_blocks_in_parameter_order():
+    """One stream, weight by weight in ``named_parameters`` order: each
+    query, key and content map one head's (k, k/h) block at a time, each
+    limited by that block's own shape, and a glimpse's (G, 2k) scores as
+    their (2k, G) transpose. Biases start at zero, layer-norms at unit
+    gain."""
+    cfg = toy_config(modalities=("L",), variant="joint", lengths={"L": 3},
+                     input_widths={"L": 5})
+    model = init_model(cfg, seed=36)
+    stream = make_rng(36, "model-init")
+
+    def xavier(n_in, n_out):
+        limit = np.sqrt(6.0 / (n_in + n_out))
+        return stream.uniform(-limit, limit, size=(n_in, n_out))
+
+    def by_head():
+        return np.hstack([xavier(8, 4), xavier(8, 4)])
+
+    want = {"proj.L.weight": xavier(5, 8),
+            "enc.L.0.mha.query.weight": by_head(),
+            "enc.L.0.mha.key.weight": by_head(),
+            "enc.L.0.mha.content.weight": by_head(),
+            "enc.L.0.mha.out.weight": xavier(8, 8),
+            "enc.L.0.mlp.hidden.weight": xavier(8, 12),
+            "enc.L.0.mlp.out.weight": xavier(12, 8),
+            "enc.L.0.glimpse.embed": xavier(8, 16),
+            "enc.L.0.glimpse.scores": xavier(16, 3).T,
+            "final.L.embed": xavier(8, 16),
+            "final.L.scores": xavier(16, 1).T,
+            "head.out.weight": xavier(8, 7)}
+    params = model.parameter_dict()
+    assert {n for n, p in params.items() if p.data.ndim == 2} == set(want)
+    assert "enc.L.0.mha.key.bias" not in params
+    for name, p in params.items():
+        fixed = 1.0 if name.endswith(".gain") else 0.0
+        assert np.array_equal(p.data, want.get(name, np.full(p.shape, fixed)))
+
+
+def test_init_model_joins_no_per_head_blocks(monkeypatch):
+    """Each head's block is drawn into its own columns of the one (k, k)
+    map, and a checkpoint read fills that map whole: neither joins
+    per-head arrays."""
+    blob = model_bytes(init_model(toy_config(), seed=9))
+
+    def no_hstack(*args, **kwargs):
+        raise AssertionError("per-head blocks were joined")
+
+    monkeypatch.setattr(np, "hstack", no_hstack)
+    for model in (init_model(toy_config(), seed=9),
+                  read_model(io.BytesIO(blob))):
+        assert model_bytes(model) == blob
+        mha = model.blocks["A"][0].mha
+        for tag in ("query", "key", "content", "out"):
+            assert getattr(mha, tag).weight.data.shape == (8, 8)
+        assert mha.key.bias is None
+
+
+def test_init_model_raises_the_workers_exception(monkeypatch):
+    usable_cpus(monkeypatch, (0, 1))
+    real_fill = tbje.rng._fill
+
+    def fill(rng, draws):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("drawn off the calling thread")
+        real_fill(rng, draws)
+
+    monkeypatch.setattr(tbje.rng, "_fill", fill)
+    with pytest.raises(FloatingPointError,
+                       match="^drawn off the calling thread$"):
+        init_model(toy_config(), seed=1)
+
+
+def test_init_model_keeps_one_worker_thread(monkeypatch):
+    usable_cpus(monkeypatch, (0, 1))
+    before = threading.active_count()
+    for seed in range(20):
+        init_model(toy_config(), seed=seed)
+    assert threading.active_count() <= before + 1
+
+
+def test_concurrent_first_inits_start_one_worker(monkeypatch):
+    """Sixteen inits on eight threads, switching every microsecond, in a
+    process whose worker has not started: each draws the same model, and
+    one worker thread serves them all."""
+    usable_cpus(monkeypatch, (0, 1))
+    want = model_bytes(init_model(toy_config(), seed=2))
+    monkeypatch.setattr(tbje.rng, "_worker", None)
+    monkeypatch.setattr(tbje.rng, "_worker_pid", None)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(
+                lambda seed: model_bytes(init_model(toy_config(), seed=seed)),
+                [2] * 16, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 16
+    assert threading.active_count() == before + 1
+    tbje.rng._worker.shutdown()
+
+
+def test_init_model_in_a_forked_child_draws_the_same_model(monkeypatch):
+    """A child forked after the worker thread started inherits the
+    executor but not its thread; its init must start a worker of its own,
+    not queue work for a thread that is not there."""
+    usable_cpus(monkeypatch, (0, 1))
+    want = model_bytes(init_model(toy_config(), seed=2))
+    pid = os.fork()
+    if pid == 0:
+        same = False
+        try:
+            same = model_bytes(init_model(toy_config(), seed=2)) == want
+        finally:
+            os._exit(0 if same else 1)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("init_model in a forked child did not return")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 # ---------------------------------------------------------------------------
