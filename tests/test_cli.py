@@ -635,8 +635,34 @@ class TestExtract:
             manifest.read_bytes().replace(b"utt05.txt", b"utt05\xe9.txt")))
         assert err == f"error: {manifest}:7: manifest is not UTF-8\n"
 
-    @pytest.mark.parametrize("content", [b"not a wav file at all", "cut"],
-                             ids=["not-a-wav", "cut-at-30-bytes"])
+    @staticmethod
+    def wav_header(tag, channels, rate, byte_rate, align, bits,
+                   data_first=False, riff_size=None) -> bytes:
+        """A WAV file of 800 zero bytes under a fmt chunk of these fields."""
+        fmt = b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, rate,
+                                    byte_rate, align, bits)
+        data = b"data" + struct.pack("<I", 800) + bytes(800)
+        body = b"WAVE" + (data + fmt if data_first else fmt + data)
+        return b"RIFF" + struct.pack(
+            "<I", len(body) if riff_size is None else riff_size) + body
+
+    @pytest.mark.parametrize("content", [
+        b"not a wav file at all", "cut",
+        wav_header(1, 1, 4000, 0, 0, 16),
+        wav_header(1, 2, 4000, 4000, 1, 16),
+        wav_header(1, 0, 4000, 8000, 2, 16),
+        wav_header(1, 1, 4000, 8000, 2, 16, riff_size=0),
+        wav_header(1, 1, 4000, 64000, 16, 16),
+        wav_header(3, 1, 4000, 12000, 3, 32),
+        wav_header(7, 1, 8000, 8000, 1, 8),
+        wav_header(3, 1, 4000, 8000, 2, 16),
+        wav_header(1, 1, 4000, 4000, 2, 16),
+        wav_header(1, 1, 4000, 8000, 2, 16, data_first=True),
+    ], ids=["not-a-wav", "cut-at-30-bytes", "block-align-0",
+            "block-align-below-channels", "zero-channels",
+            "riff-size-ends-before-data", "pcm-in-16-byte-container",
+            "float-in-3-byte-container", "mu-law", "16-bit-float",
+            "pcm-byte-rate-not-rate-x-align", "data-before-fmt"])
     def test_unreadable_audio_names_the_file(self, tmp_path, capsys,
                                              content):
         path = tmp_path / "audio" / "utt03.wav"
@@ -656,13 +682,8 @@ class TestExtract:
 
     def test_zero_sample_rate_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "audio" / "utt02.wav"
-        samples = np.arange(-400, 400, dtype=np.int16).tobytes()
-        # PCM fmt chunk: format, channels, rate, byte rate, block, bits
-        fmt = struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16)
-        body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-                + b"data" + struct.pack("<I", len(samples)) + samples)
         err = self.refused(tmp_path, capsys, lambda root: path.write_bytes(
-            b"RIFF" + struct.pack("<I", len(body)) + body))
+            self.wav_header(1, 1, 0, 0, 2, 16)))
         assert err == f"error: {path}: WAV sample rate 0 is not positive\n"
 
     def test_non_finite_audio_names_the_file(self, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 import warnings
@@ -17,11 +18,12 @@ from tbje.features import (EMBEDDING_DIM, MelConfig, ModalityBatch, Vocabulary,
                            build_vocabulary, hann_window, hz_to_mel,
                            load_waveform, make_batch, mel_filter_bank,
                            mel_spectrogram, mel_to_hz, normalize_mel,
-                           read_embedding_file, resample_linear,
+                           read_embedding_file, read_wav, resample_linear,
                            stft_magnitudes, tokenize)
 from tbje.rng import make_rng
 
 from oracles import naive_dft_magnitudes
+from toy_corpus import build_toy_corpus, toy_run_config
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -415,25 +417,139 @@ def test_load_waveform_uint8_is_centred_on_128(tmp_path):
     assert -1.0 <= back.min() < -0.7 and 0.7 < back.max() <= 1.0
 
 
-def test_importing_the_cli_loads_scipy_only_to_read_a_wav(tmp_path):
-    """A fresh ``import tbje.cli`` loads neither scipy.signal nor scipy.io;
-    the first WAV read loads its reader and works."""
-    path = tmp_path / "tone.wav"
-    ints = np.arange(-800, 800, 2, dtype=np.int16)
-    wavfile.write(path, 8000, ints)
+def test_runtime_needs_no_scipy(tmp_path):
+    """With scipy blocked from import, the CLI reads a WAV and extracts an
+    L+A bundle, and no scipy module is ever loaded."""
+    build_toy_corpus(tmp_path, with_visual=False)
+    config = toy_run_config(tmp_path, with_visual=False)
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "import tbje.cli\n"
-        "print(sorted({'scipy.signal', 'scipy.io'} & set(sys.modules)))\n"
-        "from tbje.features import load_waveform\n"
-        f"print(load_waveform({str(path)!r}, 8000).tolist())\n")
+        f"wave = tbje.cli.load_waveform("
+        f"{str(tmp_path / 'audio' / 'utt00.wav')!r}, 4000)\n"
+        f"code = tbje.cli.main(['extract-features', '--config', "
+        f"{str(config)!r}])\n"
+        "print(wave.size, code, sorted(name for name, mod in "
+        "sys.modules.items() if name.startswith('scipy') and mod))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded, samples = done.stdout.splitlines()
-    assert loaded == "[]"
-    assert json.loads(samples) == (ints / 32767.0).tolist()
+    assert done.stdout.splitlines()[-1] == "800 0 []"
+    assert (tmp_path / "bundle" / "manifest.json").is_file()
+
+
+# ---------------------------------------------------------------------------
+# WAV reader, against scipy.io.wavfile.read as the reference
+# ---------------------------------------------------------------------------
+
+def fmt_chunk(channels, width, bits, tag=1, order="<", extensible=False,
+              rate=8000) -> bytes:
+    """A fmt chunk body; an extensible one carries ``tag`` in the subformat
+    GUID {tag-0000-0010-8000-00AA00389B71}, whose first three fields are in
+    the file's byte order."""
+    align = channels * width
+    body = struct.pack(order + "HHIIHH", 0xFFFE if extensible else tag,
+                       channels, rate, rate * align, align, bits)
+    if extensible:
+        body += (struct.pack(order + "HHIIHH", 22, bits, 0, tag, 0, 0x10)
+                 + bytes.fromhex("800000aa00389b71"))
+    return body
+
+
+def riff_file(fmt: bytes, samples: bytes, order="<", extra=b"") -> bytes:
+    """A RIFF (big-endian: RIFX) file of a fmt chunk, the chunks in
+    ``extra`` and a data chunk."""
+    body = (b"WAVE" + b"fmt " + struct.pack(order + "I", len(fmt)) + fmt
+            + extra + b"data" + struct.pack(order + "I", len(samples))
+            + samples + b"\0" * (len(samples) % 2))
+    return ((b"RIFX" if order == ">" else b"RIFF")
+            + struct.pack(order + "I", len(body)) + body)
+
+
+def rf64_file(fmt: bytes, samples: bytes, data_size=None) -> bytes:
+    """An RF64 file: sizes in a ds64 chunk, 0xFFFFFFFF in the 32-bit
+    fields. ``data_size`` overrides the data chunk's size."""
+    rest = (b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data"
+            + struct.pack("<I", 0xFFFFFFFF) + samples)
+    size = len(samples) if data_size is None else data_size
+    ds64 = struct.pack("<QQQI", 4 + 36 + len(rest), size, size // 2, 0)
+    return (b"RF64" + struct.pack("<I", 0xFFFFFFFF) + b"WAVE" + b"ds64"
+            + struct.pack("<I", len(ds64)) + ds64 + rest)
+
+
+def scipy_written(dtype, channels):
+    def write(path):
+        rng = np.random.default_rng(channels)
+        if dtype[-2] == "f":
+            samples = rng.normal(size=50 * channels).astype(dtype)
+        else:
+            samples = rng.integers(0, 256, 50 * channels * int(dtype[-1]),
+                                   dtype=np.uint8).view(dtype)
+        wavfile.write(path, 8000, samples.reshape(50, channels)
+                      if channels > 1 else samples)
+    return write
+
+
+def hand_built(contents):
+    return lambda path: path.write_bytes(contents)
+
+
+NOISE = np.random.default_rng(7).integers(0, 256, 600, dtype=np.uint8)
+WAV_CASES = [
+    *(pytest.param(scipy_written(dtype, channels), False,
+                   id=f"written-{dtype}-{channels}ch")
+      for dtype in ("u1", "<i2", ">i2", "<i4", ">i4", "<i8", ">i8", "<f4",
+                    ">f4", "<f8", ">f8")
+      for channels in (1, 2, 6)),
+    *(pytest.param(hand_built(riff_file(
+        fmt_chunk(2, width, bits, order=order, extensible=extensible),
+        NOISE[:60 * width].tobytes(), order)), False,
+        id=f"{bits}-bit-in-{width}-{order}{'-ext' if extensible else ''}")
+      for width, bits in ((3, 24), (3, 20), (2, 12), (5, 40), (6, 48),
+                          (7, 56))
+      for order in "<>" for extensible in (False, True)),
+    pytest.param(hand_built(riff_file(
+        fmt_chunk(1, 2, 16), NOISE[:100].tobytes(),
+        extra=b"LIST" + struct.pack("<I", 5) + b"INFOx\0")), False,
+        id="odd-LIST-before-data"),
+    pytest.param(hand_built(rf64_file(fmt_chunk(1, 2, 16),
+                                      NOISE[:100].tobytes())), False,
+                 id="rf64"),
+    pytest.param(hand_built(riff_file(fmt_chunk(1, 2, 16),
+                                      NOISE[:100].tobytes())[:-1]), True,
+                 id="data-cut-mid-sample"),
+]
+
+
+@pytest.mark.parametrize("write, cut", WAV_CASES)
+def test_read_wav_matches_scipy(tmp_path, write, cut):
+    path = tmp_path / "clip.wav"
+    write(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want_rate, want = wavfile.read(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rate, got = read_wav(path)
+    assert (rate, got.dtype, got.shape) == (want_rate, want.dtype,
+                                            want.shape)
+    assert np.array_equal(got, want)
+    assert [(w.category, str(w.message).split(":")[0]) for w in caught] \
+        == ([(DataWarning, str(path))] if cut else [])
+
+
+def test_read_wav_reads_no_more_than_the_file_holds(tmp_path):
+    """A data chunk that claims 1 TiB in a small file keeps its samples
+    with a DataWarning instead of allocating the claimed size."""
+    path = tmp_path / "clip.wav"
+    path.write_bytes(rf64_file(fmt_chunk(1, 2, 16), NOISE[:100].tobytes(),
+                               data_size=2 ** 40))
+    with pytest.warns(DataWarning, match="after 50 of its 549755813888 "):
+        rate, got = read_wav(path)
+    assert rate == 8000
+    assert np.array_equal(got, NOISE[:100].view("<i2"))
 
 
 # ---------------------------------------------------------------------------
