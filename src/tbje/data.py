@@ -200,8 +200,8 @@ def read_bundle(root, names=None) -> DatasetBundle:
     missing = [str(root / name / f) for name in wanted for f in files
                if not (root / name / f).is_file()]
     if missing:
-        raise FileNotFoundError(
-            "bundle is missing files:\n  " + "\n  ".join(missing))
+        raise FileNotFoundError("bundle is missing files: "
+                                + ", ".join(missing))
 
     splits = {}
     for name, entry in wanted.items():

@@ -1,6 +1,6 @@
 """Exception classes shared across the library, the type check that turns
-a malformed config section into a ``ConfigError``, and the one reader of
-a config section.
+a malformed config section into a ``ConfigError``, the one reader of a
+config section, and the one comparison of two configs.
 
 The CLI maps these onto distinct exit codes (see ``tbje.cli``).
 """
@@ -92,3 +92,14 @@ def read_section(cls, raw, section: str):
             raise ConfigError(f"config key {section + '.' + key!r} must be a "
                               f"finite number, got {value}")
     return config
+
+
+def require_match(what: str, got: dict, want: dict, sides: tuple[str, str],
+                  skip=()) -> None:
+    """Raise the one-line ConfigError ``what (key: A got, B want; ...)``
+    naming, in sorted order, each key of ``want`` outside ``skip`` whose
+    value in ``got`` differs; ``sides`` names A and B."""
+    differ = [f"{k}: {sides[0]} {got.get(k)!r}, {sides[1]} {want[k]!r}"
+              for k in sorted(want) if k not in skip and got.get(k) != want[k]]
+    if differ:
+        raise ConfigError(f"{what} (" + "; ".join(differ) + ")")

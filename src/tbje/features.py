@@ -287,11 +287,13 @@ _GUID_TAIL = {o: struct.pack(o + "HH", 0, 16) + bytes.fromhex("800000aa00389b71"
 
 def read_wav(path) -> tuple[int, np.ndarray]:
     """The sample rate and samples of a RIFF, RIFX or RF64 WAV file, as
-    ``scipy.io.wavfile.read`` gives them: PCM of 1-8 bits as uint8, wider
-    PCM left-justified in the smallest signed type that holds its 1-8-byte
-    container, 32/64-bit float as stored, in the file's byte order, one
-    column per channel if there are several. A data chunk cut short keeps
-    its whole frames, with a DataWarning; other encodings raise ValueError.
+    ``scipy.io.wavfile.read`` gives them: PCM of 1-8 bits in 1-byte
+    containers as uint8, wider PCM left-justified in the smallest signed
+    type that holds its 1-8-byte container, 32/64-bit float as stored, in
+    the file's byte order, one column per channel if there are several. A
+    data chunk cut short keeps its whole frames, with a DataWarning; other
+    encodings, 1-8-bit PCM in a wider container among them (which scipy
+    reads pad bytes and all), raise ValueError.
     """
     with open(path, "rb") as fh:
         head = fh.read(12)
@@ -332,9 +334,9 @@ def read_wav(path) -> tuple[int, np.ndarray]:
         if tag == 1 and byte_rate != rate * align:
             raise ValueError(f"PCM byte rate {byte_rate} != {rate} x {align}")
         width = align // channels
-        if tag == 1 and 1 <= bits <= 8:
+        if tag == 1 and 1 <= bits <= 8 and width == 1:
             dtype = np.dtype("u1")
-        elif (tag == 1 and bits <= 64 and width <= 8
+        elif (tag == 1 and 8 < bits <= 64 and width <= 8
               or tag == 3 and bits in (32, 64) and width in (2, 4, 8)):
             dtype = np.dtype(f"{o}{'f' if tag == 3 else 'i'}"
                              f"{1 << (width - 1).bit_length()}")

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, read_section
+from .errors import ConfigError, ContractError, read_section, require_match
 from .features import ModalityBatch
 from .layers import (AffineParams, MhaParams, MlpParams, NamedTensors,
                      SublayerParams, _key_keep, multi_head_attention,
@@ -396,12 +396,9 @@ def write_model(fh, model: TbjeModel) -> None:
 def _require_config(config: EncoderConfig, model: TbjeModel) -> None:
     """Raise a one-line ConfigError naming each field in which a
     checkpoint's ``config`` differs from ``model.config``."""
-    got, want = config.to_dict(), model.config.to_dict()
-    differ = [f"{k}: checkpoint {got[k]!r}, model {want[k]!r}"
-              for k in sorted(want) if got[k] != want[k]]
-    if differ:
-        raise ConfigError("checkpoint config does not match the model it "
-                          "is read into (" + "; ".join(differ) + ")")
+    require_match("checkpoint config does not match the model it is read "
+                  "into", config.to_dict(), model.config.to_dict(),
+                  ("checkpoint", "model"))
 
 
 class _ByteCount:

@@ -8,21 +8,19 @@ which is what makes mid-run resume bit-exact.
 
 Because Philox is counter-based, a copy of a generator can also be jumped
 to any later position of its stream without drawing the values before it;
-``fill_uniform`` uses that to draw one stream on two threads.
+``fill_uniform`` uses that to draw one stream on two threads: the caller's
+and the module's one worker thread. The worker starts on the first draw
+and persists for the process; a forked child, which inherits the executor
+but not its thread, makes its own.
 """
 
 import bisect
 import hashlib
 import itertools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-_worker = None                         # see _background
-_worker_pid = None
-_worker_lock = threading.Lock()
 
 
 def _key_int(part) -> int:
@@ -71,15 +69,16 @@ def _fill(rng: np.random.Generator, draws) -> None:
             dest[...] = out
 
 
-def _background() -> ThreadPoolExecutor:
-    """The process's one worker thread, started on first use (and again in
-    a forked child, which inherits the executor but not its thread)."""
-    global _worker, _worker_pid
-    with _worker_lock:
-        if _worker_pid != os.getpid():
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="tbje-rng")
-            _worker_pid = os.getpid()
-        return _worker
+def _new_worker() -> None:
+    """Give this process an executor of its own; it starts its one thread
+    on the first submit."""
+    global _worker
+    _worker = ThreadPoolExecutor(1, thread_name_prefix="tbje-rng")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
 
 
 def fill_uniform(rng: np.random.Generator,
@@ -91,17 +90,14 @@ def fill_uniform(rng: np.random.Generator,
 
     The draws split at the destination where half the values are reached.
     The calling thread draws the first range while the worker thread draws
-    the rest from a copy of ``rng`` jumped past the first range; with one
-    usable CPU both ranges are drawn inline."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count())
-    if cpus == 1 or len(draws) < 2:
+    the rest from a copy of ``rng`` jumped past the first range."""
+    if len(draws) < 2:
         _fill(rng, draws)
         return
     ends = list(itertools.accumulate(dest.size for dest, _ in draws))
     split = bisect.bisect_left(ends, ends[-1] / 2) + 1
     rest = jumped(rng, ends[split - 1])
-    future = _background().submit(_fill, rest, draws[split:])
+    future = _worker.submit(_fill, rest, draws[split:])
     try:
         _fill(rng, draws[:split])
     finally:

@@ -1,7 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A ``Tape`` is a Wengert list: every primitive executed while a tape is
-active appends a record ``(output slot, input slots, vjp)``. The vjp maps
+A ``Tape`` is a Wengert list: every primitive a thread executes while a
+tape is active on that thread appends a record ``(output slot, input
+slots, vjp)``. Each thread records on its own tape, so two threads can
+each run a forward and backward pass at once (on models they do not
+share: gradients accumulate into the parameters' ``.grad``). The vjp maps
 the output gradient to one gradient per input, and ``Tape.backward`` adds
 each to its input's slot, so the routing lives in one place. Backward
 walks the records in exact reverse execution order, so no graph search is
@@ -37,6 +40,7 @@ import os
 import shutil
 import struct
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +53,7 @@ __all__ = [
     "log_sigmoid", "relu", "layer_norm", "residual_norm", "dropout",
 ]
 
-_active_tape = None
+_this_thread = threading.local()        # .tape: where this thread records
 
 
 class Tape:
@@ -66,14 +70,12 @@ class Tape:
         self._prev = None
 
     def __enter__(self):
-        global _active_tape
-        self._prev = _active_tape
-        _active_tape = self
+        self._prev = getattr(_this_thread, "tape", None)
+        _this_thread.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _active_tape
-        _active_tape = self._prev
+        _this_thread.tape = self._prev
         return False
 
     def __len__(self):
@@ -165,8 +167,9 @@ def _from_op(data, inputs, vjp):
                   for t in inputs)
     out.requires_grad = any(s is not None for s in slots)
     out._slot = _GradSlot()
-    if out.requires_grad and _active_tape is not None:
-        _active_tape._records.append((out._slot, slots, vjp))
+    tape = getattr(_this_thread, "tape", None)
+    if out.requires_grad and tape is not None:
+        tape._records.append((out._slot, slots, vjp))
     return out
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import (ConfigError, ContractError, NumericError, check_section,
-                     read_section)
+                     read_section, require_match)
 from .metrics import accuracy, sentiment_bins
 # model_bytes is not called here: it is imported so that the benchmark's
 # tracer can wrap tbje.training.model_bytes
@@ -273,7 +273,8 @@ def ensemble_predict(models, batches, chunk: int = 64) -> np.ndarray:
     ``models`` may be any iterable, such as a generator that loads one
     member at a time; each member is dropped before the next is drawn, so
     only one needs to be in memory. A member whose config differs from the
-    first raises once the members before it have been scored.
+    first raises, naming the keys that differ, once the members before it
+    have been scored.
     """
     # a plain loop, not enumerate: enumerate's reused result tuple would
     # keep the previous member alive while the next one loads
@@ -282,9 +283,9 @@ def ensemble_predict(models, batches, chunk: int = 64) -> np.ndarray:
         config = model.config.to_dict()
         if reference is None:
             reference = config
-        elif config != reference:
-            raise ConfigError(f"ensemble member {count} has a different "
-                              f"config than member 0")
+        require_match(f"ensemble member {count} has a different config "
+                      f"than member 0", config, reference,
+                      (f"member {count}", "member 0"))
         probs = predict_probabilities(model, batches, chunk)
         total = probs if total is None else total + probs
         count += 1
@@ -346,7 +347,10 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
     if state is None:
         state = init_state(params, cfg.lr)
     else:
-        _require_training(state, cfg, member)
+        require_match(f"training config does not match the one member "
+                      f"{member}'s state was trained under",
+                      state.config or {}, cfg.to_dict(), ("state", "config"),
+                      skip=_RESUMABLE)
     state.config = cfg.to_dict()
     task = model.config.task
     labels = gold_labels(train, task, model.config.sentiment_boundary)
@@ -410,21 +414,6 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
         if state.best_epoch not in (0, state.epoch):
             load_model(best_path, into=model)
     return state
-
-
-def _require_training(state: TrainState, cfg: TrainConfig,
-                      member: int) -> None:
-    """Raise a one-line ConfigError naming each field, other than those in
-    ``_RESUMABLE``, in which ``cfg`` differs from the config ``state`` was
-    trained under."""
-    got, want = state.config or {}, cfg.to_dict()
-    differ = [f"{k}: state {got.get(k)!r}, config {want[k]!r}"
-              for k in sorted(want) if k not in _RESUMABLE
-              and got.get(k) != want[k]]
-    if differ:
-        raise ConfigError(f"training config does not match the one member "
-                          f"{member}'s state was trained under ("
-                          + "; ".join(differ) + ")")
 
 
 def _check_best(path, model: TbjeModel, epoch: int) -> None:

@@ -658,11 +658,13 @@ class TestExtract:
         wav_header(3, 1, 4000, 8000, 2, 16),
         wav_header(1, 1, 4000, 4000, 2, 16),
         wav_header(1, 1, 4000, 8000, 2, 16, data_first=True),
+        wav_header(1, 1, 4000, 8000, 2, 8),
     ], ids=["not-a-wav", "cut-at-30-bytes", "block-align-0",
             "block-align-below-channels", "zero-channels",
             "riff-size-ends-before-data", "pcm-in-16-byte-container",
             "float-in-3-byte-container", "mu-law", "16-bit-float",
-            "pcm-byte-rate-not-rate-x-align", "data-before-fmt"])
+            "pcm-byte-rate-not-rate-x-align", "data-before-fmt",
+            "8-bit-in-2-byte-container"])
     def test_unreadable_audio_names_the_file(self, tmp_path, capsys,
                                              content):
         path = tmp_path / "audio" / "utt03.wav"
@@ -730,6 +732,23 @@ class TestExtract:
         assert run_quiet(argv) == EXIT_IO
         assert len(cut) == 1
         assert tree_bytes(bundle) == before
+
+    def test_reextraction_replaces_an_existing_bundle_whole(self, tmp_path):
+        """Extracting again into an existing bundle after one transcript
+        changed gives the bytes a fresh extraction gives, and leaves no
+        sibling directory."""
+        build_toy_corpus(tmp_path)
+        argv = ["extract-features", "--config",
+                str(toy_run_config(tmp_path))]
+        assert run_quiet(argv) == EXIT_OK
+        before = tree_bytes(tmp_path / "bundle")
+        (tmp_path / "text" / "utt01.txt").write_text("An altered line.")
+        assert run_quiet(argv) == EXIT_OK
+        assert run_quiet(argv + ["--bundle", str(tmp_path / "fresh")]) \
+            == EXIT_OK
+        replaced = tree_bytes(tmp_path / "bundle")
+        assert replaced == tree_bytes(tmp_path / "fresh") != before
+        assert not list(tmp_path.glob("bundle.*"))
 
     def test_failed_array_write_keeps_the_previous_bundle_whole(
             self, tmp_path, monkeypatch):
@@ -1301,6 +1320,30 @@ class TestTrain:
 # evaluate
 # ---------------------------------------------------------------------------
 
+def manifest_edit(change):
+    """An edit that applies ``change`` to a bundle's parsed manifest."""
+    def edit(bundle):
+        path = bundle / "manifest.json"
+        manifest = json.loads(path.read_text())
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+    return edit
+
+
+def array_edit(name, change):
+    """An edit that replaces the test split's array ``name`` by ``change``
+    of it."""
+    def edit(bundle):
+        path = bundle / "test" / name
+        TT.save_array(path, change(TT.load_array(path)))
+    return edit
+
+
+def set_item(array, index, value):
+    array[index] = value
+    return array
+
+
 class TestEvaluate:
     def test_report_written_and_matches_in_process_metrics(
             self, corpus, trained, capsys):
@@ -1681,6 +1724,45 @@ class TestEvaluate:
             (bundle / "vocab.json").write_bytes(raw)
             with pytest.raises(ConfigError, match="vocabulary"):
                 load_vocabulary(bundle)
+
+    @pytest.mark.parametrize("edit, code, says", [
+        (manifest_edit(lambda m: m.update(format_version=2)), EXIT_CONFIG,
+         "error: bundle format version 2 unsupported"),
+        (manifest_edit(lambda m: m["splits"]["test"].update(count=5)),
+         EXIT_CONFIG, "error: split test holds "),
+        (manifest_edit(lambda m: m["splits"]["test"]["ids"].append("x")),
+         EXIT_CONFIG, "error: split test: modality "),
+        (array_edit("labels.sentiment.tbjt", lambda a: a[1:]), EXIT_CONFIG,
+         "error: split test: sentiment labels shaped "),
+        (array_edit("labels.sentiment.tbjt", lambda a: set_item(a, 0, 4.0)),
+         EXIT_CONFIG, "error: split test: sentiment outside "),
+        (array_edit("labels.emotions.tbjt",
+                    lambda a: set_item(a, (0, 0), 2.0)),
+         EXIT_CONFIG, "error: split test: emotion flags must be 0/1"),
+        (array_edit("labels.emotions.tbjt", lambda a: a[:, :5]), EXIT_CONFIG,
+         "error: split test: emotion labels shaped "),
+        (array_edit("L.features.tbjt", lambda a: a[..., :7]), EXIT_CONFIG,
+         "error: split test modality L shaped "),
+        (array_edit("L.features.tbjt", lambda a: a[:, 0]), EXIT_CONFIG,
+         "error: batch features must be (batch, N, width)"),
+        (array_edit("L.mask.tbjt", lambda a: a[1:]), EXIT_CONFIG,
+         "error: mask shape "),
+        (lambda bundle: (bundle / "test" / "labels.emotions.tbjt").unlink(),
+         EXIT_IO, "i/o error: bundle is missing files:"),
+    ], ids=["format-version-2", "count-5", "one-id-more-than-the-arrays",
+            "sentiment-of-wrong-length", "sentiment-4.0", "emotion-flag-2",
+            "emotions-shaped-n-by-5", "L-features-of-width-7",
+            "2-d-L-features", "mask-of-wrong-length", "array-file-missing"])
+    def test_edited_bundle_ends_in_one_line(self, corpus, trained, tmp_path,
+                                            capsys, edit, code, says):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(corpus / "bundle", bundle)
+        edit(bundle)
+        assert main(["evaluate", "--config", str(corpus / "config.json"),
+                     "--bundle", str(bundle)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(says)
+        assert err.count("\n") == 1, err
 
     def test_missing_split_rejected(self, corpus, trained, capsys):
         assert main(["evaluate", "--config", str(corpus / "config.json"),

@@ -8,6 +8,7 @@ import json
 import os
 import signal
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -35,6 +36,8 @@ from tbje.training import loss
 
 import oracles
 from toy_corpus import truncation_cuts
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 ORACLE_TOL = 1e-10
 
@@ -604,13 +607,7 @@ def init_sha256(model):
     return digest.hexdigest()
 
 
-def usable_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
-
-
-@pytest.mark.parametrize("cpus", [(0, 1), (0,)], ids=["worker", "inline"])
-def test_init_model_values_are_pinned(monkeypatch, cpus):
-    usable_cpus(monkeypatch, cpus)
+def test_init_model_values_are_pinned(monkeypatch):
     on_caller, real_fill = [], tbje.rng._fill
 
     def fill(rng, draws):
@@ -624,8 +621,28 @@ def test_init_model_values_are_pinned(monkeypatch, cpus):
             ("monomodal", toy_config(modalities=("A",), primary="A"), 4)):
         on_caller.clear()
         assert init_sha256(init_model(cfg, seed=seed)) == INIT_SHA256[variant]
-        assert sorted(on_caller) == ([False, True] if len(cpus) > 1
-                                     else [True])
+        assert sorted(on_caller) == [False, True]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no os.sched_setaffinity")
+def test_init_model_on_one_cpu_draws_the_pinned_model():
+    """A process that may run on one CPU only still draws on two threads,
+    and draws the same default model."""
+    script = (
+        "import hashlib, os\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from tbje.model import EncoderConfig, init_model\n"
+        "digest = hashlib.sha256()\n"
+        "for name, p in init_model(EncoderConfig()).named_parameters():\n"
+        "    digest.update(name.encode())\n"
+        "    digest.update(p.data.tobytes())\n"
+        "print(len(os.sched_getaffinity(0)), digest.hexdigest())\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", INIT_SHA256["full"]]
 
 
 def test_init_model_draws_per_head_blocks_in_parameter_order():
@@ -686,7 +703,6 @@ def test_init_model_joins_no_per_head_blocks(monkeypatch):
 
 
 def test_init_model_raises_the_workers_exception(monkeypatch):
-    usable_cpus(monkeypatch, (0, 1))
     real_fill = tbje.rng._fill
 
     def fill(rng, draws):
@@ -700,8 +716,7 @@ def test_init_model_raises_the_workers_exception(monkeypatch):
         init_model(toy_config(), seed=1)
 
 
-def test_init_model_keeps_one_worker_thread(monkeypatch):
-    usable_cpus(monkeypatch, (0, 1))
+def test_init_model_keeps_one_worker_thread():
     before = threading.active_count()
     for seed in range(20):
         init_model(toy_config(), seed=seed)
@@ -712,10 +727,9 @@ def test_concurrent_first_inits_start_one_worker(monkeypatch):
     """Sixteen inits on eight threads, switching every microsecond, in a
     process whose worker has not started: each draws the same model, and
     one worker thread serves them all."""
-    usable_cpus(monkeypatch, (0, 1))
     want = model_bytes(init_model(toy_config(), seed=2))
-    monkeypatch.setattr(tbje.rng, "_worker", None)
-    monkeypatch.setattr(tbje.rng, "_worker_pid", None)
+    fresh = ThreadPoolExecutor(1, thread_name_prefix="tbje-rng")
+    monkeypatch.setattr(tbje.rng, "_worker", fresh)
     before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -728,14 +742,13 @@ def test_concurrent_first_inits_start_one_worker(monkeypatch):
         sys.setswitchinterval(interval)
     assert got == [want] * 16
     assert threading.active_count() == before + 1
-    tbje.rng._worker.shutdown()
+    fresh.shutdown()
 
 
-def test_init_model_in_a_forked_child_draws_the_same_model(monkeypatch):
+def test_init_model_in_a_forked_child_draws_the_same_model():
     """A child forked after the worker thread started inherits the
     executor but not its thread; its init must start a worker of its own,
     not queue work for a thread that is not there."""
-    usable_cpus(monkeypatch, (0, 1))
     want = model_bytes(init_model(toy_config(), seed=2))
     pid = os.fork()
     if pid == 0:

@@ -1,6 +1,7 @@
 """Philox streams: skip-ahead, and the uniform fill that draws one stream
 on two threads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -27,9 +28,7 @@ def test_jumped_generator_continues_the_serial_stream(already, n):
     assert np.array_equal(ahead.random(9), serial.random(9))
 
 
-@pytest.mark.parametrize("cpus", [(0, 1), (0,)], ids=["worker", "inline"])
-def test_fill_uniform_equals_serial_uniform_calls(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+def test_fill_uniform_equals_serial_uniform_calls():
     block, flat = np.empty((4, 6)), np.empty((7, 2))
     dests = [np.empty((3, 5)), block[:, :3], block[:, 3:], flat.T,
              np.empty(1001), np.empty((2, 2))]
@@ -49,3 +48,20 @@ def test_importing_the_cli_starts_no_thread():
         text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "1"
+
+
+def test_no_function_rebinds_module_state_but_the_at_fork_rebuild():
+    """Threads share every module's state, so no function rebinds a module
+    global, except rng's rebuild of its worker in a forked child."""
+    def rebinds(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Global):
+                yield (scope, *child.names)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+            yield from rebinds(child, child.name if named else scope)
+
+    found = [(path.name, *where)
+             for path in sorted((SRC / "tbje").glob("*.py"))
+             for where in rebinds(ast.parse(path.read_text()), "")]
+    assert found == [("rng.py", "_new_worker", "_worker")]

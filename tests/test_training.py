@@ -3,8 +3,10 @@ serialization, each checked against straight-line references."""
 
 import json
 import struct
+import sys
 import tempfile
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -614,6 +616,41 @@ class TestFit:
                 fit(model, bundle.splits["train"], bundle.splits["valid"],
                     quick_cfg(max_epochs=1))
 
+    def test_two_threads_train_two_models_as_serial_runs_do(self, bundle):
+        """Two toy models take Adam steps on two threads at once, switching
+        every microsecond: each thread records on its own tape, so every
+        step's gradients are byte for byte those of the serial runs."""
+        train = bundle.splits["train"]
+        labels = gold_labels(train, "sentiment-7")
+
+        def run(seed):
+            model = init_model(tiny_encoder(), seed=seed)
+            params = model.parameter_dict()
+            state = init_state(params, lr=2e-3)
+            grads = []
+            for t in range(4):
+                idx = np.arange(8 * t, 8 * t + 8)
+                sub = {m: train.batches[m].take(idx) for m in ("L", "A")}
+                for p in params.values():
+                    p.grad = None
+                with Tape() as tape:
+                    logits = TR.forward_logits(model, sub, rng_seed=t,
+                                               training=True)
+                    tape.backward(loss(logits, labels[idx], "sentiment-7"))
+                grads.append([p.grad.tobytes() for p in params.values()])
+                adam_step(params, state, lr=2e-3)
+            return grads
+
+        want = [run(seed) for seed in (5, 6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                got = list(pool.map(run, (5, 6), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
 
 # ---------------------------------------------------------------------------
 # ensembles and evaluation
@@ -661,8 +698,13 @@ class TestEnsemble:
 
     def test_config_mismatch_rejected(self, bundle, trained_pair):
         other = init_model(tiny_encoder(("L",)), seed=11)
-        with pytest.raises(ConfigError, match="member 1"):
+        with pytest.raises(ConfigError) as caught:
             ensemble_predict([trained_pair[0], other], eval_batches(bundle))
+        assert str(caught.value) == (
+            "ensemble member 1 has a different config than member 0 ("
+            "input_widths: member 1 {'L': 12}, member 0 {'L': 12, 'A': 9}; "
+            "lengths: member 1 {'L': 6}, member 0 {'L': 6, 'A': 5}; "
+            "modalities: member 1 ['L'], member 0 ['L', 'A'])")
 
     def test_empty_ensemble_rejected(self, bundle):
         with pytest.raises(ContractError):
