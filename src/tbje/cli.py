@@ -103,7 +103,9 @@ def _read_manifest(path: Path) -> tuple[list[dict], list[str]]:
     """The manifest's rows, each with one field per column, a non-empty,
     unique id and a known split, and the optional columns it has."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark a spreadsheet's UTF-8 export
+        # puts before the header
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             # blank lines skipped, as csv.DictReader does

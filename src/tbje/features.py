@@ -292,8 +292,9 @@ def read_wav(path) -> tuple[int, np.ndarray]:
     type that holds its 1-8-byte container, 32/64-bit float as stored, in
     the file's byte order, one column per channel if there are several. A
     data chunk cut short keeps its whole frames, with a DataWarning; other
-    encodings, 1-8-bit PCM in a wider container among them (which scipy
-    reads pad bytes and all), raise ValueError.
+    encodings raise ValueError. Among them are 1-8-bit PCM in a wider
+    container (which scipy reads pad bytes and all) and more bits than the
+    container holds (which scipy reads as a narrower type).
     """
     with open(path, "rb") as fh:
         head = fh.read(12)
@@ -336,8 +337,9 @@ def read_wav(path) -> tuple[int, np.ndarray]:
         width = align // channels
         if tag == 1 and 1 <= bits <= 8 and width == 1:
             dtype = np.dtype("u1")
-        elif (tag == 1 and 8 < bits <= 64 and width <= 8
-              or tag == 3 and bits in (32, 64) and width in (2, 4, 8)):
+        elif bits <= 8 * width and (tag == 1 and 8 < bits and width <= 8
+                                    or tag == 3 and bits in (32, 64)
+                                    and width in (4, 8)):
             dtype = np.dtype(f"{o}{'f' if tag == 3 else 'i'}"
                              f"{1 << (width - 1).bit_length()}")
         else:

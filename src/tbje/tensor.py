@@ -22,6 +22,13 @@ sublayer's output projection, the pre-ReLU activation or the attention
 scores before the softmax are freed during forward. Dropout masks are kept
 as ``bool``, one byte per entry.
 
+A residual sublayer's output, ``xhat * gain + bias``, is not kept on the
+tape: its taped tensor carries a rebuild (``_Rebuild``) that the records
+reading it hold instead, and backward recomputes it from ``xhat``, which
+the sublayer's own record keeps anyway, with two elementwise passes.
+``xhat``, Q/K/V and relu outputs stay on the tape: rebuilding them would
+take a GEMM or an array the tape does not keep.
+
 Everything is float64. Gradients accumulate into ``Tensor.grad`` (a numpy
 array of the same shape as ``Tensor.data``); after ``backward`` only leaf
 tensors (parameters and inputs, which no recorded op produced) keep theirs.
@@ -123,7 +130,7 @@ class _GradSlot:
 class Tensor:
     """A dense float64 array, optionally participating in gradient taping."""
 
-    __slots__ = ("data", "requires_grad", "_slot", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_slot", "_rebuild", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         # contiguity matters: gradcheck and serialization treat a leaf's
@@ -132,6 +139,7 @@ class Tensor:
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self._slot = _GradSlot()
+        self._rebuild = None
 
     @property
     def grad(self):
@@ -155,21 +163,55 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
-def _from_op(data, inputs, vjp):
+class _Rebuild:
+    """Recomputes an op output during backward, so that the records reading
+    it need not keep it: ``make()`` runs on the first ``get()``, and its
+    result is cached until the last record holding this rebuild is
+    dropped. ``make`` closes over arrays only, never a ``Tensor``."""
+
+    __slots__ = ("_make", "_data")
+
+    def __init__(self, make):
+        self._make = make
+        self._data = None
+
+    def get(self) -> np.ndarray:
+        if self._data is None:
+            self._data = self._make()
+        return self._data
+
+
+def _kept(t: Tensor, arr: np.ndarray):
+    """What a vjp keeps to read ``arr``, the array of ``t`` or a view of it:
+    ``t``'s rebuild when it has one, else ``arr``. ``_read`` gives back the
+    array, in ``t``'s shape for a rebuild."""
+    return arr if t._rebuild is None else t._rebuild
+
+
+def _read(kept) -> np.ndarray:
+    return kept.get() if isinstance(kept, _Rebuild) else kept
+
+
+def _from_op(data, inputs, vjp, rebuild=None):
     """Build the op output and, when grads are wanted, record ``vjp``.
 
     ``inputs`` lists the op's tensor arguments in the order its vjp returns
     their gradients; an optional one that was not given is ``None``. The
-    output keeps the layout of ``data``, so a strided view is not copied."""
+    output keeps the layout of ``data``, so a strided view is not copied.
+    A recorded output carries ``rebuild``, a function that recomputes
+    ``data``; an unrecorded one carries none, so it keeps nothing extra."""
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64)
     slots = tuple(t._slot if t is not None and t.requires_grad else None
                   for t in inputs)
     out.requires_grad = any(s is not None for s in slots)
     out._slot = _GradSlot()
+    out._rebuild = None
     tape = getattr(_this_thread, "tape", None)
     if out.requires_grad and tape is not None:
         tape._records.append((out._slot, slots, vjp))
+        if rebuild is not None:
+            out._rebuild = _Rebuild(rebuild)
     return out
 
 
@@ -245,10 +287,14 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         return _matmul_weight(a, b, bias)
     if bias is not None:
         raise ShapeError("a matmul bias needs a 2-d right operand")
-    wa, wb, ad, bd = a.requires_grad, b.requires_grad, a.data, b.data
-    return _from_op(ad @ bd, (a, b), lambda g: (
-        _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if wa else None,
-        _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if wb else None))
+    wa, wb = a.requires_grad, b.requires_grad
+    shape_a, shape_b = a.data.shape, b.data.shape
+    a_kept, b_kept = _kept(a, a.data), _kept(b, b.data)
+    return _from_op(a.data @ b.data, (a, b), lambda g: (
+        _unbroadcast(g @ np.swapaxes(_read(b_kept), -1, -2), shape_a)
+        if wa else None,
+        _unbroadcast(np.swapaxes(_read(a_kept), -1, -2) @ g, shape_b)
+        if wb else None))
 
 
 def _matmul_weight(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -266,11 +312,13 @@ def _matmul_weight(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         data += bias.data
     wa, wb = a.requires_grad, b.requires_grad
     wbias = bias is not None and bias.requires_grad
+    a_kept = _kept(a, a2d)
 
     def vjp(g):
         g2d = g.reshape(rows, bd.shape[1])
         return ((g2d @ bd.T).reshape(shape) if wa else None,
-                a2d.T @ g2d if wb else None,
+                _read(a_kept).reshape(rows, shape[-1]).T @ g2d
+                if wb else None,
                 g2d.sum(0) if wbias else None)
 
     return _from_op(data.reshape(shape[:-1] + bd.shape[1:]), (a, b, bias),
@@ -393,7 +441,8 @@ def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
     Values, gradients and the dropout draw are bit-identical to that chain
     of three ops, but the record keeps only the bool dropout mask, the
     standardized sum and its per-row scale, not ``fx``, the masked branch
-    or the sum.
+    or the sum. A taped output carries a rebuild from the standardized sum,
+    so the records that read it need not keep it either.
     """
     width = x.data.shape[-1]
     if gain.data.shape != (width,) or bias.data.shape != (width,):
@@ -411,8 +460,11 @@ def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
     denom = np.sqrt(np.maximum(var, eps))
     xhat = centered / denom
     del centered
-    gain_data = gain.data
-    data = xhat * gain_data + bias.data
+    gain_data, bias_data = gain.data, bias.data
+
+    def output():
+        return xhat * gain_data + bias_data
+
     wx, wfx, wgain, wbias = (t is not None and t.requires_grad
                              for t in (x, fx, gain, bias))
 
@@ -432,7 +484,8 @@ def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
             gfx = gs if keep is None else _drop(gs, keep, p)
         return gs if wx else None, gfx, ggain, gbias
 
-    return _from_op(data, (x, fx, gain, bias), vjp)
+    # a rebuild runs the forward's expression on its arrays: the same bytes
+    return _from_op(output(), (x, fx, gain, bias), vjp, output)
 
 
 def _dropout_keep(shape, p: float,

@@ -415,6 +415,19 @@ class TestExtract:
         assert tree_bytes(tmp_path / "again1") == tree_bytes(tmp_path / "again2")
         assert tree_bytes(tmp_path / "again1") == tree_bytes(corpus / "bundle")
 
+    def test_manifest_with_a_byte_order_mark_extracts_the_same_bundle(
+            self, tmp_path):
+        """A spreadsheet's "CSV UTF-8" export starts with U+FEFF, which is
+        not part of the first column's name."""
+        build_toy_corpus(tmp_path)
+        config = toy_run_config(tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        for target in ("plain", "bom"):
+            assert run_quiet(["extract-features", "--config", str(config),
+                              "--bundle", str(tmp_path / target)]) == EXIT_OK
+            manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        assert tree_bytes(tmp_path / "bom") == tree_bytes(tmp_path / "plain")
+
     def test_text_only_manifest_gives_l_only_bundle(self, tmp_path):
         build_toy_corpus(tmp_path, with_audio=False, with_visual=False)
         config = toy_run_config(tmp_path, with_audio=False,
@@ -659,12 +672,15 @@ class TestExtract:
         wav_header(1, 1, 4000, 4000, 2, 16),
         wav_header(1, 1, 4000, 8000, 2, 16, data_first=True),
         wav_header(1, 1, 4000, 8000, 2, 8),
+        wav_header(1, 1, 4000, 4000, 1, 16),
+        wav_header(3, 1, 4000, 8000, 2, 32),
     ], ids=["not-a-wav", "cut-at-30-bytes", "block-align-0",
             "block-align-below-channels", "zero-channels",
             "riff-size-ends-before-data", "pcm-in-16-byte-container",
             "float-in-3-byte-container", "mu-law", "16-bit-float",
             "pcm-byte-rate-not-rate-x-align", "data-before-fmt",
-            "8-bit-in-2-byte-container"])
+            "8-bit-in-2-byte-container", "16-bit-in-1-byte-container",
+            "32-bit-float-in-2-byte-container"])
     def test_unreadable_audio_names_the_file(self, tmp_path, capsys,
                                              content):
         path = tmp_path / "audio" / "utt03.wav"

@@ -982,17 +982,31 @@ def toy_training_forward(seed=59):
     return tape, value
 
 
+def _closure_items(fn):
+    """What ``fn``'s closure holds, a tuple or list unpacked, and through
+    each rebuild it holds, what that rebuild's function holds."""
+    for cell in fn.__closure__ or ():
+        held = cell.cell_contents
+        for item in held if isinstance(held, (tuple, list)) else (held,):
+            yield item
+            if isinstance(item, T._Rebuild):
+                yield from _closure_items(item._make)
+
+
 def test_no_record_or_vjp_closure_holds_a_tensor():
+    """Neither a vjp nor a rebuild it holds keeps a ``Tensor``, which would
+    keep that whole activation alive."""
     tape, _ = toy_training_forward()
     assert len(tape) > 0
+    rebuilds = 0
     for slot, inputs, vjp in tape._records:
         assert not isinstance(slot, Tensor)
         assert not any(isinstance(s, Tensor) for s in inputs)
-        for cell in vjp.__closure__ or ():
-            held = cell.cell_contents
-            items = held if isinstance(held, (tuple, list)) else (held,)
-            assert not any(isinstance(item, Tensor) for item in items), \
-                vjp.__qualname__
+        items = list(_closure_items(vjp))
+        rebuilds += sum(isinstance(item, T._Rebuild) for item in items)
+        assert not any(isinstance(item, Tensor) for item in items), \
+            vjp.__qualname__
+    assert rebuilds > 0
 
 
 def _root(arr):
@@ -1039,6 +1053,78 @@ def test_unread_activations_are_freed_before_backward(monkeypatch):
     assert len(pre_relu) == 4 and len(branches) == 12
     assert all(ref() is None for ref in pre_relu + branches)
     tape.backward(value)
+
+
+def test_residual_sublayer_outputs_are_freed_before_backward(monkeypatch):
+    """The records reading a residual sublayer's output hold its rebuild,
+    not the array, so every such output (the classifier's layer-norm
+    included) is gone while the tape is still unreplayed."""
+    outputs = []
+    real_residual_norm = T.residual_norm
+
+    def residual_norm(*args, **kwargs):
+        out = real_residual_norm(*args, **kwargs)
+        outputs.append(weakref.ref(_root(out.data)))
+        return out
+
+    monkeypatch.setattr(T, "residual_norm", residual_norm)
+    tape, value = toy_training_forward()
+    gc.collect()
+    assert len(outputs) == 3 * 2 * 2 + 1
+    assert all(ref() is None for ref in outputs)
+    tape.backward(value)
+
+
+def test_untaped_forward_attaches_no_rebuild():
+    cfg = toy_config()
+    model = init_model(cfg, seed=6)
+    encoded = encode_joint(toy_batches(make_rng(61, "untaped"), cfg, 2),
+                           model)
+    assert all(t._rebuild is None for t in encoded.values())
+    with T.Tape():
+        taped = encode_joint(toy_batches(make_rng(61, "untaped"), cfg, 2),
+                             model)
+    assert all(t._rebuild is not None for t in taped.values())
+
+
+def test_a_rebuild_read_by_several_records_computes_once(monkeypatch):
+    """A sublayer output read by three weight products and a batched one
+    is rebuilt once per backward, bit for bit, and the gradients are those
+    of records that keep the array itself."""
+    rng = make_rng(62, "rebuild-once")
+    leaves = [Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
+              for shape in [(2, 3, 4)] * 2 + [(4,)] * 2 + [(4, 4)] * 3]
+    x, fx, gain, bias, w0, w1, w2 = leaves
+    made = []
+    real_get = T._Rebuild.get
+
+    def get(self):
+        if self._data is None:
+            made.append(self)
+        return real_get(self)
+
+    monkeypatch.setattr(T._Rebuild, "get", get)
+
+    def step(rebuild):
+        for t in leaves:
+            t.grad = None
+        with T.Tape() as tape:
+            h = T.residual_norm(x, fx, gain, bias)
+            if not rebuild:
+                h._rebuild = None
+            kept, held = h.data.copy(), h._rebuild
+            scores = T.matmul(T.matmul(h, w0), T.transpose(T.matmul(h, w1)))
+            total = T.tsum(T.mul(T.matmul(T.softmax(scores), h),
+                                 T.matmul(h, w2)))
+            del h
+            tape.backward(total)
+        return held, kept, [t.grad for t in leaves]
+
+    held, kept, grads = step(rebuild=True)
+    assert made == [held]
+    assert np.array_equal(held.get(), kept)
+    _, _, want = step(rebuild=False)
+    assert all(np.array_equal(g, w) for g, w in zip(grads, want))
 
 
 FLOAT_MASK_REFERENCE = Path(__file__).parent / "data" / "float_mask_dropout_reference.npz"
