@@ -9,9 +9,10 @@ which is what makes mid-run resume bit-exact.
 Because Philox is counter-based, a copy of a generator can also be jumped
 to any later position of its stream without drawing the values before it;
 ``fill_uniform`` uses that to draw one stream on two threads: the caller's
-and the module's one worker thread. The worker starts on the first draw
-and persists for the process; a forked child, which inherits the executor
-but not its thread, makes its own.
+and the module's one worker thread. ``run_beside`` lends that worker to
+other work split in two, such as Adam's update. The worker starts on the
+first such split and persists for the process; a forked child, which
+inherits the executor but not its thread, makes its own.
 """
 
 import bisect
@@ -81,6 +82,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_worker)
 
 
+def split_at_half(sizes) -> int:
+    """How many of the items with these ``sizes`` the calling thread takes
+    when work is split in two: those up to and including the one at which
+    half the total is reached."""
+    ends = list(itertools.accumulate(sizes))
+    return bisect.bisect_left(ends, ends[-1] / 2) + 1
+
+
+def run_beside(mine, theirs) -> None:
+    """Run ``theirs()`` on the worker thread while the calling thread runs
+    ``mine()``. Both have ended when this returns or raises; an exception
+    of ``mine`` is raised first, then one of ``theirs``."""
+    future = _worker.submit(theirs)
+    try:
+        mine()
+    finally:
+        future.exception()              # the worker's part ends either way
+    future.result()
+
+
 def fill_uniform(rng: np.random.Generator,
                  draws: list[tuple[np.ndarray, float]]) -> None:
     """Fill each ``(dest, limit)`` in order with ``uniform(-limit, limit)``
@@ -94,13 +115,8 @@ def fill_uniform(rng: np.random.Generator,
     if len(draws) < 2:
         _fill(rng, draws)
         return
-    ends = list(itertools.accumulate(dest.size for dest, _ in draws))
-    split = bisect.bisect_left(ends, ends[-1] / 2) + 1
-    rest = jumped(rng, ends[split - 1])
-    future = _worker.submit(_fill, rest, draws[split:])
-    try:
-        _fill(rng, draws[:split])
-    finally:
-        future.exception()              # the worker's range ends either way
-    future.result()
+    split = split_at_half(dest.size for dest, _ in draws)
+    rest = jumped(rng, sum(dest.size for dest, _ in draws[:split]))
+    run_beside(lambda: _fill(rng, draws[:split]),
+               lambda: _fill(rest, draws[split:]))
     rng.bit_generator.state = rest.bit_generator.state

@@ -22,12 +22,20 @@ sublayer's output projection, the pre-ReLU activation or the attention
 scores before the softmax are freed during forward. Dropout masks are kept
 as ``bool``, one byte per entry.
 
-A residual sublayer's output, ``xhat * gain + bias``, is not kept on the
-tape: its taped tensor carries a rebuild (``_Rebuild``) that the records
-reading it hold instead, and backward recomputes it from ``xhat``, which
-the sublayer's own record keeps anyway, with two elementwise passes.
-``xhat``, Q/K/V and relu outputs stay on the tape: rebuilding them would
-take a GEMM or an array the tape does not keep.
+Some op outputs are not kept on the tape but rebuilt during backward. A
+taped output carries a rebuild (``_Rebuild``) that the records reading it
+hold instead; the first of them to run in backward recomputes the output,
+bit for bit and with no weight GEMM, from arrays the tape keeps anyway. A
+residual sublayer's output, ``xhat * gain + bias``, is rebuilt from the
+``xhat`` its own record keeps; a batched ``matmul`` from its two kept
+operands; ``scale``, ``transpose``, ``reshape`` and ``softmax`` from their
+input's rebuild, when it has one. So the records of an attention keep only
+its Q, K and V: backward recomputes the scores, the softmax weights (which
+softmax's own vjp reads from its rebuild) and the merged head copy that
+the out projection reads. ``xhat``, Q/K/V, relu outputs and the glimpse
+weights stay on the tape: ``xhat`` needs the sublayer's input sum, which
+the tape does not keep, and the others are read off a weight GEMM, which
+would cost more to redo than the memory is worth.
 
 Everything is float64. Gradients accumulate into ``Tensor.grad`` (a numpy
 array of the same shape as ``Tensor.data``); after ``backward`` only leaf
@@ -165,19 +173,24 @@ class Tensor:
 
 class _Rebuild:
     """Recomputes an op output during backward, so that the records reading
-    it need not keep it: ``make()`` runs on the first ``get()``, and its
-    result is cached until the last record holding this rebuild is
-    dropped. ``make`` closes over arrays only, never a ``Tensor``."""
+    it need not keep it: the first ``get()`` returns ``make(*args)``, with
+    each rebuild among ``args`` replaced by its own ``get()``. The result is
+    cached until the last record holding this rebuild is dropped, and
+    ``make`` and ``args`` are let go once it is made, so a chain of
+    rebuilds keeps only the results still read. ``make`` and ``args`` hold
+    arrays and rebuilds only, never a ``Tensor``."""
 
-    __slots__ = ("_make", "_data")
+    __slots__ = ("_make", "_args", "_data")
 
-    def __init__(self, make):
+    def __init__(self, make, *args):
         self._make = make
+        self._args = args
         self._data = None
 
     def get(self) -> np.ndarray:
         if self._data is None:
-            self._data = self._make()
+            self._data = self._make(*map(_read, self._args))
+            self._make = self._args = None
         return self._data
 
 
@@ -188,18 +201,26 @@ def _kept(t: Tensor, arr: np.ndarray):
     return arr if t._rebuild is None else t._rebuild
 
 
-def _read(kept) -> np.ndarray:
+def _read(kept):
     return kept.get() if isinstance(kept, _Rebuild) else kept
 
 
-def _from_op(data, inputs, vjp, rebuild=None):
+def _rebuilt_from(a: Tensor, make, *args):
+    """A rebuild of ``make(a's array, *args)`` when ``a`` carries a rebuild,
+    else ``None``: an op whose record keeps nothing else can be rebuilt
+    only from its input's rebuild."""
+    return None if a._rebuild is None else _Rebuild(make, a._rebuild, *args)
+
+
+def _from_op(data, inputs, vjp, rebuild: _Rebuild | None = None):
     """Build the op output and, when grads are wanted, record ``vjp``.
 
     ``inputs`` lists the op's tensor arguments in the order its vjp returns
     their gradients; an optional one that was not given is ``None``. The
     output keeps the layout of ``data``, so a strided view is not copied.
-    A recorded output carries ``rebuild``, a function that recomputes
-    ``data``; an unrecorded one carries none, so it keeps nothing extra."""
+    A recorded output carries ``rebuild``, which recomputes ``data``
+    bit for bit; an unrecorded one carries none, so it keeps nothing
+    extra."""
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64)
     slots = tuple(t._slot if t is not None and t.requires_grad else None
@@ -210,8 +231,7 @@ def _from_op(data, inputs, vjp, rebuild=None):
     tape = getattr(_this_thread, "tape", None)
     if out.requires_grad and tape is not None:
         tape._records.append((out._slot, slots, vjp))
-        if rebuild is not None:
-            out._rebuild = _Rebuild(rebuild)
+        out._rebuild = rebuild
     return out
 
 
@@ -265,7 +285,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
     c = float(c)
-    return _from_op(a.data * c, (a,), lambda g: (g * c,))
+    return _from_op(a.data * c, (a,), lambda g: (g * c,),
+                    _rebuilt_from(a, np.multiply, c))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -294,7 +315,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         _unbroadcast(g @ np.swapaxes(_read(b_kept), -1, -2), shape_a)
         if wa else None,
         _unbroadcast(np.swapaxes(_read(a_kept), -1, -2) @ g, shape_b)
-        if wb else None))
+        if wb else None), _Rebuild(np.matmul, a_kept, b_kept))
 
 
 def _matmul_weight(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -327,13 +348,15 @@ def _matmul_weight(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
     return _from_op(np.swapaxes(a.data, axis0, axis1), (a,),
-                    lambda g: (np.swapaxes(g, axis0, axis1),))
+                    lambda g: (np.swapaxes(g, axis0, axis1),),
+                    _rebuilt_from(a, np.swapaxes, axis0, axis1))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape_a = a.data.shape
     return _from_op(a.data.reshape(shape), (a,),
-                    lambda g: (g.reshape(shape_a),))
+                    lambda g: (g.reshape(shape_a),),
+                    _rebuilt_from(a, np.reshape, shape))
 
 
 def _reduction(a: Tensor, data, axis, keepdims: bool, count=None) -> Tensor:
@@ -367,21 +390,34 @@ def _check_softmax_input(x, axis):
         raise NumericError("softmax over a fully -inf slice is undefined")
 
 
+def _softmax(x, axis, keep, check=False):
+    """Max-shifted softmax of ``x`` along ``axis`` with the entries where
+    ``keep`` is false set to -inf first; ``check`` validates that input."""
+    if keep is not None:
+        x = np.where(keep, x, -np.inf)
+    if check:
+        _check_softmax_input(x, axis)
+    shift = np.max(x, axis=axis, keepdims=True)
+    e = np.exp(x - shift)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1, keep=None) -> Tensor:
     """Max-shifted softmax along ``axis``. -inf entries get exactly zero
     weight, and so do the entries where the bool mask ``keep``, broadcast
-    against ``a``, is false; no gradient flows back through those."""
-    x = a.data if keep is None else np.where(keep, a.data, -np.inf)
-    _check_softmax_input(x, axis)
-    shift = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - shift)
-    data = e / e.sum(axis=axis, keepdims=True)
+    against ``a``, is false; no gradient flows back through those. When
+    ``a`` carries a rebuild, the output carries one from it, and the vjp
+    reads that instead of keeping the probabilities."""
+    data = _softmax(a.data, axis, keep, check=True)
+    rebuild = _rebuilt_from(a, _softmax, axis, keep)
+    probs = data if rebuild is None else rebuild
 
     def vjp(g):
-        gs = (g - (g * data).sum(axis=axis, keepdims=True)) * data
+        p = _read(probs)
+        gs = (g - (g * p).sum(axis=axis, keepdims=True)) * p
         return (gs if keep is None else np.where(keep, gs, 0.0),)
 
-    return _from_op(data, (a,), vjp)
+    return _from_op(data, (a,), vjp, rebuild)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -485,7 +521,7 @@ def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
         return gs if wx else None, gfx, ggain, gbias
 
     # a rebuild runs the forward's expression on its arrays: the same bytes
-    return _from_op(output(), (x, fx, gain, bias), vjp, output)
+    return _from_op(output(), (x, fx, gain, bias), vjp, _Rebuild(output))
 
 
 def _dropout_keep(shape, p: float,

@@ -33,7 +33,7 @@ from .metrics import accuracy, sentiment_bins
 from .model import (TASK_CLASSES, TbjeModel, check_checkpoint,
                     forward_logits, load_model, model_bytes, read_model,
                     write_model)
-from .rng import derive_seed, make_rng
+from .rng import derive_seed, make_rng, run_beside, split_at_half
 from .tensor import Tape, Tensor
 
 ADAM_BETA1 = 0.9
@@ -158,7 +158,9 @@ def adam_step(params, state: TrainState, lr: float,
     ``_ADAM_BLOCK`` entries that stay in cache, through two reused
     buffers. Every gradient is checked before anything moves, so a missing
     or non-finite one leaves parameters, moments and ``state.step`` as
-    they were."""
+    they were. The parameters then split where half the entries are
+    reached: the calling thread updates the first part while ``rng``'s
+    worker thread updates the rest, each with buffers of its own."""
     t = state.step + 1
     for name, p in params.items():
         g = p.grad
@@ -173,14 +175,25 @@ def adam_step(params, state: TrainState, lr: float,
             raise ContractError(f"parameter {name!r} or its moments are not "
                                 f"C-contiguous; Adam updates them in place")
     state.step = t
+    work = [(p, state.first_moment[name], state.second_moment[name])
+            for name, p in params.items()]
+    hyper = (t, lr, beta1, beta2, eps)
+    if len(work) < 2:
+        _adam_update(work, *hyper)
+        return
+    split = split_at_half(p.data.size for p, _, _ in work)
+    run_beside(lambda: _adam_update(work[:split], *hyper),
+               lambda: _adam_update(work[split:], *hyper))
+
+
+def _adam_update(work, t, lr, beta1, beta2, eps) -> None:
+    """Adam's formula over each ``(parameter, m, v)`` of ``work`` in turn,
+    in blocks, through two buffers of its own."""
     scratch, step = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
-    for name, p in params.items():
+    for p, first, second in work:
         # 1-d views of the parameter and its moments, written in place;
         # the gradient, which may be strided, is only read
-        g = p.grad.reshape(-1)
-        m = state.first_moment[name].reshape(-1)
-        v = state.second_moment[name].reshape(-1)
-        w = p.data.reshape(-1)
+        g, m, v, w = (a.reshape(-1) for a in (p.grad, first, second, p.data))
         for lo in range(0, w.size, _ADAM_BLOCK):
             hi = min(lo + _ADAM_BLOCK, w.size)
             gb, mb, vb, wb = g[lo:hi], m[lo:hi], v[lo:hi], w[lo:hi]

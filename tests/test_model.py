@@ -26,6 +26,7 @@ import tbje.tensor as T
 from tbje.errors import ConfigError, ContractError
 from tbje.features import ModalityBatch
 from tbje.gradcheck import check_gradients
+from tbje.layers import MhaParams, multi_head_attention, named_tensors
 from tbje.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, EncoderConfig,
                         GlimpseParams, classify, encode_joint,
                         forward_logits, glimpse, init_model,
@@ -969,9 +970,11 @@ def test_each_residual_sublayer_and_affine_map_is_one_record(monkeypatch):
 # what the tape keeps
 # ---------------------------------------------------------------------------
 
-def toy_training_forward(seed=59):
-    cfg = toy_config(blocks=2, dropout_block=0.2, dropout_classifier=0.5)
-    model = init_model(cfg, seed=6)
+def toy_training_forward(seed=59, model=None):
+    if model is None:
+        model = init_model(toy_config(blocks=2, dropout_block=0.2,
+                                      dropout_classifier=0.5), seed=6)
+    cfg = model.config
     rng = make_rng(seed, "tape-keeps")
     batches = toy_batches(rng, cfg, 3)
     labels = rng.integers(0, cfg.num_classes(), size=3)
@@ -984,13 +987,20 @@ def toy_training_forward(seed=59):
 
 def _closure_items(fn):
     """What ``fn``'s closure holds, a tuple or list unpacked, and through
-    each rebuild it holds, what that rebuild's function holds."""
-    for cell in fn.__closure__ or ():
+    each rebuild it holds, what that rebuild's function and arguments
+    hold."""
+    for cell in getattr(fn, "__closure__", None) or ():
         held = cell.cell_contents
-        for item in held if isinstance(held, (tuple, list)) else (held,):
-            yield item
-            if isinstance(item, T._Rebuild):
-                yield from _closure_items(item._make)
+        yield from _held_items(held if isinstance(held, (tuple, list))
+                               else (held,))
+
+
+def _held_items(items):
+    for item in items:
+        yield item
+        if isinstance(item, T._Rebuild):
+            yield from _closure_items(item._make)
+            yield from _held_items(item._args)
 
 
 def test_no_record_or_vjp_closure_holds_a_tensor():
@@ -1089,8 +1099,10 @@ def test_untaped_forward_attaches_no_rebuild():
 
 def test_a_rebuild_read_by_several_records_computes_once(monkeypatch):
     """A sublayer output read by three weight products and a batched one
-    is rebuilt once per backward, bit for bit, and the gradients are those
-    of records that keep the array itself."""
+    is rebuilt once per backward, bit for bit; no other rebuild in the
+    graph (the scores, their softmax, its product with the output) is
+    computed twice; and the gradients are those of records that keep the
+    sublayer output itself."""
     rng = make_rng(62, "rebuild-once")
     leaves = [Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
               for shape in [(2, 3, 4)] * 2 + [(4,)] * 2 + [(4, 4)] * 3]
@@ -1121,10 +1133,135 @@ def test_a_rebuild_read_by_several_records_computes_once(monkeypatch):
         return held, kept, [t.grad for t in leaves]
 
     held, kept, grads = step(rebuild=True)
-    assert made == [held]
+    assert len({id(r) for r in made}) == len(made)
+    assert [r for r in made if r is held] == [held]
     assert np.array_equal(held.get(), kept)
     _, _, want = step(rebuild=False)
     assert all(np.array_equal(g, w) for g, w in zip(grads, want))
+
+
+def test_attention_weights_and_merged_heads_are_freed_before_backward(
+        monkeypatch):
+    """An attention's softmax weights and the merged copy of its heads,
+    which the out projection reads, are rebuilt in backward from Q, K and
+    V, so every attention's are gone while the tape is still unreplayed."""
+    inside, weights, merged = [], [], []
+    real_attention, real_softmax, real_reshape = (
+        tbje.layers.attention, T.softmax, T.reshape)
+
+    def attention(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_attention(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def softmax(*args, **kwargs):
+        out = real_softmax(*args, **kwargs)
+        if inside:
+            weights.append(weakref.ref(_root(out.data)))
+        return out
+
+    def reshape(a, shape):
+        out = real_reshape(a, shape)
+        if a.data.ndim == 4 and out.data.ndim == 3:     # heads merged back
+            merged.append(weakref.ref(_root(out.data)))
+        return out
+
+    monkeypatch.setattr(tbje.layers, "attention", attention)
+    monkeypatch.setattr(T, "softmax", softmax)
+    monkeypatch.setattr(T, "reshape", reshape)
+    tape, value = toy_training_forward()
+    gc.collect()
+    # L's self-attention and A's co-attention in each of 2 blocks
+    assert len(weights) == len(merged) == 4
+    assert all(ref() is None for ref in weights + merged)
+    tape.backward(value)
+
+
+def test_an_attention_s_records_reach_only_its_q_k_and_v(monkeypatch):
+    """Past its parameters, inputs and key mask, the arrays one attention's
+    records reach, through their vjps and the rebuilds those hold, are
+    exactly its Q, K and V projections."""
+    rng = make_rng(63, "q-k-v")
+    params = MhaParams.init(8, 2)
+    for _, t in named_tensors(params, "mha"):
+        t.data[...] = rng.uniform(-1, 1, size=t.data.shape)
+    query = Tensor(rng.uniform(-1, 1, size=(3, 4, 8)), requires_grad=True)
+    keys = Tensor(rng.uniform(-1, 1, size=(3, 5, 8)), requires_grad=True)
+    mask = np.arange(5) < np.array([[5], [2], [4]])
+    projected = []
+    real_split_heads = tbje.layers._split_heads
+
+    def split_heads(x, heads):
+        projected.append(_root(x.data))
+        return real_split_heads(x, heads)
+
+    monkeypatch.setattr(tbje.layers, "_split_heads", split_heads)
+    with T.Tape() as tape:
+        multi_head_attention(params, query, keys, keys, mask)
+    given = [t.data for _, t in named_tensors(params, "mha")]
+    given += [query.data, keys.data, mask]
+    reached = {id(_root(item)) for _, _, vjp in tape._records
+               for item in _closure_items(vjp)
+               if isinstance(item, np.ndarray)}
+    assert len(projected) == 3
+    assert reached - {id(_root(a)) for a in given} == set(map(id, projected))
+
+
+def test_rebuilt_activations_give_the_gradients_of_kept_ones(monkeypatch):
+    """A toy training step whose records read rebuilds has the loss and
+    gradients, bit for bit, of one whose records keep every array they
+    read."""
+    rebuilt = float_mask_step("LA")
+    gets = []
+    real_get = T._Rebuild.get
+
+    def get(self):
+        gets.append(self)
+        return real_get(self)
+
+    monkeypatch.setattr(T._Rebuild, "get", get)
+    monkeypatch.setattr(T, "_kept", lambda t, arr: arr)
+    monkeypatch.setattr(T, "_rebuilt_from", lambda a, make, *args: None)
+    kept = float_mask_step("LA")
+    assert gets == []
+    assert sorted(rebuilt) == sorted(kept)
+    for key, arr in kept.items():
+        assert np.array_equal(rebuilt[key], arr), key
+
+
+def test_non_parameter_bytes_on_a_toy_training_tape_are_pinned():
+    """The arrays a toy training tape reaches through its vjps and the
+    rebuilds they hold, parameters aside, counted once per root array, take
+    exactly the bytes derived below; a record that starts keeping another
+    activation fails here."""
+    model = init_model(toy_config(blocks=2, dropout_block=0.2,
+                                  dropout_classifier=0.5), seed=6)
+    tape, _ = toy_training_forward(model=model)
+    params = {id(_root(t.data)) for _, t in model.named_parameters()}
+    roots = {id(root): root for _, _, vjp in tape._records
+             for root in (_root(item) for item in _closure_items(vjp)
+                          if isinstance(item, np.ndarray))
+             if id(root) not in params}
+    # batch 3; L has 3 rows (9 in all) and A 4 (12); width 8, MLP 12, two
+    # blocks, 7 classes; 8 bytes a float64 entry, 1 a bool one
+    qkv = 2 * (5 * 9 * 8 + 12 * 8) * 8      # L's Q/K/V, A's Q, K/V from L
+    inputs = (3 * 3 * 5 + 3 * 4 * 6) * 8    # read by the input projections
+    first = (9 + 12) * 8 * 8                # block 1's inputs, L's after
+                                            # the positional add
+    score_maps = (2 * (3 + 4) + 1 + 1) * 8 * 8  # glimpse (k, G) products
+    # glimpse weights, per block (3, N, N) and in the classifier (3, 1, N),
+    # then the bool key masks (3, N) they share
+    glimpse = (2 * (3 * 3 * 3 + 3 * 4 * 4) + 3 * 3 + 3 * 4) * 8 + 3 * 3 + 3 * 4
+    # per sublayer: xhat, bool dropout mask, per-row scale and variance
+    sublayers = 6 * 9 * (8 * 8 + 8 + 2 * 8) + 6 * 12 * (8 * 8 + 8 + 2 * 8)
+    classifier_norm = 3 * 8 * 8 + 2 * 3 * 8
+    relu = 2 * (9 + 12) * 12 * 8
+    head = 3 * 8 + 2 * 3 * 7 * 8    # dropout mask, log-softmax, one-hot
+    assert sum(r.nbytes for r in roots.values()) == (
+        qkv + inputs + first + score_maps + glimpse + sublayers
+        + classifier_norm + relu + head) == 27709
 
 
 FLOAT_MASK_REFERENCE = Path(__file__).parent / "data" / "float_mask_dropout_reference.npz"

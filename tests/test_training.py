@@ -5,6 +5,7 @@ import json
 import struct
 import sys
 import tempfile
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tbje.rng
 import tbje.training as TR
 from tbje import tensor as T
 from tbje.data import Split
@@ -295,6 +297,96 @@ class TestAdam:
             assert np.array_equal(p.data, w)
             assert np.array_equal(state.first_moment[n], m)
             assert np.array_equal(state.second_moment[n], v)
+
+    @staticmethod
+    def serial_copy(params):
+        """Copies of ``params`` and two zero moments each, for the formula
+        run over every parameter in turn on the calling thread."""
+        return {n: (Tensor(p.data.copy(), requires_grad=True),
+                    np.zeros_like(p.data), np.zeros_like(p.data))
+                for n, p in params.items()}
+
+    @staticmethod
+    def serial_step(copies, params, t, lr):
+        for n, (p, _, _) in copies.items():
+            p.grad = params[n].grad
+        TR._adam_update(list(copies.values()), t, lr, TR.ADAM_BETA1,
+                        TR.ADAM_BETA2, TR.ADAM_EPS)
+
+    def test_split_steps_equal_the_serial_formula(self, monkeypatch):
+        """Parameters split at half the entries, the worker thread takes
+        the second part, and after three steps the parameters and both
+        moments are bit for bit those of one thread updating them all; a
+        strided gradient and a ragged last block are among them."""
+        rng = np.random.default_rng(8)
+        shapes = [(TR._ADAM_BLOCK + 5,), (40, 50), (3,), (70, 30), (25, 25)]
+        params = {f"p{i}": Tensor(rng.standard_normal(s), requires_grad=True)
+                  for i, s in enumerate(shapes)}
+        state = init_state(params, lr=1e-3)
+        copies = self.serial_copy(params)
+        ran_on = {}
+        real_update = TR._adam_update
+
+        def update(work, *hyper):
+            for p, _, _ in work:
+                ran_on[id(p)] = threading.current_thread()
+            real_update(work, *hyper)
+
+        monkeypatch.setattr(TR, "_adam_update", update)
+        for t in range(1, 4):
+            for p in params.values():
+                p.grad = rng.standard_normal(p.data.shape[::-1]).T
+            adam_step(params, state, lr=1e-3)
+            self.serial_step(copies, params, t, 1e-3)
+        assert [ran_on[id(p)] is threading.main_thread()
+                for p in params.values()] == [True] + [False] * 4
+        for n, p in params.items():
+            w, m, v = copies[n]
+            assert np.array_equal(p.data, w.data)
+            assert np.array_equal(state.first_moment[n], m)
+            assert np.array_equal(state.second_moment[n], v)
+
+    def test_the_workers_exception_leaves_the_callers_part_done(
+            self, monkeypatch):
+        rng = np.random.default_rng(9)
+        params = {n: Tensor(rng.standard_normal((30, 30)), requires_grad=True)
+                  for n in ("a", "b", "c", "d")}
+        state = init_state(params, lr=1e-3)
+        copies = self.serial_copy(params)
+        for p in params.values():
+            p.grad = rng.standard_normal(p.data.shape)
+        real_update = TR._adam_update
+
+        def update(work, *hyper):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("updated off the calling thread")
+            real_update(work, *hyper)
+
+        monkeypatch.setattr(TR, "_adam_update", update)
+        with pytest.raises(FloatingPointError,
+                           match="^updated off the calling thread$"):
+            adam_step(params, state, lr=1e-3)
+        # the caller's part, a and b, moved; c and d are as they were
+        self.serial_step({n: copies[n] for n in "ab"}, params, 1, 1e-3)
+        for n, p in params.items():
+            w, m, v = copies[n]
+            assert np.array_equal(p.data, w.data), n
+            assert np.array_equal(state.first_moment[n], m), n
+            assert np.array_equal(state.second_moment[n], v), n
+
+    def test_a_single_parameter_is_updated_on_the_calling_thread(
+            self, monkeypatch):
+        class NoWorker:
+            def submit(self, *args):
+                raise AssertionError("work handed to the worker thread")
+
+        monkeypatch.setattr(tbje.rng, "_worker", NoWorker())
+        p, params, state = one_param([1.0, -2.0, 0.5])
+        g = np.array([3.0, -0.5, 0.0])
+        p.grad = g.copy()
+        adam_step(params, state, lr=0.01)
+        assert np.array_equal(p.data, adam_reference([1.0, -2.0, 0.5], [g],
+                                                     0.01))
 
     def test_missing_gradient_raises(self):
         _, params, state = one_param([1.0])
