@@ -112,6 +112,10 @@ def _read_manifest(path: Path) -> tuple[list[dict], list[str]]:
             lines = [(reader.line_num, fields) for fields in reader if fields]
     except UnicodeDecodeError:
         raise not_utf8_error(path, "manifest") from None
+    except csv.Error as exc:
+        # e.g. a field over csv's size limit, as an unbalanced quote makes
+        raise ConfigError(f"manifest {path}:{reader.line_num}: {exc}") \
+            from None
     repeated = sorted({c for c in header if header.count(c) > 1})
     if repeated:
         raise ConfigError(f"manifest {path} repeats columns {repeated}")
@@ -294,11 +298,6 @@ def cmd_train(args) -> int:
             state = load_train_state(state_path, into=model)[1]
         with open(out / f"train-member{i}.ndjson", "w",
                   encoding="utf-8") as fh:
-            if state is not None:
-                # rewritten from the state's own log, so the two agree
-                for record in state.log:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-                fh.flush()
             state = fit(
                 model, bundle.splits["train"], bundle.splits["valid"],
                 dataclasses.replace(cfg.training, seed=seed), member=i,

@@ -4,7 +4,7 @@ training, and evaluation.
 A bundle is a directory:
 
     manifest.json                       canonical JSON (sorted keys)
-    vocab.json / vocab.embeddings.tbjt  optional vocabulary
+    vocab.json / vocab.embeddings.tbjt  vocabulary, for the record only
     <split>/<M>.features.tbjt           (count, length, width) float64
     <split>/<M>.mask.tbjt               (count, length) 0/1
     <split>/labels.sentiment.tbjt       raw values in [-3, 3]
@@ -222,12 +222,3 @@ def read_bundle(root, names=None) -> DatasetBundle:
                          vocab_hash=manifest.get("vocab_hash"),
                          normalization=manifest.get("normalization", {}))
 
-
-def load_vocabulary(root) -> Vocabulary:
-    root = Path(root)
-    path = root / "vocab.json"
-    meta = read_json(path.read_bytes(), f"vocabulary {path}",
-                     required=("tokens", "fallback_count"))
-    return Vocabulary(tokens=meta["tokens"],
-                      embeddings=load_array(root / "vocab.embeddings.tbjt"),
-                      fallback_count=meta["fallback_count"])

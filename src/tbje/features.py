@@ -22,7 +22,6 @@ from .errors import ConfigError, ContractError, DataWarning
 
 PAD_TOKEN = "pad"
 UNK_TOKEN = "unk"
-PAD_INDEX = 0
 UNK_INDEX = 1
 EMBEDDING_DIM = 300
 
@@ -70,9 +69,6 @@ class Vocabulary:
         if self.tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise ConfigError("vocabulary must reserve indices 0/1 for pad/unk")
         self.index_of = {t: i for i, t in enumerate(self.tokens)}
-
-    def __len__(self):
-        return len(self.tokens)
 
     def lookup(self, token: str) -> int:
         return self.index_of.get(token, UNK_INDEX)

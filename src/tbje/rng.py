@@ -85,9 +85,9 @@ if hasattr(os, "register_at_fork"):
 def split_at_half(sizes) -> int:
     """How many of the items with these ``sizes`` the calling thread takes
     when work is split in two: those up to and including the one at which
-    half the total is reached."""
-    ends = list(itertools.accumulate(sizes))
-    return bisect.bisect_left(ends, ends[-1] / 2) + 1
+    half the total is reached; 0 for no items."""
+    ends = list(itertools.accumulate(sizes, initial=0))
+    return bisect.bisect_left(ends, ends[-1] / 2)
 
 
 def run_beside(mine, theirs) -> None:
@@ -112,9 +112,6 @@ def fill_uniform(rng: np.random.Generator,
     The draws split at the destination where half the values are reached.
     The calling thread draws the first range while the worker thread draws
     the rest from a copy of ``rng`` jumped past the first range."""
-    if len(draws) < 2:
-        _fill(rng, draws)
-        return
     split = split_at_half(dest.size for dest, _ in draws)
     rest = jumped(rng, sum(dest.size for dest, _ in draws[:split]))
     run_beside(lambda: _fill(rng, draws[:split]),

@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 _this_thread = threading.local()        # .tape: where this thread records
+LAYER_NORM_EPS = 1e-5           # layer norm's floor on the variance
 
 
 class Tape:
@@ -173,43 +174,42 @@ class Tensor:
 
 class _Rebuild:
     """Recomputes an op output during backward, so that the records reading
-    it need not keep it: the first ``get()`` returns ``make(*args)``, with
-    each rebuild among ``args`` replaced by its own ``get()``. The result is
-    cached until the last record holding this rebuild is dropped, and
-    ``make`` and ``args`` are let go once it is made, so a chain of
-    rebuilds keeps only the results still read. ``make`` and ``args`` hold
-    arrays and rebuilds only, never a ``Tensor``."""
+    it need not keep it: the first ``get()`` returns ``make()``, a closure
+    that reads the arrays it needs and calls ``get()`` on the rebuilds it
+    holds. The result is cached until the last record holding this rebuild
+    is dropped, and ``make`` is let go once it has run, so a chain of
+    rebuilds keeps only the results still read. ``make`` closes over arrays
+    and rebuilds only, never a ``Tensor``."""
 
-    __slots__ = ("_make", "_args", "_data")
+    __slots__ = ("_make", "_data")
 
-    def __init__(self, make, *args):
+    def __init__(self, make):
         self._make = make
-        self._args = args
         self._data = None
 
     def get(self) -> np.ndarray:
         if self._data is None:
-            self._data = self._make(*map(_read, self._args))
-            self._make = self._args = None
+            self._data = self._make()
+            self._make = None
         return self._data
 
 
-def _kept(t: Tensor, arr: np.ndarray):
-    """What a vjp keeps to read ``arr``, the array of ``t`` or a view of it:
-    ``t``'s rebuild when it has one, else ``arr``. ``_read`` gives back the
-    array, in ``t``'s shape for a rebuild."""
-    return arr if t._rebuild is None else t._rebuild
+def _kept(t: Tensor):
+    """What a vjp keeps to read the array of ``t``: ``t``'s rebuild when it
+    has one, else the array. ``_read`` gives back the array."""
+    return t.data if t._rebuild is None else t._rebuild
 
 
 def _read(kept):
     return kept.get() if isinstance(kept, _Rebuild) else kept
 
 
-def _rebuilt_from(a: Tensor, make, *args):
-    """A rebuild of ``make(a's array, *args)`` when ``a`` carries a rebuild,
-    else ``None``: an op whose record keeps nothing else can be rebuilt
-    only from its input's rebuild."""
-    return None if a._rebuild is None else _Rebuild(make, a._rebuild, *args)
+def _rebuilt_from(a: Tensor, make):
+    """A rebuild of ``make(a's array)`` when ``a`` carries a rebuild, else
+    ``None``: an op whose record keeps nothing else can be rebuilt only
+    from its input's rebuild."""
+    rebuild = a._rebuild
+    return None if rebuild is None else _Rebuild(lambda: make(rebuild.get()))
 
 
 def _from_op(data, inputs, vjp, rebuild: _Rebuild | None = None):
@@ -286,7 +286,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
     c = float(c)
     return _from_op(a.data * c, (a,), lambda g: (g * c,),
-                    _rebuilt_from(a, np.multiply, c))
+                    _rebuilt_from(a, lambda x: x * c))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -310,12 +310,12 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError("a matmul bias needs a 2-d right operand")
     wa, wb = a.requires_grad, b.requires_grad
     shape_a, shape_b = a.data.shape, b.data.shape
-    a_kept, b_kept = _kept(a, a.data), _kept(b, b.data)
+    a_kept, b_kept = _kept(a), _kept(b)
     return _from_op(a.data @ b.data, (a, b), lambda g: (
         _unbroadcast(g @ np.swapaxes(_read(b_kept), -1, -2), shape_a)
         if wa else None,
         _unbroadcast(np.swapaxes(_read(a_kept), -1, -2) @ g, shape_b)
-        if wb else None), _Rebuild(np.matmul, a_kept, b_kept))
+        if wb else None), _Rebuild(lambda: _read(a_kept) @ _read(b_kept)))
 
 
 def _matmul_weight(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -333,7 +333,7 @@ def _matmul_weight(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         data += bias.data
     wa, wb = a.requires_grad, b.requires_grad
     wbias = bias is not None and bias.requires_grad
-    a_kept = _kept(a, a2d)
+    a_kept = _kept(a)
 
     def vjp(g):
         g2d = g.reshape(rows, bd.shape[1])
@@ -349,38 +349,25 @@ def _matmul_weight(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
     return _from_op(np.swapaxes(a.data, axis0, axis1), (a,),
                     lambda g: (np.swapaxes(g, axis0, axis1),),
-                    _rebuilt_from(a, np.swapaxes, axis0, axis1))
+                    _rebuilt_from(a, lambda x: np.swapaxes(x, axis0, axis1)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape_a = a.data.shape
     return _from_op(a.data.reshape(shape), (a,),
                     lambda g: (g.reshape(shape_a),),
-                    _rebuilt_from(a, np.reshape, shape))
+                    _rebuilt_from(a, lambda x: x.reshape(shape)))
 
 
-def _reduction(a: Tensor, data, axis, keepdims: bool, count=None) -> Tensor:
-    """The record of a sum (``count=None``) or mean of ``a`` over ``axis``:
-    the gradient spreads back over the reduced entries."""
-    shape_a = a.data.shape
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        g = np.broadcast_to(g, shape_a)
-        return (g if count is None else g / count,)
-
-    return _from_op(data, (a,), vjp)
+def tsum(a: Tensor) -> Tensor:
+    shape = a.data.shape
+    return _from_op(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, shape),))
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _reduction(a, a.data.sum(axis=axis, keepdims=keepdims), axis,
-                      keepdims)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    return _reduction(a, data, axis, keepdims, a.data.size / data.size)
+def tmean(a: Tensor) -> Tensor:
+    shape, size = a.data.shape, a.data.size
+    return _from_op(a.data.mean(), (a,),
+                    lambda g: (np.broadcast_to(g, shape) / size,))
 
 
 def _check_softmax_input(x, axis):
@@ -409,7 +396,7 @@ def softmax(a: Tensor, axis: int = -1, keep=None) -> Tensor:
     ``a`` carries a rebuild, the output carries one from it, and the vjp
     reads that instead of keeping the probabilities."""
     data = _softmax(a.data, axis, keep, check=True)
-    rebuild = _rebuilt_from(a, _softmax, axis, keep)
+    rebuild = _rebuilt_from(a, lambda x: _softmax(x, axis, keep))
     probs = data if rebuild is None else rebuild
 
     def vjp(g):
@@ -458,21 +445,21 @@ def relu(a: Tensor) -> Tensor:
     return _from_op(data, (a,), lambda g: (g * (data > 0),))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Standardize the last axis to mean 0, variance 1, then apply gain/bias.
 
-    The variance estimate is floored at ``eps`` instead of being inflated by
-    it, so ordinary rows come out with variance 1 to float precision while
-    constant rows map to zero without a division by zero.
+    The variance estimate is floored at ``LAYER_NORM_EPS`` instead of being
+    inflated by it, so ordinary rows come out with variance 1 to float
+    precision while constant rows map to zero without a division by zero.
     """
-    return residual_norm(x, None, gain, bias, eps=eps)
+    return residual_norm(x, None, gain, bias)
 
 
 def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
-                  p: float = 0.0, rng: np.random.Generator | None = None,
-                  eps: float = 1e-5) -> Tensor:
-    """``layer_norm(x + dropout(fx, p, rng), gain, bias, eps)`` as one
-    record; ``fx=None`` is ``layer_norm(x, gain, bias, eps)``.
+                  p: float = 0.0,
+                  rng: np.random.Generator | None = None) -> Tensor:
+    """``layer_norm(x + dropout(fx, p, rng), gain, bias)`` as one record;
+    ``fx=None`` is ``layer_norm(x, gain, bias)``.
 
     Values, gradients and the dropout draw are bit-identical to that chain
     of three ops, but the record keeps only the bool dropout mask, the
@@ -493,7 +480,7 @@ def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
     centered = s - mu
     del s
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    denom = np.sqrt(np.maximum(var, eps))
+    denom = np.sqrt(np.maximum(var, LAYER_NORM_EPS))
     xhat = centered / denom
     del centered
     gain_data, bias_data = gain.data, bias.data
@@ -507,13 +494,11 @@ def residual_norm(x: Tensor, fx: Tensor | None, gain: Tensor, bias: Tensor,
     def vjp(g):
         ggain = (g * xhat).reshape(-1, width).sum(axis=0) if wgain else None
         gbias = g.reshape(-1, width).sum(axis=0) if wbias else None
-        if not (wx or wfx):
-            return None, None, ggain, gbias
         gx = g * gain_data
         mean_gx = gx.mean(axis=-1, keepdims=True)
         mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
         # the variance term vanishes where the eps floor is active
-        correction = np.where(var <= eps, 0.0, xhat * mean_gx_xhat)
+        correction = np.where(var <= LAYER_NORM_EPS, 0.0, xhat * mean_gx_xhat)
         gs = (gx - mean_gx - correction) / denom
         gfx = None
         if wfx:

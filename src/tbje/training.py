@@ -32,7 +32,7 @@ from .metrics import accuracy, sentiment_bins
 # tracer can wrap tbje.training.model_bytes
 from .model import (TASK_CLASSES, TbjeModel, check_checkpoint,
                     forward_logits, load_model, model_bytes, read_model,
-                    write_model)
+                    save_model, write_model)
 from .rng import derive_seed, make_rng, run_beside, split_at_half
 from .tensor import Tape, Tensor
 
@@ -42,6 +42,7 @@ ADAM_EPS = 1e-8
 # entries per Adam block: the block's gradient, moments, parameter and two
 # buffers (1.5 MB) stay in cache through the formula's 14 passes
 _ADAM_BLOCK = 1 << 15
+SCORE_CHUNK = 64        # examples per eval-mode forward pass
 
 STATE_MAGIC = b"TBJS"
 STATE_VERSION = 5
@@ -145,9 +146,7 @@ def loss(logits: Tensor, labels, task: str) -> Tensor:
 # optimizer
 # ---------------------------------------------------------------------------
 
-def adam_step(params, state: TrainState, lr: float,
-              beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-              eps: float = ADAM_EPS) -> None:
+def adam_step(params, state: TrainState, lr: float) -> None:
     """One bias-corrected Adam update over every named parameter, in place:
 
         m = beta1 m + (1 - beta1) g,   v = beta2 v + (1 - beta2) g g,
@@ -177,16 +176,12 @@ def adam_step(params, state: TrainState, lr: float,
     state.step = t
     work = [(p, state.first_moment[name], state.second_moment[name])
             for name, p in params.items()]
-    hyper = (t, lr, beta1, beta2, eps)
-    if len(work) < 2:
-        _adam_update(work, *hyper)
-        return
     split = split_at_half(p.data.size for p, _, _ in work)
-    run_beside(lambda: _adam_update(work[:split], *hyper),
-               lambda: _adam_update(work[split:], *hyper))
+    run_beside(lambda: _adam_update(work[:split], t, lr),
+               lambda: _adam_update(work[split:], t, lr))
 
 
-def _adam_update(work, t, lr, beta1, beta2, eps) -> None:
+def _adam_update(work, t, lr) -> None:
     """Adam's formula over each ``(parameter, m, v)`` of ``work`` in turn,
     in blocks, through two buffers of its own."""
     scratch, step = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
@@ -198,18 +193,18 @@ def _adam_update(work, t, lr, beta1, beta2, eps) -> None:
             hi = min(lo + _ADAM_BLOCK, w.size)
             gb, mb, vb, wb = g[lo:hi], m[lo:hi], v[lo:hi], w[lo:hi]
             sb, stb = scratch[:hi - lo], step[:hi - lo]
-            np.multiply(gb, 1.0 - beta1, out=sb)
-            np.multiply(mb, beta1, out=mb)
+            np.multiply(gb, 1.0 - ADAM_BETA1, out=sb)
+            np.multiply(mb, ADAM_BETA1, out=mb)
             np.add(mb, sb, out=mb)
-            np.multiply(gb, 1.0 - beta2, out=sb)
+            np.multiply(gb, 1.0 - ADAM_BETA2, out=sb)
             np.multiply(sb, gb, out=sb)
-            np.multiply(vb, beta2, out=vb)
+            np.multiply(vb, ADAM_BETA2, out=vb)
             np.add(vb, sb, out=vb)
-            np.divide(mb, 1.0 - beta1 ** t, out=stb)
+            np.divide(mb, 1.0 - ADAM_BETA1 ** t, out=stb)
             np.multiply(stb, lr, out=stb)
-            np.divide(vb, 1.0 - beta2 ** t, out=sb)
+            np.divide(vb, 1.0 - ADAM_BETA2 ** t, out=sb)
             np.sqrt(sb, out=sb)
-            np.add(sb, eps, out=sb)
+            np.add(sb, ADAM_EPS, out=sb)
             np.divide(stb, sb, out=stb)
             np.subtract(wb, stb, out=wb)
 
@@ -262,14 +257,13 @@ def schedule_trace(values, cfg: TrainConfig) -> list[tuple[str, float]]:
 # prediction helpers
 # ---------------------------------------------------------------------------
 
-def predict_probabilities(model: TbjeModel, batches,
-                          chunk: int = 64) -> np.ndarray:
-    """Eval-mode class probabilities, ``chunk`` examples per forward pass:
+def predict_probabilities(model: TbjeModel, batches) -> np.ndarray:
+    """Eval-mode class probabilities, ``SCORE_CHUNK`` examples per pass:
     softmax rows for sentiment tasks, per-label sigmoids for emotions."""
     n = len(next(iter(batches.values())))
     parts = []
-    for lo in range(0, max(n, 1), chunk):    # an empty split gives (0, classes)
-        idx = np.arange(lo, min(lo + chunk, n))
+    for lo in range(0, max(n, 1), SCORE_CHUNK):     # empty: (0, classes)
+        idx = np.arange(lo, min(lo + SCORE_CHUNK, n))
         logits = forward_logits(model, {m: batches[m].take(idx)
                                         for m in model.config.modalities
                                         if m in batches})
@@ -279,9 +273,9 @@ def predict_probabilities(model: TbjeModel, batches,
     return np.vstack(parts)
 
 
-def ensemble_predict(models, batches, chunk: int = 64) -> np.ndarray:
-    """Arithmetic mean of per-model probabilities, each scored ``chunk``
-    examples per forward pass.
+def ensemble_predict(models, batches) -> np.ndarray:
+    """Arithmetic mean of per-model probabilities, each scored as
+    ``predict_probabilities`` scores it.
 
     ``models`` may be any iterable, such as a generator that loads one
     member at a time; each member is dropped before the next is drawn, so
@@ -299,7 +293,7 @@ def ensemble_predict(models, batches, chunk: int = 64) -> np.ndarray:
         require_match(f"ensemble member {count} has a different config "
                       f"than member 0", config, reference,
                       (f"member {count}", "member 0"))
-        probs = predict_probabilities(model, batches, chunk)
+        probs = predict_probabilities(model, batches)
         total = probs if total is None else total + probs
         count += 1
         del model
@@ -326,11 +320,11 @@ def gold_labels(split, task: str, boundary: float = 0.0) -> np.ndarray:
     raise ContractError(f"unknown task {task!r}")
 
 
-def evaluate_accuracy(model: TbjeModel, split, chunk: int = 64) -> float:
+def evaluate_accuracy(model: TbjeModel, split) -> float:
     """Accuracy on a split in eval mode; multi-label inputs score per class."""
     task = model.config.task
     gold = gold_labels(split, task, model.config.sentiment_boundary)
-    probs = predict_probabilities(model, split.batches, chunk)
+    probs = predict_probabilities(model, split.batches)
     return accuracy(predictions_from_probabilities(probs, task), gold)
 
 
@@ -352,8 +346,12 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
     state is rewritten after every epoch, and passing the loaded state (with
     its model and the same ``best_path``) back in resumes the exact
     trajectory of an uninterrupted run. A resumed ``cfg`` may differ from the
-    state's own only in ``max_epochs`` and ``ensemble_size``.
+    state's own only in ``max_epochs`` and ``ensemble_size``. Each epoch's
+    log record is a JSON line to ``log_fh``, after a resumed state's log.
     """
+    if state is not None and log_fh is not None:
+        for record in state.log:
+            _write_record(log_fh, record)
     if train.size == 0 or valid.size == 0:
         raise ContractError("fit() needs non-empty train and valid splits")
     params = model.parameter_dict()
@@ -406,7 +404,7 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
             val_accuracy = evaluate_accuracy(model, valid)
             outcome = observe_validation(state, val_accuracy, cfg)
             if outcome == "improved":
-                T.write_file(best_path, lambda fh: write_model(fh, model))
+                save_model(best_path, model)
                 state.best_epoch = state.epoch
             record = {
                 "epoch": state.epoch,
@@ -417,8 +415,7 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
             }
             state.log.append(record)
             if log_fh is not None:
-                log_fh.write(json.dumps(record, sort_keys=True) + "\n")
-                log_fh.flush()
+                _write_record(log_fh, record)
             if state_path is not None:
                 # Live parameters, not the best ones: a resumed run must
                 # pick up exactly where this epoch left off.
@@ -427,6 +424,11 @@ def fit(model: TbjeModel, train, valid, cfg: TrainConfig, member: int = 0,
         if state.best_epoch not in (0, state.epoch):
             load_model(best_path, into=model)
     return state
+
+
+def _write_record(log_fh, record: dict) -> None:
+    log_fh.write(json.dumps(record, sort_keys=True) + "\n")
+    log_fh.flush()
 
 
 def _check_best(path, model: TbjeModel, epoch: int) -> None:

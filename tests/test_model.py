@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -987,8 +988,8 @@ def toy_training_forward(seed=59, model=None):
 
 def _closure_items(fn):
     """What ``fn``'s closure holds, a tuple or list unpacked, and through
-    each rebuild it holds, what that rebuild's function and arguments
-    hold."""
+    each rebuild or function it holds, what that function's closure
+    holds."""
     for cell in getattr(fn, "__closure__", None) or ():
         held = cell.cell_contents
         yield from _held_items(held if isinstance(held, (tuple, list))
@@ -1000,7 +1001,8 @@ def _held_items(items):
         yield item
         if isinstance(item, T._Rebuild):
             yield from _closure_items(item._make)
-            yield from _held_items(item._args)
+        elif isinstance(item, types.FunctionType):
+            yield from _closure_items(item)
 
 
 def test_no_record_or_vjp_closure_holds_a_tensor():
@@ -1222,8 +1224,8 @@ def test_rebuilt_activations_give_the_gradients_of_kept_ones(monkeypatch):
         return real_get(self)
 
     monkeypatch.setattr(T._Rebuild, "get", get)
-    monkeypatch.setattr(T, "_kept", lambda t, arr: arr)
-    monkeypatch.setattr(T, "_rebuilt_from", lambda a, make, *args: None)
+    monkeypatch.setattr(T, "_kept", lambda t: t.data)
+    monkeypatch.setattr(T, "_rebuilt_from", lambda a, make: None)
     kept = float_mask_step("LA")
     assert gets == []
     assert sorted(rebuilt) == sorted(kept)

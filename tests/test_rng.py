@@ -29,15 +29,19 @@ def test_jumped_generator_continues_the_serial_stream(already, n):
 
 
 def test_fill_uniform_equals_serial_uniform_calls():
-    block, flat = np.empty((4, 6)), np.empty((7, 2))
-    dests = [np.empty((3, 5)), block[:, :3], block[:, 3:], flat.T,
-             np.empty(1001), np.empty((2, 2))]
-    limits = [0.5, 0.25, 1.0, 2.0, 0.125, 3.0]
-    rng, serial = make_rng(8, "fill"), make_rng(8, "fill")
-    fill_uniform(rng, list(zip(dests, limits)))
-    for dest, limit in zip(dests, limits):
-        assert np.array_equal(dest, serial.uniform(-limit, limit, dest.shape))
-    assert rng.random() == serial.random()
+    """Six draws, and the one-draw and empty lists, which take the same
+    split path."""
+    for count in (6, 1, 0):
+        block, flat = np.empty((4, 6)), np.empty((7, 2))
+        dests = [np.empty((3, 5)), block[:, :3], block[:, 3:], flat.T,
+                 np.empty(1001), np.empty((2, 2))][:count]
+        limits = [0.5, 0.25, 1.0, 2.0, 0.125, 3.0][:count]
+        rng, serial = make_rng(8, "fill"), make_rng(8, "fill")
+        fill_uniform(rng, list(zip(dests, limits)))
+        for dest, limit in zip(dests, limits):
+            assert np.array_equal(dest,
+                                  serial.uniform(-limit, limit, dest.shape))
+        assert rng.random() == serial.random()
 
 
 def test_importing_the_cli_starts_no_thread():

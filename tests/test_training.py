@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import tbje.rng
 import tbje.training as TR
 from tbje import tensor as T
 from tbje.data import Split
@@ -310,8 +309,7 @@ class TestAdam:
     def serial_step(copies, params, t, lr):
         for n, (p, _, _) in copies.items():
             p.grad = params[n].grad
-        TR._adam_update(list(copies.values()), t, lr, TR.ADAM_BETA1,
-                        TR.ADAM_BETA2, TR.ADAM_EPS)
+        TR._adam_update(list(copies.values()), t, lr)
 
     def test_split_steps_equal_the_serial_formula(self, monkeypatch):
         """Parameters split at half the entries, the worker thread takes
@@ -376,17 +374,28 @@ class TestAdam:
 
     def test_a_single_parameter_is_updated_on_the_calling_thread(
             self, monkeypatch):
-        class NoWorker:
-            def submit(self, *args):
-                raise AssertionError("work handed to the worker thread")
+        """One parameter is the calling thread's part, and the worker's
+        is empty; an empty dict gives both threads an empty part and only
+        advances the step."""
+        ran_on = []
+        real_update = TR._adam_update
 
-        monkeypatch.setattr(tbje.rng, "_worker", NoWorker())
+        def update(work, *hyper):
+            if work:
+                ran_on.append(threading.current_thread())
+            real_update(work, *hyper)
+
+        monkeypatch.setattr(TR, "_adam_update", update)
         p, params, state = one_param([1.0, -2.0, 0.5])
         g = np.array([3.0, -0.5, 0.0])
         p.grad = g.copy()
         adam_step(params, state, lr=0.01)
         assert np.array_equal(p.data, adam_reference([1.0, -2.0, 0.5], [g],
                                                      0.01))
+        assert ran_on == [threading.main_thread()]
+        adam_step({}, state, lr=0.01)
+        assert ran_on == [threading.main_thread()]
+        assert state.step == 2
 
     def test_missing_gradient_raises(self):
         _, params, state = one_param([1.0])
@@ -815,7 +824,8 @@ class TestEnsemble:
         batches = eval_batches(bundle)
         n = len(batches["L"])
         assert n > 3
-        one_pass = ensemble_predict(trained_pair, batches, chunk=n)
+        monkeypatch.setattr(TR, "SCORE_CHUNK", n)
+        one_pass = ensemble_predict(trained_pair, batches)
         sizes, true_forward = [], TR.forward_logits
 
         def forward(model, sub, *args, **kwargs):
@@ -823,14 +833,17 @@ class TestEnsemble:
             return true_forward(model, sub, *args, **kwargs)
 
         monkeypatch.setattr(TR, "forward_logits", forward)
-        chunked = ensemble_predict(trained_pair, batches, chunk=3)
+        monkeypatch.setattr(TR, "SCORE_CHUNK", 3)
+        chunked = ensemble_predict(trained_pair, batches)
         np.testing.assert_allclose(chunked, one_pass, rtol=0, atol=1e-12)
         per_member = [3] * (n // 3) + ([n % 3] if n % 3 else [])
         assert sizes == per_member * 2
 
-    def test_empty_split_scores_to_no_rows(self, bundle, trained_pair):
+    def test_empty_split_scores_to_no_rows(self, bundle, trained_pair,
+                                          monkeypatch):
+        monkeypatch.setattr(TR, "SCORE_CHUNK", 3)
         none = {m: b.take([]) for m, b in eval_batches(bundle).items()}
-        assert ensemble_predict(trained_pair, none, chunk=3).shape == (0, 7)
+        assert ensemble_predict(trained_pair, none).shape == (0, 7)
 
     def test_each_member_is_released_before_the_next_loads(self, bundle,
                                                            trained_pair):
@@ -880,11 +893,13 @@ class TestEvaluation:
                           gold_labels(split, task))
         assert evaluate_accuracy(model, split) == direct
 
-    def test_accuracy_is_chunking_invariant(self, bundle, trained_pair):
+    def test_accuracy_is_chunking_invariant(self, bundle, trained_pair,
+                                            monkeypatch):
         model = trained_pair[0]
         split = bundle.splits["test"]
-        assert evaluate_accuracy(model, split, chunk=3) == \
-            evaluate_accuracy(model, split, chunk=64)
+        whole = evaluate_accuracy(model, split)
+        monkeypatch.setattr(TR, "SCORE_CHUNK", 3)
+        assert evaluate_accuracy(model, split) == whole
 
 
 # ---------------------------------------------------------------------------
